@@ -54,29 +54,10 @@ void BM_RouteAll(benchmark::State& st) {
 }
 BENCHMARK(BM_RouteAll)->Unit(benchmark::kMillisecond);
 
-// The two routing engines head to head: ci.sh's perf-smoke reads these rows
-// out of BENCH_routing.json and gates (a) the negotiated engine's multi-core
-// nets/s win over serial (hosts with >= 4 cores) and (b) equal-or-better
-// final overflow. The serial row is the single-pass legacy engine; the
-// negotiated rows sweep GNNMLS_THREADS over the sharded engine.
-void BM_RouteSerial(benchmark::State& st) {
-  auto& f = *state().flow;
-  route::RouterOptions opt;
-  opt.negotiate = false;
-  route::Router router(f.design(), f.tech(), opt);
-  std::size_t overflow = 0;
-  for (auto _ : st) {
-    const route::RouteSummary rs = router.route_all({});
-    overflow = rs.census.overflow_gcells + rs.census.f2f_overflow_gcells;
-    benchmark::ClobberMemory();
-  }
-  st.counters["nets/s"] = benchmark::Counter(
-      static_cast<double>(f.design().nl.num_nets()) * static_cast<double>(st.iterations()),
-      benchmark::Counter::kIsRate);
-  st.counters["overflow"] = static_cast<double>(overflow);
-}
-BENCHMARK(BM_RouteSerial)->Unit(benchmark::kMillisecond);
-
+// The routing engine's thread sweep: ci.sh's perf-smoke reads these rows out
+// of BENCH_routing.json and gates (a) the 4-thread nets/s win over 1 thread
+// (hosts with >= 4 cores) and (b) identical final overflow at every thread
+// count.
 void BM_RouteNegotiated(benchmark::State& st) {
   const std::string threads = std::to_string(st.range(0));
   ::setenv("GNNMLS_THREADS", threads.c_str(), 1);
@@ -121,7 +102,7 @@ void BM_RerouteEco(benchmark::State& st) {
   const std::vector<netlist::Id> dirty =
       pick_dirty_nets(f.design().nl, static_cast<std::size_t>(st.range(0)));
   for (auto _ : st)
-    benchmark::DoNotOptimize(f.router().reroute_nets(dirty, route::RerouteMode::kEco));
+    benchmark::DoNotOptimize(f.router().reroute_nets(dirty));
   st.counters["nets/s"] = benchmark::Counter(
       static_cast<double>(dirty.size()) * static_cast<double>(st.iterations()),
       benchmark::Counter::kIsRate);

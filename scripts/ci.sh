@@ -147,16 +147,16 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 
-echo "==> perf smoke: routing engines (serial vs sharded negotiated, BENCH_routing.json)"
-# BM_RouteSerial is the legacy single-pass engine; BM_RouteNegotiated/{1,2,4}
-# is the sharded three-phase engine under that GNNMLS_THREADS count. Both
-# export nets/s and the post-route overflow census, so BENCH_routing.json
-# carries quality next to throughput run over run.
+echo "==> perf smoke: sharded negotiated routing thread sweep (BENCH_routing.json)"
+# BM_RouteNegotiated/{1,2,4} is the sharded three-phase engine under that
+# GNNMLS_THREADS count. It exports nets/s and the post-route overflow
+# census, so BENCH_routing.json carries quality next to throughput run over
+# run.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_RouteSerial|BM_RouteNegotiated' \
+  --benchmark_filter='BM_RouteNegotiated' \
   --benchmark_out=BENCH_routing.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
-# Quality + throughput gate, previously an inline python3 heredoc, now a
+# Determinism + throughput gate, previously an inline python3 heredoc, now a
 # first-class subcommand (gnnmls_report check-routing) so the gate runs on
 # python-less runners and its logic is unit-testable C++.
 ./build/tools/gnnmls_report check-routing BENCH_routing.json

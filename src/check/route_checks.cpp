@@ -80,26 +80,32 @@ void check_routes(const netlist::Design& design, const route::Router& router, Re
     }
     if (!r.mls_applied) continue;
 
-    const int home = (net.driver != kNullId) ? nl.cell(nl.pin(net.driver).cell).tier : 0;
-    const int other = home == 0 ? 1 : 0;
-    const std::uint8_t other_mask = r.layers_used[other];
-    if (other_mask == 0) {
+    // Shared routing is restricted to the top pairs of the tier opposite the
+    // edge's own terminals (pair lows top-1..top-shared_layers). Judged per
+    // shared edge, not by the net's layer masks: a multi-tier net's native
+    // and cross-tier edges may use any metal of either tier, and its shared
+    // edges may sit on the driver's own tier.
+    const route::NetTopology& topo = router.net_topology(n);
+    const std::vector<route::EdgeRoute>& edges = router.net_edges(n);
+    bool any_shared = false;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const route::EdgeRoute& er = edges[e];
+      if (!er.shared) continue;
+      any_shared = true;
+      const int edge_home = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])].tier;
+      const int top = router.grid().num_layers(er.route_tier) - 1;
+      const int lowest_legal = std::max(0, top - shared_layers);
+      if (er.route_tier != edge_home && er.layer_lo >= lowest_legal && er.layer_lo < top) continue;
       report.add(shared_rule, "net " + nl.net_name(n),
-                 "marked mls_applied but uses no metal on the other tier");
-      continue;
+                 "shared edge " + std::to_string(e) + " uses M" +
+                     std::to_string(er.layer_lo + 1) + "-" + std::to_string(er.layer_lo + 2) +
+                     (er.route_tier == 0 ? "(bot)" : "(top)") + ", not a legal shared pair (M" +
+                     std::to_string(lowest_legal + 1) + "+ on the tier opposite its terminals)");
+      break;  // one finding per net
     }
-    // Shared routing is restricted to the other tier's top pairs: layers
-    // [top - shared_layers, top] (pair lows top-1..top-shared_layers).
-    const int top = router.grid().num_layers(other) - 1;
-    const int lowest_legal = std::max(0, top - shared_layers);
-    std::uint8_t legal_mask = 0;
-    for (int l = lowest_legal; l <= top; ++l)
-      legal_mask = static_cast<std::uint8_t>(legal_mask | (1u << l));
-    if ((other_mask & ~legal_mask) != 0)
+    if (!any_shared)
       report.add(shared_rule, "net " + nl.net_name(n),
-                 "shared segments use " + route::Router::describe_layers(r) +
-                     " below the legal shared pairs (M" + std::to_string(lowest_legal + 1) +
-                     "+ on the other tier)");
+                 "marked mls_applied but routes no edge on shared metal");
     if (r.f2f_vias < 2)
       report.add(shared_rule, "net " + nl.net_name(n),
                  "shared route reports " + std::to_string(r.f2f_vias) +

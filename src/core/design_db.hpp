@@ -96,8 +96,8 @@ class DesignDB {
   // (buffering, level shifters, scan/DFT insertion), so absorbing their
   // journal also re-declares the placement stage current; a dedicated
   // placement pass would take that commit over. No-op when nothing is
-  // pending. The route pass calls this before deciding between full,
-  // replay, and ECO routing.
+  // pending. The route pass calls this before deciding between a full
+  // route and an ECO repair.
   void absorb_journal();
   // Sorted, deduplicated.
   const std::vector<netlist::Id>& dirty_nets() const {
@@ -150,16 +150,18 @@ class DesignDB {
   // Replaces the per-net MLS decision vector, touching every net whose flag
   // actually changed (absent entries count as 0). A flag flip therefore
   // dirties exactly the nets it affects, routing staleness falls out of the
-  // ordinary fresh(kRoutes) rule, and the route pass repairs the change
-  // with a bit-exact suffix replay instead of a from-scratch route_all.
+  // ordinary fresh(kRoutes) rule, and the route pass re-routes with
+  // route_all, whose exact diff against the previous routing becomes the
+  // incremental delta for the STA update.
   void set_mls_flags(std::vector<std::uint8_t> flags);
   const std::vector<std::uint8_t>& mls_flags() const { return mls_flags_; }
 
   // ---- stage result caches ----------------------------------------------
   // Summaries of the last routing / STA commits, kept so that an evaluate()
   // whose passes were all skipped can still assemble its metrics row from
-  // the DB alone. `incremental` marks a reroute_nets() result, whose
-  // changed_nets list is the exact dirty set for TimingGraph::update(); the
+  // the DB alone. `incremental` marks a result whose changed_nets list is
+  // the exact dirty set for TimingGraph::update() (a reroute_nets() repair
+  // or a same-netlist route_all after a flag flip); the
   // STA pass consumes it (set_sta_result clears the delta) so a stale list
   // can never feed a later incremental update.
   void set_route_summary(const route::RouteSummary& summary, bool incremental);
@@ -171,7 +173,7 @@ class DesignDB {
     bool valid = false;  // true only between an incremental route and the next STA
     std::vector<netlist::Id> changed;
     // Edge-granular view of the same delta: the exact 2-pin tree edges whose
-    // routed values changed, as reported by Router::reroute_nets. Every edge's
+    // routed values changed, as reported by the router. Every edge's
     // net appears in `changed`; consumers that only need net granularity can
     // ignore this list.
     std::vector<route::EdgeRef> changed_edges;

@@ -43,8 +43,7 @@ void DftPass::run(flow::PassContext& ctx) {
     obs::Span span("flow.route.eco");
     GNNMLS_FAULT_POINT("dft.eco");
     const std::vector<netlist::Id> dirty = db.take_dirty_nets();
-    const route::RouteSummary rs =
-        router.reroute_nets(dirty, db.mls_flags(), route::RerouteMode::kEco);
+    const route::RouteSummary rs = router.reroute_nets(dirty, db.mls_flags());
     db.set_route_summary(rs, true);
     db.commit(core::Stage::kRoutes);
     ctx.metrics.route_s += span.seconds();

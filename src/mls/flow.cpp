@@ -1,6 +1,7 @@
 #include "mls/flow.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "flow/registry.hpp"
@@ -223,12 +224,15 @@ TrainedEngine train_engine_on(std::vector<DesignFlow*> flows, const GnnMlsConfig
   out.corpus_paths = pooled.size();
   if (pooled.empty()) return out;
 
+  const auto t0 = std::chrono::steady_clock::now();
   out.report.dgi_loss = out.engine->pretrain(pooled);
+  out.report.pretrain_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   TrainReport ft = out.engine->fine_tune(pooled);
   out.report.fine_tune_loss = std::move(ft.fine_tune_loss);
   out.report.train_metrics = ft.train_metrics;
   out.report.val_metrics = ft.val_metrics;
-  out.report.train_seconds = ft.train_seconds;
+  out.report.train_seconds = out.report.pretrain_seconds + ft.train_seconds;
   return out;
 }
 

@@ -10,11 +10,11 @@
 // evaluate() hands a declarative pass pipeline to the flow::PassManager:
 // passes whose DesignDB stages are still fresh are skipped outright (a
 // re-run on an unmutated design schedules zero passes and reports from the
-// stage caches), stale stages are repaired incrementally (flag flips replay
-// bit-exactly; netlist ECOs rip up only the dirty nets), and independent
-// passes run concurrently under GNNMLS_THREADS. Strategies still see
-// identical starting conditions because the suffix replay is bit-exact with
-// a from-scratch route under the new flags.
+// stage caches), stale stages are repaired incrementally (a flag flip
+// re-routes and hands STA the exact diff; netlist ECOs rip up only the dirty
+// nets), and independent passes run concurrently under GNNMLS_THREADS.
+// Strategies still see identical starting conditions because routing is a
+// pure function of the netlist and the flags.
 #pragma once
 
 #include <memory>
@@ -107,7 +107,7 @@ class DesignFlow {
   // ---- testable-design evaluation (Tables III and VI) --------------------
   // Routes once with the given flags, inserts full scan plus the chosen MLS
   // DFT style, incrementally re-routes only the nets the insertion touched
-  // (RerouteMode::kEco on the DB's dirty set), re-times, and fault-simulates
+  // (Router::reroute_nets on the DB's dirty set), re-times, and fault-simulates
   // the pre-bond test. MUTATES the design permanently; run it as the flow's
   // final step. A second call on an unmutated design skips the insertion
   // (the test stage is fresh) and just re-simulates.

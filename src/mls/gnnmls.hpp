@@ -53,6 +53,9 @@ struct TrainReport {
   std::vector<double> fine_tune_loss;  // per epoch
   util::BinaryMetrics train_metrics;
   util::BinaryMetrics val_metrics;
+  // fine_tune() times fine-tuning plus evaluation; train_engine_on() adds
+  // DGI pretraining, so there train_seconds = pretrain_seconds + fine-tune.
+  double pretrain_seconds = 0.0;
   double train_seconds = 0.0;
 };
 

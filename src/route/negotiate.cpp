@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "flow/executor.hpp"
-#include "ft/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -17,7 +16,7 @@ namespace {
 
 struct NegCounters {
   obs::Counter& iters = obs::Metrics::instance().counter("route.negotiation_iters");
-  obs::Counter& ripups = obs::Metrics::instance().counter("route.ripups");
+  obs::Counter& ripups = obs::Metrics::instance().counter("route.negotiation_ripups");
   obs::Counter& reverts = obs::Metrics::instance().counter("route.negotiation_reverts");
   obs::Counter& shards = obs::Metrics::instance().counter("route.shards_routed");
   obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
@@ -53,13 +52,13 @@ bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
 
 // Serially commits the speculative results for `idxs`, reroute-on-conflict:
 // an edge whose speculative choice no longer fits the live grid is rerouted
-// right here against the live congestion (the Gauss-Seidel feedback the
-// serial engine gets for free). Commit order is the deterministic bucket
-// order and the live grid evolves deterministically with it, so the outcome
+// right here against the live congestion (the Gauss-Seidel feedback that
+// edge-by-edge routing gets for free). Commit order is the deterministic
+// bucket order and the live grid evolves deterministically with it, so the outcome
 // is independent of how the speculative routing was threaded.
 // Speculative picks touching cells above this fraction of capacity are
 // rerouted live at commit. 1.0 would repair only outright overflow;
-// repairing a little early keeps the packing quality of the serial engine
+// repairing a little early keeps edge-by-edge packing quality
 // in regions that are filling up, at the cost of a few extra serial
 // reroutes (the route.commit_repairs counter tracks how many).
 constexpr float kRepairFraction = 0.75f;
@@ -140,16 +139,6 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
   NegotiationStats stats;
   const RouterOptions& opt = in.options;
   const flow::Executor ex(flow::Executor::threads_from_env());
-  const auto t0 = std::chrono::steady_clock::now();
-  auto check_budget = [&](const char* where) {
-    if (opt.negotiation_budget_s <= 0.0) return;
-    const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (elapsed > opt.negotiation_budget_s) {
-      throw ft::FlowError(ft::ErrorCode::kTimeout, "route", "routes", 0, /*retryable=*/true,
-                          std::string(where) + " exceeded the negotiation budget of " +
-                              std::to_string(opt.negotiation_budget_s) + " s");
-    }
-  };
 
   // ---- phase 1: sharded initial routing -----------------------------------
   {
@@ -164,7 +153,6 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       ++shards_routed;
       route_tasks(ex, in, bucket, results);
       commit_results(in, bucket, results, &repairs);
-      check_budget("sharded initial routing");
     }
     NegCounters::get().shards.add(shards_routed);
     NegCounters::get().repairs.add(repairs);
@@ -177,7 +165,6 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
   std::vector<EdgeRoute> results;
   for (int iter = 0; iter < opt.max_negotiation_iters; ++iter) {
     if (census_key(census).first == 0) break;
-    check_budget("negotiation");
     GNNMLS_SPAN("route.negotiate.iter");
 
     // History bump: every overflowed track cell gets more expensive for the

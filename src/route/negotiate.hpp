@@ -22,9 +22,9 @@
 // function of (netlist, flags, options) — bit-identical at any
 // GNNMLS_THREADS, which the thread-sweep tests and ci.sh gate enforce.
 //
-// The loop is watchdog-budgeted (RouterOptions::negotiation_budget_s):
-// overrunning the budget throws a retryable ft::FlowError(kTimeout), which
-// RoutePass converts into a degradation to the serial single-pass router.
+// The loop is bounded by RouterOptions::max_negotiation_iters and
+// stagnation_limit; wall-clock deadlines are the pass manager's cooperative
+// per-pass budget (ft::FtOptions::pass_budget_s).
 #pragma once
 
 #include <cstddef>

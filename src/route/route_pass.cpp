@@ -4,7 +4,6 @@
 
 #include "flow/registry.hpp"
 #include "ft/blackbox.hpp"
-#include "ft/error.hpp"
 #include "ft/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -22,33 +21,10 @@ void RoutePass::run(flow::PassContext& ctx) {
   Router& router = db.router(ctx.config.router);
   const std::vector<std::uint8_t>& flags = db.mls_flags();
 
-  // Full route with the ft degradation ladder: if the negotiated engine
-  // overruns its cooperative watchdog budget (retryable kTimeout), fall back
-  // to the serial single-pass router — always well-defined, just slower and
-  // without congestion negotiation — and flag the row. Any other failure
-  // (injected faults, broken invariants) propagates for the wave-level
-  // rollback/retry machinery.
-  auto degraded_full_route = [&]() -> RouteSummary {
-    try {
-      return router.route_all(flags);
-    } catch (const ft::FlowError& e) {
-      if (e.code() != ft::ErrorCode::kTimeout) throw;
-      util::log_warn("route pass: negotiation budget overrun (", e.what(),
-                     "); degrading to the serial router");
-      static obs::Counter& degraded = obs::Metrics::instance().counter("ft.degraded");
-      degraded.add(1);
-      ctx.metrics.degraded = true;
-      obs::FlightRecorder::instance().record(obs::EventKind::kDegrade, "route.serial",
-                                             static_cast<std::uint64_t>(e.code()));
-      ft::dump_black_box({e}, 0, 0, "route pass degraded to the serial router");
-      return router.route_all_serial(flags);
-    }
-  };
-
   RouteSummary rs;
   bool incremental = false;
   if (router.routed_revision() == 0) {
-    rs = degraded_full_route();
+    rs = router.route_all(flags);
   } else if (db.design().nl.revision() != router.routed_revision()) {
     // The netlist moved (ECO): minimal rip-up of the dirty nets, keeping the
     // surviving grid state. Nets added since the last route are implicitly
@@ -58,7 +34,7 @@ void RoutePass::run(flow::PassContext& ctx) {
     const std::vector<netlist::Id> dirty = db.take_dirty_nets();
     try {
       GNNMLS_FAULT_POINT("route.eco");
-      rs = router.reroute_nets(dirty, flags, RerouteMode::kEco);
+      rs = router.reroute_nets(dirty, flags);
       incremental = true;
     } catch (const std::exception& e) {
       util::log_warn("route pass: ECO reroute failed (", e.what(),
@@ -71,14 +47,12 @@ void RoutePass::run(flow::PassContext& ctx) {
       rs = router.route_all(flags);
       incremental = false;
     }
-  } else if (db.dirty()) {
-    // Same netlist, local changes (flag flips, touched pins): suffix replay,
-    // bit-exact with a from-scratch route_all under the new flags.
-    const std::vector<netlist::Id> dirty = db.take_dirty_nets();
-    rs = router.reroute_nets(dirty, flags, RerouteMode::kReplay);
-    incremental = true;
   } else {
-    // Stage invalidated outright with nothing dirty: route from scratch.
+    // Same netlist: local changes (flag flips, touched pins) or a stage
+    // invalidated outright. route_all on an unchanged netlist reports the
+    // exact diff against the routing it replaces, so a non-empty dirty set
+    // makes this an incremental result for the STA update.
+    incremental = !db.take_dirty_nets().empty();
     rs = router.route_all(flags);
   }
   GNNMLS_FAULT_POINT("route.commit");

@@ -65,15 +65,23 @@ struct EdgeTally {
   }
 };
 
-// Appends the per-edge value diff of one net to `out`. Edges present on only
-// one side (topology grew or shrank) count as changed.
-void diff_edges(Id net, const std::vector<EdgeRoute>& before,
-                const std::vector<EdgeRoute>& after, std::vector<EdgeRef>& out) {
-  const std::size_t n = std::max(before.size(), after.size());
+// Appends one net's exact value diff to `summary`: every 2-pin edge whose
+// routed value moved (edges present on only one side — the topology grew or
+// shrank — count as changed), and the net itself if its electrical value
+// moved OR any of its edges was re-chosen (an edge can move between
+// equal-cost cells without shifting the net totals; its grid footprint still
+// changed, so the changed_edges ⊆ changed_nets contract must count the net).
+void diff_net(Id net, const NetRoute& before, const std::vector<EdgeRoute>& before_edges,
+              const NetRoute& after, const std::vector<EdgeRoute>& after_edges,
+              RouteSummary& summary) {
+  const std::size_t edges_listed = summary.changed_edges.size();
+  const std::size_t n = std::max(before_edges.size(), after_edges.size());
   for (std::size_t e = 0; e < n; ++e) {
-    const bool changed = e >= before.size() || e >= after.size() || !(before[e] == after[e]);
-    if (changed) out.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
+    if (e >= before_edges.size() || e >= after_edges.size() || !(before_edges[e] == after_edges[e]))
+      summary.changed_edges.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
   }
+  if (!net_route_equal(before, after) || summary.changed_edges.size() != edges_listed)
+    summary.changed_nets.push_back(net);
 }
 
 }  // namespace
@@ -109,12 +117,12 @@ void Router::reset_state(const std::vector<std::uint8_t>& mls_flags) {
   mls_flags_ = mls_flags;
 }
 
-NetRoute Router::route_net(Id net, bool mls, bool commit) {
+NetRoute Router::route_net(Id net, bool mls) {
   NetTopology topo = build_net_topology(design_, tech_, net);
   const std::size_t ne = topo.num_edges();
   std::vector<EdgeRoute> edges(ne);
   const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
-  if (commit) commits_[net].edges.assign(ne, EdgeCommit{});
+  commits_[net].edges.assign(ne, EdgeCommit{});
   EdgeTally tally;
   for (std::size_t e = 0; e < ne; ++e) {
     const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
@@ -122,35 +130,31 @@ NetRoute Router::route_net(Id net, bool mls, bool commit) {
     edges[e] = route_edge(model, a, b, mls);
     tally.add(edges[e]);
     // Immediate commit: the next edge of this net (and every later net)
-    // sees this edge's congestion — the serial Gauss-Seidel discipline.
-    if (commit) commit_edge(grid_, edges[e], &commits_[net].edges[e]);
+    // sees this edge's congestion.
+    commit_edge(grid_, edges[e], &commits_[net].edges[e]);
   }
   NetRoute out = assemble_net_route(design_.nl, net, topo, edges);
-  tally.flush(commit);
-  if (commit) {
-    topo_[net] = std::move(topo);
-    edge_routes_[net] = std::move(edges);
-  }
+  tally.flush(/*committed=*/true);
+  topo_[net] = std::move(topo);
+  edge_routes_[net] = std::move(edges);
   return out;
 }
 
-std::vector<Id> Router::route_order(const std::vector<std::uint8_t>& mls_flags) const {
+void Router::sort_route_order(std::vector<Id>& nets,
+                              const std::vector<std::uint8_t>& mls_flags) const {
   // Order: MLS nets first (targeted routing reserves their shared tracks),
   // longest first; then the rest, shortest first (locality preservation).
   // The net-id tie-break makes the order a total function of (flags, hpwl),
-  // which is what makes both engines deterministic.
+  // which is what makes routing deterministic.
   const netlist::Netlist& nl = design_.nl;
-  std::vector<Id> order(nl.num_nets());
-  std::iota(order.begin(), order.end(), 0u);
   std::vector<float> hpwl(nl.num_nets());
   for (Id i = 0; i < nl.num_nets(); ++i) hpwl[i] = static_cast<float>(nl.net_hpwl_um(i));
-  std::sort(order.begin(), order.end(), [&](Id x, Id y) {
+  std::sort(nets.begin(), nets.end(), [&](Id x, Id y) {
     const bool fx = flag_of(mls_flags, x), fy = flag_of(mls_flags, y);
     if (fx != fy) return fx;                     // MLS nets first
     if (hpwl[x] != hpwl[y]) return fx ? hpwl[x] > hpwl[y] : hpwl[x] < hpwl[y];
     return x < y;
   });
-  return order;
 }
 
 RouteSummary Router::summarize() const {
@@ -183,34 +187,31 @@ void Router::finish_route_all(RouteSummary& summary) {
 }
 
 RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
-  return options_.negotiate ? route_all_negotiated(mls_flags) : route_all_serial(mls_flags);
-}
-
-RouteSummary Router::route_all_serial(const std::vector<std::uint8_t>& mls_flags) {
   GNNMLS_SPAN("route.route_all");
-  reset_state(mls_flags);
-  for (Id net : route_order(mls_flags_)) {
-    GNNMLS_FAULT_POINT("route.net");
-    routes_[net] = route_net(net, flag_of(mls_flags_, net), /*commit=*/true);
+  // A routing built on the current netlist (a flag flip replaces it) is kept
+  // aside so the summary can report the exact diff against it.
+  const netlist::Netlist& nl = design_.nl;
+  const bool diff = routes_.size() == nl.num_nets() && routed_revision_ == nl.revision();
+  std::vector<NetRoute> before_routes;
+  std::vector<std::vector<EdgeRoute>> before_edges;
+  if (diff) {
+    before_routes = std::move(routes_);
+    before_edges = std::move(edge_routes_);
   }
-  RouteSummary summary = summarize();
-  finish_route_all(summary);
-  return summary;
-}
-
-RouteSummary Router::route_all_negotiated(const std::vector<std::uint8_t>& mls_flags) {
-  GNNMLS_SPAN("route.route_all");
   reset_state(mls_flags);
   history_.assign(grid_.num_track_cells(), 0.0f);
 
   // ---- phase 0: decompose every net into 2-pin edges ----------------------
   // The edge list is emitted in route order, so "earlier in the list" means
   // "higher routing priority" — within a shard bucket, MLS edges route and
-  // commit before the native ones exactly as in the serial engine.
+  // commit before the native ones.
   std::vector<EdgeTask> tasks;
   {
     GNNMLS_SPAN("route.decompose");
-    for (Id net : route_order(mls_flags_)) {
+    std::vector<Id> order(nl.num_nets());
+    std::iota(order.begin(), order.end(), 0u);
+    sort_route_order(order, mls_flags_);
+    for (Id net : order) {
       GNNMLS_FAULT_POINT("route.net");
       NetTopology topo = build_net_topology(design_, tech_, net);
       const std::size_t ne = topo.num_edges();
@@ -232,8 +233,8 @@ RouteSummary Router::route_all_negotiated(const std::vector<std::uint8_t>& mls_f
 
   // ---- assemble per-net electrical models ---------------------------------
   EdgeTally tally;
-  for (Id net = 0; net < design_.nl.num_nets(); ++net) {
-    routes_[net] = assemble_net_route(design_.nl, net, topo_[net], edge_routes_[net]);
+  for (Id net = 0; net < nl.num_nets(); ++net) {
+    routes_[net] = assemble_net_route(nl, net, topo_[net], edge_routes_[net]);
     for (const EdgeRoute& er : edge_routes_[net]) tally.add(er);
   }
   tally.flush(/*committed=*/true);
@@ -242,64 +243,27 @@ RouteSummary Router::route_all_negotiated(const std::vector<std::uint8_t>& mls_f
   summary.negotiation_iters = stats.iterations;
   summary.negotiation_ripups = stats.ripups;
   finish_route_all(summary);
+  if (diff)
+    for (Id i = 0; i < nl.num_nets(); ++i)
+      diff_net(i, before_routes[i], before_edges[i], routes_[i], edge_routes_[i], summary);
   return summary;
 }
 
 RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
-                                  const std::vector<std::uint8_t>& mls_flags,
-                                  RerouteMode mode) {
+                                  const std::vector<std::uint8_t>& mls_flags) {
   GNNMLS_SPAN("route.reroute_nets");
   const netlist::Netlist& nl = design_.nl;
   const std::size_t n = nl.num_nets();
   const std::size_t old_n = routes_.size();
-
-  // Dirty set: the caller's nets plus everything added since the last route.
-  std::vector<std::uint8_t> is_dirty(n, 0);
-  bool any_dirty = n > old_n;
-  for (const Id d : dirty)
-    if (d < n) {
-      is_dirty[d] = 1;
-      any_dirty = true;
-    }
-
-  if (mode == RerouteMode::kReplay) {
-    if (!any_dirty) return summarize();  // nothing dirty: exact no-op
-    // Bit-exact repair = full deterministic re-run under the new flags; the
-    // summary carries the exact value diff against the previous state. (See
-    // the RerouteMode::kReplay comment for why the suffix-replay shortcut
-    // no longer exists under negotiation.)
-    std::vector<NetRoute> before_routes = std::move(routes_);
-    std::vector<std::vector<EdgeRoute>> before_edges = std::move(edge_routes_);
-    {
-      RouteCounters& rc = RouteCounters::get();
-      rc.rip_ups.add(n);
-      rc.eco_reroutes.add(1);
-    }
-    RouteSummary summary = route_all(mls_flags);
-    const NetRoute empty_route;
-    const std::vector<EdgeRoute> empty_edges;
-    for (Id i = 0; i < n; ++i) {
-      const NetRoute& prev = i < before_routes.size() ? before_routes[i] : empty_route;
-      // A net is changed if its electrical value moved OR any of its edges
-      // was re-chosen (an edge can move between equal-cost cells without
-      // shifting the net totals; its grid footprint still changed, so the
-      // changed_edges ⊆ changed_nets contract must count the net).
-      const std::size_t edges_before = summary.changed_edges.size();
-      diff_edges(i, i < before_edges.size() ? before_edges[i] : empty_edges, edge_routes_[i],
-                 summary.changed_edges);
-      if (!net_route_equal(prev, routes_[i]) || summary.changed_edges.size() != edges_before)
-        summary.changed_nets.push_back(i);
-    }
-    util::log_debug("router: replay rerouted ", n, " nets (", summary.changed_nets.size(),
-                    " changed), WL ", summary.total_wl_m, " m");
-    return summary;
-  }
-
-  // ---- kEco: minimal rip-up against the surviving state -------------------
   routes_.resize(n);
   topo_.resize(n);
   edge_routes_.resize(n);
   commits_.resize(n);
+
+  // Dirty set: the caller's nets plus everything added since the last route.
+  std::vector<std::uint8_t> is_dirty(n, 0);
+  for (const Id d : dirty)
+    if (d < n) is_dirty[d] = 1;
   for (std::size_t i = old_n; i < n; ++i) is_dirty[i] = 1;
 
   std::vector<Id> affected;
@@ -310,16 +274,8 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
     routed_revision_ = nl.revision();
     return summarize();
   }
-
   // Deterministic repair order = the route order restricted to the dirty set.
-  std::vector<float> hpwl(n);
-  for (Id i = 0; i < n; ++i) hpwl[i] = static_cast<float>(nl.net_hpwl_um(i));
-  std::sort(affected.begin(), affected.end(), [&](Id x, Id y) {
-    const bool fx = flag_of(mls_flags, x), fy = flag_of(mls_flags, y);
-    if (fx != fy) return fx;
-    if (hpwl[x] != hpwl[y]) return fx ? hpwl[x] > hpwl[y] : hpwl[x] < hpwl[y];
-    return x < y;
-  });
+  sort_route_order(affected, mls_flags);
 
   std::vector<NetRoute> before;
   std::vector<std::vector<EdgeRoute>> before_edges;
@@ -339,26 +295,22 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   mls_flags_ = mls_flags;
   for (const Id i : affected) {
     GNNMLS_FAULT_POINT("route.net");
-    routes_[i] = route_net(i, flag_of(mls_flags_, i), /*commit=*/true);
+    routes_[i] = route_net(i, flag_of(mls_flags_, i));
   }
   routed_revision_ = nl.revision();
 
   RouteSummary summary = summarize();
   for (std::size_t k = 0; k < affected.size(); ++k) {
-    const std::size_t edges_before = summary.changed_edges.size();
-    diff_edges(affected[k], before_edges[k], edge_routes_[affected[k]],
-               summary.changed_edges);
-    if (!net_route_equal(before[k], routes_[affected[k]]) ||
-        summary.changed_edges.size() != edges_before)
-      summary.changed_nets.push_back(affected[k]);
+    const Id i = affected[k];
+    diff_net(i, before[k], before_edges[k], routes_[i], edge_routes_[i], summary);
   }
   util::log_debug("router: rerouted ", affected.size(), " nets (", summary.changed_nets.size(),
                   " changed), WL ", summary.total_wl_m, " m");
   return summary;
 }
 
-RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty, RerouteMode mode) {
-  return reroute_nets(dirty, mls_flags_, mode);
+RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty) {
+  return reroute_nets(dirty, mls_flags_);
 }
 
 Router::Checkpoint Router::checkpoint() const {

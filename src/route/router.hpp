@@ -17,9 +17,8 @@
 // Results are bit-identical at any thread count: workers only compute edge
 // routes from frozen snapshots into disjoint slots, and every grid commit
 // happens serially in an order derived from the deterministic route order.
-// RouterOptions::negotiate = false selects the legacy single-pass serial
-// engine (also the degradation target when negotiation overruns its
-// watchdog budget).
+// route_all() is the only full-route entry point; reroute_nets() is the
+// minimal rip-up repair after a netlist ECO.
 //
 // Layer-pair selection per edge is cost-driven: wire RC delay + via-stack
 // resistance + congestion penalty (+ negotiated history), so short nets
@@ -70,8 +69,6 @@ struct RouterOptions {
   int shared_layers = 2;
 
   // ---- sharded negotiated engine (route/negotiate.hpp) --------------------
-  // false selects the legacy single-pass serial engine (route_all_serial).
-  bool negotiate = true;
   // Shard side length in gcells for the initial parallel routing phase.
   int shard_gcells = 16;
   // Overflow-mask dilation: edges within this many gcells of a congested
@@ -83,10 +80,6 @@ struct RouterOptions {
   int stagnation_limit = 2;
   // History cost added per unit of overflow per iteration (ps per visit).
   double history_gain_ps = 1.5;
-  // Cooperative wall-clock watchdog for decompose+shard+negotiate: when
-  // > 0, overrunning it throws a retryable ft::FlowError(kTimeout), which
-  // RoutePass degrades into a serial route_all. 0 disables the budget.
-  double negotiation_budget_s = 0.0;
 };
 
 // Electrical + physical result for one routed net.
@@ -108,42 +101,23 @@ struct RouteSummary {
   std::size_t mls_nets = 0;   // nets routed with shared layers
   std::size_t f2f_pairs = 0;  // F2F via count
   RoutingGrid::Census census;
-  // Delta contract: changed_nets/changed_edges are filled ONLY by
-  // reroute_nets() — the nets (and the 2-pin edges within them) whose
-  // routed value actually changed; a rerouted net that lands on an
-  // identical route is not listed. Feed changed_nets to
-  // TimingGraph::update(). After route_all() BOTH lists are empty by
-  // definition: a full route is a full invalidation, not a delta, and the
-  // route pass records it with DesignDB::RouteDelta::valid == false so no
+  // Delta contract: changed_nets/changed_edges list the nets (and the 2-pin
+  // edges within them) whose routed value actually changed; a rerouted net
+  // that lands on an identical route is not listed. Feed changed_nets to
+  // TimingGraph::update(). reroute_nets() always reports its exact diff.
+  // route_all() reports the exact diff against the routing it replaces
+  // when that routing was built on the current netlist revision (a flag
+  // flip); on a first route, or after the netlist moved, BOTH lists are
+  // empty — a full invalidation, not a delta. The route pass marks the
+  // full-invalidation case DesignDB::RouteDelta::valid == false so no
   // downstream consumer can mistake "empty" for "nothing changed".
   // (Pinned by RouterDelta.RouteAllReportsNoDeltaRerouteReportsExact.)
   std::vector<netlist::Id> changed_nets;
   std::vector<EdgeRef> changed_edges;
-  // Negotiation statistics of the producing route_all (0 for the serial
-  // engine and for reroute_nets' ECO repairs).
+  // Negotiation statistics of the producing route_all (0 for reroute_nets'
+  // ECO repairs).
   std::size_t negotiation_iters = 0;
   std::size_t negotiation_ripups = 0;
-};
-
-// How reroute_nets repairs the routing state after an ECO.
-enum class RerouteMode {
-  // Minimal rip-up: only the dirty (and any brand-new) nets are ripped up
-  // and re-routed against the surviving congestion state (and, under the
-  // negotiated engine, the surviving history surface). Fast — cost scales
-  // with the dirty set — but the result can differ from a from-scratch
-  // route_all because rerouted nets see congestion out of order. This is the
-  // ECO mode for netlist-changing passes (DFT/scan insertion), where
-  // from-scratch equivalence is undefined anyway.
-  kEco,
-  // Bit-exact with route_all: the routing state is rebuilt by a full
-  // deterministic re-run under the new flags and the summary reports the
-  // exact value diff against the previous state. (The pre-negotiation
-  // engine replayed only the order suffix after the first dirty net; a
-  // negotiated result has no such suffix structure, so replay mode now
-  // re-runs the whole engine — equivalence with route_all holds by
-  // construction and the incremental-equivalence property test enforces
-  // it.) Requires an unchanged netlist.
-  kReplay,
 };
 
 class Router {
@@ -151,25 +125,26 @@ class Router {
   Router(const netlist::Design& design, const tech::Tech3D& tech,
          const RouterOptions& options = {});
 
-  // Routes every net with the engine selected by options.negotiate.
-  // mls_flags is per-net (empty = no MLS anywhere). Resets any previous
-  // routing state, including the negotiation history.
+  // Routes every net with the sharded negotiated engine. mls_flags is
+  // per-net (empty = no MLS anywhere). Resets any previous routing state,
+  // including the negotiation history. The result is a pure function of
+  // (netlist, flags, options); when the replaced routing was built on the
+  // current netlist revision, the summary carries the exact diff against it
+  // (see RouteSummary's delta contract).
   RouteSummary route_all(const std::vector<std::uint8_t>& mls_flags);
-  // The legacy single-pass engine: nets in deterministic route order, each
-  // edge committed as soon as it is chosen, no negotiation. Used as the
-  // degradation target when negotiation overruns its budget, and as the
-  // baseline of the nets/s benchmark.
-  RouteSummary route_all_serial(const std::vector<std::uint8_t>& mls_flags);
 
-  // Incremental repair after `dirty` nets changed (connectivity, placement
-  // of their pins, or their MLS flag). Nets added to the netlist since the
-  // last route are implicitly dirty. `mls_flags` replaces the stored
+  // Minimal rip-up repair after `dirty` nets changed (connectivity,
+  // placement of their pins, or their MLS flag): only the dirty nets and any
+  // nets added since the last route are ripped up and re-routed against the
+  // surviving congestion state and history surface. Cost scales with the
+  // dirty set, but the result can differ from a from-scratch route_all
+  // because rerouted nets see congestion out of order — the ECO repair for
+  // netlist-changing passes (DFT/scan insertion), where from-scratch
+  // equivalence is undefined anyway. `mls_flags` replaces the stored
   // decision vector; the overload without it keeps the previous decisions.
   RouteSummary reroute_nets(std::span<const netlist::Id> dirty,
-                            const std::vector<std::uint8_t>& mls_flags,
-                            RerouteMode mode = RerouteMode::kEco);
-  RouteSummary reroute_nets(std::span<const netlist::Id> dirty,
-                            RerouteMode mode = RerouteMode::kEco);
+                            const std::vector<std::uint8_t>& mls_flags);
+  RouteSummary reroute_nets(std::span<const netlist::Id> dirty);
 
   // Netlist revision the current routes were built against (0 = never
   // routed). The RT-005 check compares this with design.nl.revision() to
@@ -190,12 +165,6 @@ class Router {
   const std::vector<EdgeRoute>& net_edges(netlist::Id net) const { return edge_routes_[net]; }
   const RoutingGrid& grid() const { return grid_; }
   const RouterOptions& options() const { return options_; }
-  // Engine-selection override after construction: the service layer flips a
-  // session from the negotiated engine to the serial one under overload
-  // (src/svc/). The choice only matters at route_all() dispatch time, so
-  // toggling between evaluates is safe; determinism holds because every
-  // request records which engine it ran (the solo twin replays the same).
-  void set_negotiate(bool on) { options_.negotiate = on; }
 
   // "M1-4(bot)+M6(top)" style rendering for Table I.
   static std::string describe_layers(const NetRoute& r);
@@ -235,17 +204,17 @@ class Router {
   // Clears grid usage + history and resizes every per-net artifact for the
   // current netlist, installing `mls_flags` as the decision vector.
   void reset_state(const std::vector<std::uint8_t>& mls_flags);
-  RouteSummary route_all_negotiated(const std::vector<std::uint8_t>& mls_flags);
   // Re-decomposes and routes one net edge-by-edge against the current grid
-  // state (serial engine and ECO repairs). With commit, each edge's usage
-  // lands before the next edge is chosen and the footprints/topology are
-  // stored on the router.
-  NetRoute route_net(netlist::Id net, bool mls, bool commit);
+  // state (ECO repairs). Each edge's usage lands before the next edge is
+  // chosen, and the footprints/topology are stored on the router.
+  NetRoute route_net(netlist::Id net, bool mls);
   void rip_up(netlist::Id net);
   void finish_route_all(RouteSummary& summary);
-  // Deterministic total route order for the given decisions (MLS nets first
-  // by descending HPWL, then native ascending, net id as the tie-break).
-  std::vector<netlist::Id> route_order(const std::vector<std::uint8_t>& mls_flags) const;
+  // Deterministic total route order of `nets` for the given decisions (MLS
+  // nets first by descending HPWL, then native ascending, net id as the
+  // tie-break); sorts in place.
+  void sort_route_order(std::vector<netlist::Id>& nets,
+                        const std::vector<std::uint8_t>& mls_flags) const;
   RouteSummary summarize() const;
   bool flag_of(const std::vector<std::uint8_t>& flags, netlist::Id net) const {
     return !flags.empty() && net < flags.size() && flags[net] != 0;

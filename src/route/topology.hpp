@@ -101,8 +101,8 @@ struct NetCommit {
 
 // Read-only context for routing one edge. `history` is the negotiated-
 // congestion cost surface (ps per track-cell visit), indexed like the
-// grid's flat track cells; null disables the history term (the legacy
-// serial engine and pre-negotiation trials).
+// grid's flat track cells; null disables the history term (trials before
+// the first route).
 struct EdgeCostModel {
   const RoutingGrid& grid;
   const tech::Tech3D& tech;

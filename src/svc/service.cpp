@@ -35,10 +35,6 @@ ServiceOptions resolve_svc(const ServiceOptions& base) {
     const double v = std::atof(env);
     if (v >= 0.0) out.session_budget_s = v;
   }
-  if (const char* env = std::getenv("GNNMLS_SVC_DEGRADE_AT"); env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n >= 0) out.degrade_watermark = static_cast<std::size_t>(n);
-  }
   return out;
 }
 // NOLINTEND(concurrency-mt-unsafe)
@@ -203,19 +199,11 @@ void SessionManager::worker_loop() {
         maybe_signal_idle();
         continue;
       }
-      Request req = std::move(slot.queue.front());
+      const Request req = std::move(slot.queue.front());
       slot.queue.pop_front();
       --queued_;
       slot.busy = true;
       ++inflight_;
-      // Graceful degradation: past the watermark, requests route with the
-      // serial engine (no negotiation loop). The choice lands in the journal
-      // via RequestOptions, so the solo twin replays it bit-exactly.
-      if (options_.degrade_watermark > 0 && queued_ >= options_.degrade_watermark &&
-          !req.opts.serial_route) {
-        req.opts.serial_route = true;
-        obs::Metrics::instance().counter("svc.degrade_serial").add();
-      }
       obs::Metrics::instance().gauge("svc.queue_depth").set(static_cast<double>(queued_));
       obs::Metrics::instance().gauge("svc.inflight").set(static_cast<double>(inflight_));
       lock.unlock();

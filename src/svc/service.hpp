@@ -17,10 +17,6 @@
 //     structured kSessionQuarantined outcomes, and every other session keeps
 //     running on its own DB — no cross-contamination by construction, and
 //     the stress driver proves it by fingerprint against solo-run twins.
-//   * Overload degradation: past the configured watermark, dispatched
-//     requests are forced onto the serial routing engine (cheaper, no
-//     negotiation loop); the decision is recorded in the journal so twins
-//     replay it bit-exactly.
 //   * Drain/shutdown: drain() stops admission (kShuttingDown) and completes
 //     everything already accepted; shutdown() additionally joins the pool.
 //
@@ -29,7 +25,7 @@
 //
 // Env knobs (applied over the constructor's options; see resolve_svc):
 //   GNNMLS_SVC_WORKERS, GNNMLS_SVC_QUEUE, GNNMLS_SVC_INFLIGHT,
-//   GNNMLS_SVC_QUARANTINE_AFTER, GNNMLS_SVC_BUDGET_S, GNNMLS_SVC_DEGRADE_AT
+//   GNNMLS_SVC_QUARANTINE_AFTER, GNNMLS_SVC_BUDGET_S
 #pragma once
 
 #include <condition_variable>
@@ -64,9 +60,6 @@ struct ServiceOptions {
   // Default per-pass deadline budget for session requests (seconds; 0 =
   // none). Rides the existing ft cooperative watchdog.
   double session_budget_s = 0.0;
-  // Queue depth at which dispatch degrades to the serial routing engine
-  // (0 disables overload degradation).
-  std::size_t degrade_watermark = 0;
   // Evaluate the baseline once and snapshot every stage so forks start
   // routed/timed (and fingerprint-identical to the baseline).
   bool warm_fork = true;

@@ -46,7 +46,6 @@ JournalEntry Session::execute(const Request& req) {
   entry.seed = req.seed;
   entry.budget_s = req.opts.budget_s >= 0.0 ? req.opts.budget_s : base_ft_.pass_budget_s;
   entry.max_retries = req.opts.max_retries >= 0 ? req.opts.max_retries : base_ft_.max_retries;
-  entry.serial_route = req.opts.serial_route;
   return run_entry(entry, &req);
 }
 
@@ -136,8 +135,8 @@ JournalEntry Session::run_entry(JournalEntry entry, const Request* req) {
     return entry;
   }
 
-  // Per-request recovery policy + engine selection; restored afterwards so
-  // the next request starts from the session defaults.
+  // Per-request recovery policy; restored afterwards so the next request
+  // starts from the session defaults.
   ft::FtOptions ft = base_ft_;
   ft.pass_budget_s = entry.budget_s;
   ft.max_retries = entry.max_retries;
@@ -149,7 +148,6 @@ JournalEntry Session::run_entry(JournalEntry entry, const Request* req) {
     ft.max_retries = 0;
   }
   flow_.set_ft_options(ft);
-  flow_.router().set_negotiate(!entry.serial_route && flow_.config().router.negotiate);
 
   entry.outcome = Outcome::kOk;
   try {
@@ -165,7 +163,6 @@ JournalEntry Session::run_entry(JournalEntry entry, const Request* req) {
     entry.outcome = Outcome::kFailed;
   }
   flow_.set_ft_options(base_ft_);
-  flow_.router().set_negotiate(flow_.config().router.negotiate);
 
   const flow::RunReport& report = flow_.last_run_report();
   entry.retries = report.retries;

@@ -10,7 +10,7 @@
 //
 // Requests mutate and re-evaluate the session's private DB. Every *executed*
 // request is appended to the session journal with its effective options
-// (engine choice, ft budget, injected-fault outcome), which is the isolation
+// (ft budget, retry cap, injected-fault outcome), which is the isolation
 // proof obligation: replaying the journal into a fresh solo fork must land on
 // a bit-identical state fingerprint, no matter what the neighbor sessions or
 // the armed fault plan did in the meantime (tools/gnnmls_stress gates this).
@@ -60,9 +60,6 @@ struct RequestOptions {
   double budget_s = -1.0;
   // Retry budget for this request; < 0 inherits the session default.
   int max_retries = -1;
-  // Route with the serial engine instead of the negotiated one. The manager
-  // also forces this under overload (graceful degradation).
-  bool serial_route = false;
 };
 
 // Open/wait barrier for Op::kHold — lets tests and the stress driver pin a
@@ -104,7 +101,6 @@ struct JournalEntry {
   std::uint64_t seed = 0;
   double budget_s = 0.0;     // effective per-pass budget (0 = none)
   int max_retries = 0;       // effective retry budget
-  bool serial_route = false; // effective engine choice
   bool injected = false;     // svc.request fault consumed this request
   Outcome outcome = Outcome::kOk;
   std::size_t retries = 0;   // waves re-dispatched (recovered faults)

@@ -145,6 +145,36 @@ TEST(CheckRoute, F2fOverflowFiresRt003) {
   EXPECT_EQ(report.rule_count("RT-003"), 1u);
 }
 
+// A multi-tier MLS net's native and cross-tier edges use metal on both
+// tiers; only its shared edges are bound to the opposite tier's top pairs.
+// Flagging every long net (3D ones included) must not fire RT-002 as long as
+// each shared edge sits on a legal pair.
+TEST(CheckRoute, MultiTierMlsNetsAreRt002Clean) {
+  util::set_log_level(util::LogLevel::kWarn);
+  mls::FlowConfig cfg;
+  cfg.heterogeneous = false;
+  cfg.run_pdn = false;
+  mls::DesignFlow flow(netlist::make_maeri_16pe(), cfg);
+  const netlist::Netlist& nl = flow.design().nl;
+  std::vector<std::uint8_t> flags(nl.num_nets(), 0);
+  std::size_t flagged_3d = 0;
+  for (Id n = 0; n < nl.num_nets(); ++n)
+    if (nl.net_hpwl_um(n) > 60.0) {
+      flags[n] = 1;
+      if (nl.is_3d_net(n)) ++flagged_3d;
+    }
+  ASSERT_GT(flagged_3d, 0u);
+  flow.evaluate(flags, mls::Strategy::kGnn);
+
+  std::size_t shared_3d = 0;
+  for (Id n = 0; n < nl.num_nets(); ++n)
+    if (nl.is_3d_net(n) && flow.router().net_route(n).mls_applied) ++shared_3d;
+  ASSERT_GT(shared_3d, 0u);  // the case under test actually occurs
+  check::Report report;
+  check::check_routes(flow.design(), flow.router(), report);
+  EXPECT_EQ(report.rule_count("RT-002"), 0u) << report.render();
+}
+
 // ---- DFT -------------------------------------------------------------------
 
 TEST(CheckDft, UncoveredOpenNetFiresDft001AndDft002) {

@@ -170,7 +170,7 @@ TEST(PassScheduling, TouchedNetRerunsOnlyDependentPassesBitIdentically) {
 
 TEST(PassScheduling, FlagFlipMatchesColdRunOnTwinDesign) {
   // Twin flows over the same generated design: A goes baseline -> SOTA
-  // incrementally (flag diff -> dirty nets -> suffix replay), B routes the
+  // incrementally (flag diff -> dirty nets -> route_all diff), B routes the
   // SOTA flags cold. The rows must match bit for bit.
   mls::DesignFlow a = make_flow(/*run_pdn=*/true);
   mls::DesignFlow b = make_flow(/*run_pdn=*/true);

@@ -372,32 +372,6 @@ TEST_F(Ft, EcoRerouteFailureDegradesToFullRoute) {
   EXPECT_GT(m.wl_m, 0.0);
 }
 
-TEST_F(Ft, NegotiationBudgetOverrunDegradesToSerialRouter) {
-  mls::FlowConfig cfg = make_config();
-  // An impossible watchdog budget: the negotiated engine throws a retryable
-  // kTimeout on its first cooperative check, and RoutePass must degrade to
-  // the serial single-pass router inside the pass (no wave rollback).
-  cfg.router.negotiation_budget_s = 1e-12;
-  mls::DesignFlow flow = make_flow(cfg);
-  const mls::FlowMetrics m = flow.evaluate_no_mls();
-
-  EXPECT_TRUE(m.degraded);
-  EXPECT_TRUE(flow.last_run_report().rollbacks.empty());
-  EXPECT_EQ(flow.last_run_report().retries, 0u);
-  EXPECT_GT(m.wl_m, 0.0);
-
-  // The serial result matches a flow configured for the serial engine
-  // outright: degradation lands on the documented target, not some
-  // half-negotiated state.
-  mls::FlowConfig serial_cfg = make_config();
-  serial_cfg.router.negotiate = false;
-  mls::DesignFlow serial = make_flow(serial_cfg);
-  const mls::FlowMetrics want = serial.evaluate_no_mls();
-  EXPECT_DOUBLE_EQ(m.wl_m, want.wl_m);
-  EXPECT_DOUBLE_EQ(m.wns_ps, want.wns_ps);
-  EXPECT_EQ(m.overflow_gcells, want.overflow_gcells);
-}
-
 TEST_F(Ft, StaUpdateFailureFallsBackToFullRebuild) {
   const mls::FlowConfig cfg = make_config();
   mls::DesignFlow flow = make_flow(cfg);

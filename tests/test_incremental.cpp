@@ -1,7 +1,9 @@
-// Property tests for the incremental ECO machinery: Router::reroute_nets in
-// replay mode must be indistinguishable from a from-scratch route_all, and
-// TimingGraph::update must reproduce a full run() to within 1e-9 on WNS, TNS,
-// and every per-pin slack. Randomized dirty-net sets drive both.
+// Property tests for the incremental machinery: a flag-flip re-route on a
+// live router must be indistinguishable from a from-scratch route_all and
+// report its exact diff, TimingGraph::update fed that diff must reproduce a
+// full run() to within 1e-9 on WNS, TNS, and every per-pin slack, and
+// Router::reroute_nets must repair netlist ECOs. Randomized flag flips drive
+// the first two.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +21,6 @@ namespace {
 
 using namespace gnnmls;
 using netlist::Id;
-using route::RerouteMode;
 using route::RouteSummary;
 using route::Router;
 
@@ -45,31 +46,66 @@ void expect_route_equal(const route::NetRoute& a, const route::NetRoute& b, Id n
   EXPECT_EQ(a.sink_elmore_ps, b.sink_elmore_ps) << "net " << net;
 }
 
-// Flips `count` random nets' MLS flags and returns the flipped ids.
-std::vector<Id> flip_random(util::Rng& rng, std::vector<std::uint8_t>& flags,
-                            std::size_t count) {
-  std::vector<Id> dirty;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Id n = static_cast<Id>(rng.below(flags.size()));
-    flags[n] ^= 1;
-    dirty.push_back(n);  // duplicates allowed: reroute_nets must tolerate them
-  }
-  return dirty;
+// Flips `count` random nets' MLS flags (a net may flip more than once).
+void flip_random(util::Rng& rng, std::vector<std::uint8_t>& flags, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) flags[rng.below(flags.size())] ^= 1;
 }
 
+// The exact diff contract: `rs` lists precisely the nets whose routed value
+// (or any edge) moved from `before`, and precisely the edges that moved.
+void expect_exact_diff(const Router& live, const std::vector<route::NetRoute>& before,
+                       const std::vector<std::vector<route::EdgeRoute>>& before_edges,
+                       const RouteSummary& rs) {
+  const std::size_t n = before.size();
+  std::vector<bool> listed(n, false);
+  for (const Id i : rs.changed_nets) listed[i] = true;
+  std::size_t moved_edges = 0;
+  for (Id i = 0; i < n; ++i) {
+    const route::NetRoute& a = before[i];
+    const route::NetRoute& b = live.net_route(i);
+    const bool moved =
+        !(a.wl_um == b.wl_um && a.res_ohm == b.res_ohm && a.cap_ff == b.cap_ff &&
+          a.load_ff == b.load_ff && a.detour == b.detour &&
+          a.layers_used[0] == b.layers_used[0] && a.layers_used[1] == b.layers_used[1] &&
+          a.f2f_vias == b.f2f_vias && a.mls_applied == b.mls_applied &&
+          a.worst_overflow == b.worst_overflow && a.sink_elmore_ps == b.sink_elmore_ps &&
+          before_edges[i] == live.net_edges(i));
+    EXPECT_EQ(listed[i], moved) << "net " << i;
+    const auto& now = live.net_edges(i);
+    for (std::size_t e = 0; e < std::max(now.size(), before_edges[i].size()); ++e)
+      if (e >= now.size() || e >= before_edges[i].size() || !(now[e] == before_edges[i][e]))
+        ++moved_edges;
+  }
+  EXPECT_EQ(rs.changed_edges.size(), moved_edges);
+  for (const route::EdgeRef& e : rs.changed_edges) {
+    EXPECT_TRUE(listed[e.net]) << "edge of unlisted net " << e.net;
+    ASSERT_LT(e.edge, before_edges[e.net].size());
+    EXPECT_FALSE(live.net_edges(e.net)[e.edge] == before_edges[e.net][e.edge]);
+  }
+}
+
+// A flag flip re-routes the live router with route_all: the result must be
+// bit-exact with a fresh router's, and the summary must carry the exact
+// diff against the routing it replaced.
 TEST(RerouteReplay, BitExactWithFromScratchRouteAll) {
   tech::Tech3D tech3d;
   const netlist::Design d = placed_16pe(tech3d);
   const route::RouterOptions opt;
   Router live(d, tech3d, opt);
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
-  live.route_all(flags);
+  const RouteSummary first = live.route_all(flags);
+  EXPECT_TRUE(first.changed_nets.empty());  // a first route is no delta
+  EXPECT_TRUE(first.changed_edges.empty());
 
   util::Rng rng(7);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<std::uint8_t> new_flags = flags;
-    const std::vector<Id> dirty = flip_random(rng, new_flags, 1 + 7 * trial);
-    const RouteSummary inc = live.reroute_nets(dirty, new_flags, RerouteMode::kReplay);
+    flip_random(rng, new_flags, 1 + 7 * trial);
+    const std::vector<route::NetRoute> before = live.routes();
+    std::vector<std::vector<route::EdgeRoute>> before_edges;
+    for (Id n = 0; n < d.nl.num_nets(); ++n) before_edges.push_back(live.net_edges(n));
+    const RouteSummary inc = live.route_all(new_flags);
+    expect_exact_diff(live, before, before_edges, inc);
 
     Router fresh(d, tech3d, opt);
     const RouteSummary full = fresh.route_all(new_flags);
@@ -86,15 +122,18 @@ TEST(RerouteReplay, BitExactWithFromScratchRouteAll) {
   }
 }
 
+// Re-routing under unchanged flags on an unchanged netlist reproduces the
+// routing, so the diff is empty.
 TEST(RerouteReplay, EmptyDirtySetIsANoOp) {
   tech::Tech3D tech3d;
   const netlist::Design d = placed_16pe(tech3d);
   Router live(d, tech3d);
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
   const RouteSummary base = live.route_all(flags);
-  const RouteSummary re = live.reroute_nets(std::vector<Id>{}, flags, RerouteMode::kReplay);
+  const RouteSummary re = live.route_all(flags);
   EXPECT_DOUBLE_EQ(re.total_wl_m, base.total_wl_m);
   EXPECT_TRUE(re.changed_nets.empty());
+  EXPECT_TRUE(re.changed_edges.empty());
 }
 
 TEST(StaIncremental, MatchesFullRunOnRandomDirtySets) {
@@ -110,8 +149,8 @@ TEST(StaIncremental, MatchesFullRunOnRandomDirtySets) {
   util::Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<std::uint8_t> new_flags = flags;
-    const std::vector<Id> dirty = flip_random(rng, new_flags, 2 + 9 * trial);
-    const RouteSummary inc = live.reroute_nets(dirty, new_flags, RerouteMode::kReplay);
+    flip_random(rng, new_flags, 2 + 9 * trial);
+    const RouteSummary inc = live.route_all(new_flags);
     const sta::StaResult r_inc = g.update(inc.changed_nets);
 
     Router fresh(d, tech3d, opt);
@@ -142,8 +181,8 @@ TEST(StaIncremental, UpdateThenFullRunIsAFixedPoint) {
 
   util::Rng rng(13);
   std::vector<std::uint8_t> new_flags = flags;
-  const std::vector<Id> dirty = flip_random(rng, new_flags, 16);
-  const RouteSummary inc = live.reroute_nets(dirty, new_flags, RerouteMode::kReplay);
+  flip_random(rng, new_flags, 16);
+  const RouteSummary inc = live.route_all(new_flags);
   const sta::StaResult r_inc = g.update(inc.changed_nets);
   const sta::StaResult r_again = g.run(d.info.clock_ps, 40.0);
   EXPECT_DOUBLE_EQ(r_inc.wns_ps, r_again.wns_ps);
@@ -191,7 +230,7 @@ TEST(RerouteEco, RoutesNetsAddedAfterTheLastRoute) {
   std::vector<Id> dirty;
   for (const Id n : nl.journal().subspan(mark))
     if (n < old_nets) dirty.push_back(n);
-  const RouteSummary rs = live.reroute_nets(dirty, RerouteMode::kEco);
+  const RouteSummary rs = live.reroute_nets(dirty);
 
   ASSERT_EQ(live.routes().size(), nl.num_nets());
   EXPECT_EQ(live.routed_revision(), nl.revision());

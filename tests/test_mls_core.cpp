@@ -155,6 +155,18 @@ TEST_F(FlowFixture, EngineTrainsAndDecides) {
   }
 }
 
+// The reported training time covers DGI pretraining, not just fine-tuning.
+TEST_F(FlowFixture, TrainSecondsIncludePretraining) {
+  GnnMlsConfig cfg;
+  cfg.transformer.dim = 24;
+  cfg.dgi.epochs = 1;
+  cfg.fine_tune.epochs = 2;
+  const TrainedEngine trained = train_engine_on({flow.get()}, cfg, 40);
+  ASSERT_GT(trained.corpus_paths, 0u);
+  EXPECT_GT(trained.report.pretrain_seconds, 0.0);
+  EXPECT_GE(trained.report.train_seconds, trained.report.pretrain_seconds);
+}
+
 TEST_F(FlowFixture, PredictionsAreProbabilities) {
   GnnMlsConfig cfg;
   cfg.transformer.dim = 24;

@@ -3,7 +3,6 @@
 
 #include <cstdlib>
 
-#include "ft/error.hpp"
 #include "netlist/buffering.hpp"
 #include "netlist/generators.hpp"
 #include "place/placer.hpp"
@@ -212,9 +211,10 @@ TEST(RouterThreads, BitIdenticalAcrossThreadCounts) {
   ::unsetenv("GNNMLS_THREADS");
 }
 
-// Pins the delta contract documented on RouteSummary: route_all is a full
-// invalidation (both change lists empty), reroute_nets reports the exact
-// set of nets/edges whose routed value moved — no more, no less.
+// Pins the delta contract documented on RouteSummary: a first route_all is
+// a full invalidation (both change lists empty); a re-route on the same
+// netlist reports the exact set of nets/edges whose routed value moved — no
+// more, no less.
 TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
@@ -223,7 +223,7 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
   EXPECT_TRUE(full.changed_nets.empty());
   EXPECT_TRUE(full.changed_edges.empty());
 
-  // Record the pre-ECO state, flip MLS on for some long nets, replay.
+  // Record the pre-flip state, flip MLS on for some long nets, re-route.
   std::vector<NetRoute> before(d.nl.num_nets());
   std::vector<std::vector<EdgeRoute>> before_edges(d.nl.num_nets());
   for (Id n = 0; n < d.nl.num_nets(); ++n) {
@@ -231,15 +231,15 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
     before_edges[n] = router.net_edges(n);
   }
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
-  std::vector<Id> dirty;
+  std::size_t flagged = 0;
   for (Id n = 0; n < d.nl.num_nets(); ++n)
     if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 100.0 &&
         d.nl.cell(d.nl.pin(d.nl.net(n).driver).cell).tier == 0) {
       flags[n] = 1;
-      dirty.push_back(n);
+      ++flagged;
     }
-  ASSERT_FALSE(dirty.empty());
-  const RouteSummary re = router.reroute_nets(dirty, flags, RerouteMode::kReplay);
+  ASSERT_GT(flagged, 0u);
+  const RouteSummary re = router.route_all(flags);
   EXPECT_FALSE(re.changed_nets.empty());
 
   // Exactness, net level: listed nets changed value, unlisted nets did not.
@@ -260,17 +260,22 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
     EXPECT_FALSE(router.net_edges(e.net)[e.edge] == before_edges[e.net][e.edge]);
   }
 
-  // A replay with nothing dirty is the documented no-op.
-  const RouteSummary noop = router.reroute_nets({}, flags, RerouteMode::kReplay);
+  // Re-routing under unchanged flags reproduces the routing: empty diff.
+  const RouteSummary noop = router.route_all(flags);
   EXPECT_TRUE(noop.changed_nets.empty());
   EXPECT_TRUE(noop.changed_edges.empty());
+
+  // Once the netlist moved, a full route is again no delta.
+  d.nl.add_cell(tech::CellKind::kBuf, 0, 50.0f, 50.0f);
+  const RouteSummary moved = router.route_all({});
+  EXPECT_TRUE(moved.changed_nets.empty());
+  EXPECT_TRUE(moved.changed_edges.empty());
 }
 
-// Negotiation must pay for itself: the final overflow can never exceed the
-// legacy serial engine's (the revert-on-worse rule makes the loop monotone
-// against its own start, and commit-time repair keeps the sharded initial
-// state at least serial-quality).
-TEST(RouterNegotiation, OverflowNoWorseThanSerial) {
+// Negotiation must pay for itself: the final overflow can never exceed
+// the same engine's with negotiation switched off (the revert-on-worse rule
+// makes the loop monotone against its own start).
+TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
@@ -279,32 +284,14 @@ TEST(RouterNegotiation, OverflowNoWorseThanSerial) {
 
   Router negotiated(d, tech3d);
   const RouteSummary neg = negotiated.route_all(flags);
-  RouterOptions serial_opt;
-  serial_opt.negotiate = false;
-  Router serial(d, tech3d, serial_opt);
-  const RouteSummary ser = serial.route_all(flags);
+  RouterOptions initial_opt;
+  initial_opt.max_negotiation_iters = 0;
+  Router initial(d, tech3d, initial_opt);
+  const RouteSummary ini = initial.route_all(flags);
+  EXPECT_EQ(ini.negotiation_iters, 0u);
+  EXPECT_GT(neg.negotiation_iters, 0u);
   EXPECT_LE(neg.census.overflow_gcells + neg.census.f2f_overflow_gcells,
-            ser.census.overflow_gcells + ser.census.f2f_overflow_gcells);
-}
-
-// The cooperative watchdog: an impossible budget makes the negotiated
-// engine throw the retryable kTimeout that RoutePass degrades on.
-TEST(RouterNegotiation, BudgetOverrunThrowsRetryableTimeout) {
-  tech::Tech3D tech3d;
-  Design d = placed_16pe(false, tech3d);
-  RouterOptions opt;
-  opt.negotiation_budget_s = 1e-12;
-  Router router(d, tech3d, opt);
-  try {
-    router.route_all({});
-    FAIL() << "expected ft::FlowError(kTimeout)";
-  } catch (const ft::FlowError& e) {
-    EXPECT_EQ(e.code(), ft::ErrorCode::kTimeout);
-    EXPECT_TRUE(e.retryable());
-  }
-  // The serial fallback still works on the same router instance.
-  const RouteSummary rs = router.route_all_serial({});
-  EXPECT_GT(rs.total_wl_m, 0.0);
+            ini.census.overflow_gcells + ini.census.f2f_overflow_gcells);
 }
 
 TEST(Router, DescribeLayers) {

@@ -380,40 +380,6 @@ TEST_F(Svc, QuarantineFaultIsAbsorbedAndTheTransitionCompletes) {
   mgr.drain();
 }
 
-// ---- overload degradation ---------------------------------------------------
-
-TEST_F(Svc, OverloadDegradesToSerialRoutingAndTwinsStillMatch) {
-  svc::ServiceOptions o = small_opts();
-  o.workers = 1;
-  o.inflight_limit = 1;
-  o.degrade_watermark = 1;  // any backlog forces the serial engine
-  svc::SessionManager mgr(base_design(), make_config(), o);
-  mgr.fork_session("a");
-
-  auto gate = std::make_shared<svc::Gate>();
-  svc::Request hold = make_req(1, "a", svc::Op::kHold);
-  hold.gate = gate;
-  ASSERT_TRUE(mgr.submit(std::move(hold)).accepted);
-  wait_for_inflight(mgr, 1);
-  ASSERT_TRUE(mgr.submit(make_req(2, "a", svc::Op::kFlagFlip, 21)).accepted);
-  ASSERT_TRUE(mgr.submit(make_req(3, "a", svc::Op::kFlagFlip, 22)).accepted);
-  gate->open();
-  mgr.drain();
-
-  svc::Session& live = mgr.session("a");
-  ASSERT_EQ(live.journal().size(), 3u);
-  // With a backlog behind it, at least one dispatched request was degraded
-  // to the serial engine — and the journal records it.
-  bool any_serial = false;
-  for (const svc::JournalEntry& e : live.journal()) any_serial |= e.serial_route;
-  EXPECT_TRUE(any_serial);
-
-  svc::Session twin("a", mgr.base_design(), mgr.session_config(), mgr.warm_snapshot(),
-                    o.quarantine_after);
-  twin.replay(live.journal());
-  EXPECT_EQ(twin.fingerprint(), live.fingerprint());
-}
-
 // ---- black-box session attribution ------------------------------------------
 
 TEST(SvcBlackBox, SessionLabelAppearsInDumpJson) {

@@ -48,7 +48,6 @@ void usage(std::FILE* to) {
                "  --queue N            admission queue limit\n"
                "  --inflight N         in-flight budget\n"
                "  --quarantine-after N failures tolerated before quarantine (default 2)\n"
-               "  --degrade-at N       queue depth that forces serial routing (default off)\n"
                "  --budget-s X         per-session pass deadline budget (default off)\n"
                "  --poison-session I   session index fed always-failing requests (default none)\n"
                "  --poison-count K     how many poison requests it gets (default 3)\n"
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
     else if (arg == "--queue") opts.queue_limit = static_cast<std::size_t>(std::atoi(value(i).c_str()));
     else if (arg == "--inflight") opts.inflight_limit = static_cast<std::size_t>(std::atoi(value(i).c_str()));
     else if (arg == "--quarantine-after") opts.quarantine_after = static_cast<std::size_t>(std::atoi(value(i).c_str()));
-    else if (arg == "--degrade-at") opts.degrade_watermark = static_cast<std::size_t>(std::atoi(value(i).c_str()));
     else if (arg == "--budget-s") opts.session_budget_s = std::atof(value(i).c_str());
     else if (arg == "--poison-session") poison_session = std::atoi(value(i).c_str());
     else if (arg == "--poison-count") poison_count = std::atoi(value(i).c_str());
