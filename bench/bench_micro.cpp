@@ -10,7 +10,6 @@
 #include <string>
 
 #include "dft/faults.hpp"
-#include "flow/registry.hpp"
 #include "ml/dgi.hpp"
 #include "ml/engine.hpp"
 #include "ml/kernels.hpp"
@@ -398,7 +397,7 @@ void BM_FlowParallel(benchmark::State& st) {
     f->evaluate_with_dft({}, mls::Strategy::kNone, dft::MlsDftStyle::kWireBased);
     return f;
   }();
-  const std::unique_ptr<flow::Pass> pdn_pass = flow::PassRegistry::instance().make("pdn");
+  pdn::PdnPass pdn_pass;
   FaultSimPass faultsim;
   flow::PassManager pm;
   mls::FlowMetrics m;
@@ -410,7 +409,7 @@ void BM_FlowParallel(benchmark::State& st) {
     flow->db().invalidate(core::Stage::kPdn);
     ++faultsim.tick;
     m.pdn_s = 0.0;
-    const flow::RunReport& report = pm.run({pdn_pass.get(), &faultsim}, ctx);
+    const flow::RunReport& report = pm.run({&pdn_pass, &faultsim}, ctx);
     faultsim_s = report.find("faultsim")->seconds;
     benchmark::ClobberMemory();  // see BM_FlowStages: lvalue DoNotOptimize miscompiles
   }

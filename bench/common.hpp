@@ -44,12 +44,15 @@ inline void print_header(const char* id, const char* title) {
 }
 
 // One row of a PPA table in the paper's layout.
+// RT reads "reused" when the row's evaluate ran no pass (every stage was
+// already fresh, e.g. a baseline that training built): its runtime_s is only
+// the scheduling walk, not the cost of the row.
 inline void add_ppa_rows(util::Table& t, const mls::FlowMetrics& m) {
   t.add_row({m.design, m.strategy, fmt2(m.wl_m), fmt1(m.wns_ps), fmt2(m.tns_ns),
              util::fmt_count(static_cast<long long>(m.violating)),
              util::fmt_count(static_cast<long long>(m.mls_nets)), fmt1(m.power_mw),
              fmt1(m.ls_power_mw), fmt1(m.ir_drop_pct), fmt1(m.eff_freq_mhz),
-             fmt1(m.runtime_s) + "s"});
+             m.stage_sum_s() == 0.0 ? "reused" : fmt1(m.runtime_s) + "s"});
 }
 
 inline util::Table ppa_table() {

@@ -42,12 +42,14 @@ grep -q '"kind":"flow"' PERF_LEDGER.jsonl
 echo "metrics-snapshot gate OK"
 
 echo "==> schedule-analysis gate: declared pass contracts must prove clean"
-# Layer-1 static audit (src/audit/): without running anything, the full
-# registry must partition into conflict-free waves with every read driven,
-# every write consumed, and every possible mutation covered by the wave
-# snapshots (AU-00x). The negative probe then runs sta alone — its routes
-# input is undriven in that schedule, and the analyzer must refute it with
-# a nonzero exit, proving the gate can actually fail.
+# Layer-1 static audit (src/audit/): without running anything, the
+# canonical pass list must partition into conflict-free waves with every read
+# driven, every write consumed, and every possible mutation covered by the
+# wave snapshots (AU-00x). The negative probe then runs sta alone — its
+# routes input is undriven in that schedule, and the analyzer must refute it
+# with a nonzero exit, proving the gate can actually fail. The order probe
+# names sta before route: --only filters the list into canonical order, so
+# route drives sta's read and the analysis is clean, as the run is.
 ./build/tools/gnnmls_lint --analyze-schedule | tee LINT_schedule.txt
 grep -q 'schedule-analysis: passes=7 waves=4 conflicts=0 undriven=0 unused=0 rollback_holes=0 duplicates=0' \
   LINT_schedule.txt
@@ -59,6 +61,13 @@ if ./build/tools/gnnmls_lint --analyze-schedule --only=sta >LINT_schedule_neg.tx
 fi
 grep -q 'undriven=1' LINT_schedule_neg.txt
 rm -f LINT_schedule_neg.txt
+if ! ./build/tools/gnnmls_lint --analyze-schedule --only=sta,route >LINT_schedule_order.txt 2>&1; then
+  echo "schedule-analysis gate FAILED: --only=sta,route was not analyzed in canonical order"
+  cat LINT_schedule_order.txt
+  exit 1
+fi
+grep -q 'undriven=0' LINT_schedule_order.txt
+rm -f LINT_schedule_order.txt
 echo "schedule-analysis gate OK"
 
 echo "==> audit gate: runtime access audit must observe zero contract violations"

@@ -6,7 +6,6 @@
 
 #include "check/checks.hpp"
 #include "flow/pass.hpp"
-#include "flow/registry.hpp"
 
 namespace gnnmls::audit {
 
@@ -17,12 +16,6 @@ constexpr std::size_t idx(core::Stage s) { return static_cast<std::size_t>(s); }
 bool contains(const std::vector<core::Stage>& stages, core::Stage s) {
   for (const core::Stage x : stages)
     if (x == s) return true;
-  return false;
-}
-
-bool intersects(const std::vector<core::Stage>& a, const std::vector<core::Stage>& b) {
-  for (const core::Stage x : a)
-    if (contains(b, x)) return true;
   return false;
 }
 
@@ -88,7 +81,7 @@ ScheduleAnalysis verify(const ScheduleModel& model,
       for (std::size_t b = a + 1; b < wave.size(); ++b) {
         const PassSpec& pa = model.passes[wave[a]];
         const PassSpec& pb = model.passes[wave[b]];
-        if (!specs_conflict(pa, pb)) continue;
+        if (!flow::conflicts({pa.reads, pa.writes}, {pb.reads, pb.writes})) continue;
         std::vector<core::Stage> overlap;
         for (std::size_t s = 0; s < core::kNumStages; ++s) {
           const core::Stage stage = static_cast<core::Stage>(s);
@@ -176,27 +169,15 @@ ScheduleAnalysis verify(const ScheduleModel& model,
 
 }  // namespace
 
-bool specs_conflict(const PassSpec& a, const PassSpec& b) {
-  return intersects(a.writes, b.reads) ||  // read-after-write
-         intersects(a.reads, b.writes) ||  // write-after-read
-         intersects(a.writes, b.writes);   // write-after-write
-}
-
 std::vector<std::vector<std::size_t>> compute_waves(const ScheduleModel& model) {
-  const std::size_t n = model.passes.size();
-  std::vector<char> done(n, 0);
+  std::vector<flow::Contract> contracts;
+  for (const PassSpec& spec : model.passes) contracts.push_back({spec.reads, spec.writes});
+  std::vector<char> unfinished(contracts.size(), 1);
   std::vector<std::vector<std::size_t>> waves;
   for (;;) {
-    std::vector<std::size_t> wave;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i]) continue;
-      bool blocked = false;
-      for (std::size_t j = 0; j < i && !blocked; ++j)
-        blocked = !done[j] && specs_conflict(model.passes[j], model.passes[i]);
-      if (!blocked) wave.push_back(i);
-    }
+    std::vector<std::size_t> wave = flow::next_wave(contracts, unfinished);
     if (wave.empty()) break;
-    for (const std::size_t i : wave) done[i] = 1;
+    for (const std::size_t i : wave) unfinished[i] = 0;
     waves.push_back(std::move(wave));
   }
   return waves;
@@ -252,15 +233,12 @@ PassSpec spec_of(const flow::Pass& pass) {
   return spec;
 }
 
-ScheduleModel model_from_registry(const std::vector<std::string>& only) {
-  const flow::PassRegistry& registry = flow::PassRegistry::instance();
+ScheduleModel model_of(std::span<flow::Pass* const> passes,
+                       const std::vector<std::string>& only) {
   ScheduleModel model;
-  const std::vector<std::string> names = only.empty() ? registry.names() : only;
-  for (const std::string& name : names) {
-    const std::unique_ptr<flow::Pass> pass = registry.make(name);
-    if (!pass) throw std::invalid_argument("unknown flow pass: " + name);
-    model.passes.push_back(spec_of(*pass));
-  }
+  std::vector<flow::Pass*> chosen(passes.begin(), passes.end());
+  if (!only.empty()) chosen = flow::select_passes(passes, only);
+  for (const flow::Pass* pass : chosen) model.passes.push_back(spec_of(*pass));
   return model;
 }
 

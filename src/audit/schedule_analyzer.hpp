@@ -2,7 +2,7 @@
 // pass contracts.
 //
 // Consumes only the declared read/write sets (a ScheduleModel — built by
-// hand for tests, or lifted from the PassRegistry for the real pipeline)
+// hand for tests, or lifted from the flow's canonical pass list)
 // and, without running anything, proves or refutes the properties every
 // PassManager guarantee rests on:
 //
@@ -17,8 +17,8 @@
 // machine-readable count per rule plus the one-line summary the CI gate
 // greps (`schedule-analysis: passes=7 waves=4 conflicts=0 ...`).
 //
-// The PassManager's own wave derivation provably never co-schedules
-// conflicting passes (a conflicting predecessor blocks), so on the
+// The waves come from the PassManager's own rule (flow::next_wave over
+// flow::conflicts), which never co-schedules conflicting passes, so on the
 // self-computed partition AU-001 is a regression guard for future scheduler
 // changes; the analyze(model, waves) overload accepts an explicit partition
 // so callers (and the CI negative test) can also verify schedules produced
@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,14 +67,9 @@ struct ScheduleModel {
       core::Stage::kTest};
 };
 
-// True when the two contracts force an order (read-after-write,
-// write-after-read, or write-after-write on any stage) — the declaration-
-// level mirror of PassManager::conflicts.
-bool specs_conflict(const PassSpec& a, const PassSpec& b);
-
-// The wave partition PassManager::run derives on a cold DB (every pass
-// wants to run): repeatedly dispatch each undone pass with no undone
-// conflicting predecessor. Indices into model.passes, wave-major.
+// The wave partition PassManager::run derives on a cold DB: flow::next_wave
+// with every unfinished pass wanting to run. Indices into model.passes,
+// wave-major.
 std::vector<std::vector<std::size_t>> compute_waves(const ScheduleModel& model);
 
 struct ScheduleAnalysis {
@@ -103,9 +99,11 @@ ScheduleAnalysis analyze(const ScheduleModel& model,
 
 // Contract of a live pass object.
 PassSpec spec_of(const flow::Pass& pass);
-// Model of the registered pipeline — every PassRegistry name in canonical
-// order, or the given subset (unknown names throw std::invalid_argument) —
-// with the real flow's seeds and outputs.
-ScheduleModel model_from_registry(const std::vector<std::string>& only = {});
+// Model of a pass list in its own (canonical) order — every pass, or the
+// subset named in `only` (flow::select_passes: the order of `only` does not
+// matter, unknown names throw std::invalid_argument) — with the real flow's
+// seeds and outputs.
+ScheduleModel model_of(std::span<flow::Pass* const> passes,
+                       const std::vector<std::string>& only = {});
 
 }  // namespace gnnmls::audit

@@ -3,14 +3,14 @@
 #include <stdexcept>
 #include <string>
 
-#include "flow/registry.hpp"
 #include "ft/fault_plan.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace gnnmls::check {
 
-Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config) {
+Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config,
+                       std::span<flow::Pass* const> passes) {
   Snapshot snapshot;
   snapshot.design = &db.design();
   snapshot.tech = &db.tech();
@@ -20,6 +20,7 @@ Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config)
   snapshot.mls_flags = &db.mls_flags();
   snapshot.test_model = db.test_model();
   snapshot.db = &db;
+  snapshot.passes = passes;
   snapshot.options = config.checks;
   snapshot.options.ir_budget_pct = config.pdn.ir_budget_pct;
   return CheckRegistry::with_default_passes().run(snapshot);
@@ -28,7 +29,7 @@ Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config)
 void CheckPass::run(flow::PassContext& ctx) {
   obs::Span span("flow.checks");
   GNNMLS_FAULT_POINT("check.run");
-  const Report report = run_flow_checks(ctx.db, ctx.config);
+  const Report report = run_flow_checks(ctx.db, ctx.config, ctx.passes);
   ctx.metrics.check_s += span.seconds();
   const std::string& design = ctx.db.design().info.name;
   if (!report.clean()) {
@@ -41,11 +42,5 @@ void CheckPass::run(flow::PassContext& ctx) {
   util::log_debug("flow[", design, "/", ctx.metrics.strategy, "]: checks clean (",
                   report.warnings(), " warning(s))");
 }
-
-std::unique_ptr<flow::Pass> make_check_pass() { return std::make_unique<CheckPass>(); }
-
-namespace {
-const flow::PassRegistrar reg(60, "check", &make_check_pass);
-}  // namespace
 
 }  // namespace gnnmls::check

@@ -7,8 +7,6 @@
 // report throws out of the evaluate.
 #pragma once
 
-#include <memory>
-
 #include "check/registry.hpp"
 #include "flow/pass.hpp"
 
@@ -18,8 +16,10 @@ namespace gnnmls::check {
 // registered integrity pass. A timing graph the netlist has moved past is
 // withheld (it indexes a stale pin space), while stale routes are handed
 // over on purpose — RT-005's revision comparison exists to catch exactly
-// that. Shared by CheckPass and DesignFlow::run_checks().
-Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config);
+// that. `passes` is the flow's canonical pass list, which the "audit" group
+// analyzes. Shared by CheckPass and DesignFlow::run_checks().
+Report run_flow_checks(const core::DesignDB& db, const flow::FlowConfig& config,
+                       std::span<flow::Pass* const> passes);
 
 class CheckPass : public flow::Pass {
  public:
@@ -35,7 +35,5 @@ class CheckPass : public flow::Pass {
   bool tolerates_missing_reads() const override { return true; }
   void run(flow::PassContext& ctx) override;
 };
-
-std::unique_ptr<flow::Pass> make_check_pass();
 
 }  // namespace gnnmls::check

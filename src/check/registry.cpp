@@ -118,12 +118,13 @@ CheckRegistry CheckRegistry::with_default_passes() {
     r.mark_pass_run("ft");
   });
   registry.add("audit", [](const Snapshot& s, Report& r) {
-    // Static schedule analysis (AU-00x) over the process-wide PassRegistry:
-    // the declarations, not the snapshot, are the subject, so this pass runs
-    // even on hand-built snapshots. A test binary that registers a stub pass
-    // with broken declarations will (correctly) fail here.
-    (void)s;
-    r.merge(audit::analyze(audit::model_from_registry()).report);
+    // Static schedule analysis (AU-00x) of the flow's pass list: the
+    // declarations, not the artifacts, are the subject.
+    if (s.passes.empty()) {
+      r.mark_pass_skipped("audit", "no pipeline");
+      return;
+    }
+    r.merge(audit::analyze(audit::model_of(s.passes)).report);
     r.mark_pass_run("audit");
   });
   registry.add("pdn", [](const Snapshot& s, Report& r) {

@@ -29,6 +29,9 @@
 namespace gnnmls::core {
 class DesignDB;
 }
+namespace gnnmls::flow {
+class Pass;
+}
 
 namespace gnnmls::check {
 
@@ -59,6 +62,9 @@ struct Snapshot {
   // Enables the "ft" pass: stage-tag consistency and mid-write markers after
   // a recovered run (FT-001).
   const core::DesignDB* db = nullptr;
+  // The flow's canonical pass list (empty for hand-built snapshots). Enables
+  // the "audit" pass: static schedule analysis of the declared contracts.
+  std::span<flow::Pass* const> passes;
   CheckOptions options;
 };
 

@@ -1,7 +1,6 @@
 #include "dft/dft_pass.hpp"
 
 #include "dft/scan.hpp"
-#include "flow/registry.hpp"
 #include "ft/fault_plan.hpp"
 #include "netlist/buffering.hpp"
 #include "obs/trace.hpp"
@@ -49,11 +48,5 @@ void DftPass::run(flow::PassContext& ctx) {
     ctx.metrics.route_s += span.seconds();
   }
 }
-
-std::unique_ptr<flow::Pass> make_dft_pass() { return std::make_unique<DftPass>(); }
-
-namespace {
-const flow::PassRegistrar reg(20, "dft", &make_dft_pass);
-}  // namespace
 
 }  // namespace gnnmls::dft

@@ -13,8 +13,6 @@
 // already-testable design.
 #pragma once
 
-#include <memory>
-
 #include "flow/pass.hpp"
 
 namespace gnnmls::dft {
@@ -32,7 +30,5 @@ class DftPass : public flow::Pass {
   }
   void run(flow::PassContext& ctx) override;
 };
-
-std::unique_ptr<flow::Pass> make_dft_pass();
 
 }  // namespace gnnmls::dft

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/design_db.hpp"
@@ -27,6 +29,8 @@
 
 namespace gnnmls::flow {
 
+class Pass;
+
 // Everything a pass may look at while running. The referenced objects
 // outlive the run; metrics fields are disjoint per pass, so concurrent
 // passes never write the same member.
@@ -34,6 +38,9 @@ struct PassContext {
   core::DesignDB& db;
   const FlowConfig& config;
   FlowMetrics& metrics;
+  // The flow's canonical pass list (empty outside a DesignFlow); the check
+  // pass's "audit" group proves its schedule.
+  std::span<Pass* const> passes = {};
   // DFT-pipeline inputs/outputs (used by the "dft" pass only).
   dft::MlsDftStyle dft_style = dft::MlsDftStyle::kWireBased;
   std::size_t scan_flops = 0;  // filled by the dft pass
@@ -72,5 +79,31 @@ class Pass {
 
   virtual void run(PassContext& ctx) = 0;
 };
+
+// A pass's declared stage sets, as the scheduler sees them.
+struct Contract {
+  std::vector<core::Stage> reads;
+  std::vector<core::Stage> writes;
+};
+
+Contract contract_of(const Pass& pass);
+
+// The one ordering rule: true when `earlier` and `later` touch a common
+// stage in a way that forces pipeline order (read-after-write,
+// write-after-read, or write-after-write).
+bool conflicts(const Contract& earlier, const Contract& later);
+
+// The next dispatch wave over a pipeline in canonical order: every index i
+// with wants[i] and no j < i with wants[j] that conflicts with it.
+// PassManager::run feeds `wants` from stage freshness; the static schedule
+// analyzer (src/audit/) marks every unfinished pass.
+std::vector<std::size_t> next_wave(const std::vector<Contract>& pipeline,
+                                   const std::vector<char>& wants);
+
+// The members of `passes` named in `names`, in `passes` order (the order of
+// `names` does not matter). Throws std::invalid_argument on a name that is
+// not in `passes`.
+std::vector<Pass*> select_passes(std::span<Pass* const> passes,
+                                 const std::vector<std::string>& names);
 
 }  // namespace gnnmls::flow

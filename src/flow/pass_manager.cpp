@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "audit/contract_audit.hpp"
@@ -21,13 +20,6 @@
 namespace gnnmls::flow {
 
 namespace {
-
-bool intersects(const std::vector<core::Stage>& a, const std::vector<core::Stage>& b) {
-  for (const core::Stage x : a)
-    for (const core::Stage y : b)
-      if (x == y) return true;
-  return false;
-}
 
 // Appends the wave's violations to the report, deduplicating by
 // (kind, pass, stage): a retried wave re-observes the same mis-declaration,
@@ -60,14 +52,6 @@ const PassExecution* RunReport::find(std::string_view name) const {
   return nullptr;
 }
 
-bool PassManager::conflicts(const Pass& a, const Pass& b) {
-  const std::vector<core::Stage> ar = a.reads(), aw = a.writes();
-  const std::vector<core::Stage> br = b.reads(), bw = b.writes();
-  return intersects(aw, br) ||  // read-after-write
-         intersects(ar, bw) ||  // write-after-read
-         intersects(aw, bw);    // write-after-write
-}
-
 std::uint64_t PassManager::fingerprint_of(const Pass& pass, const core::DesignDB& db) const {
   // FNV-1a over the read-stage revisions plus the pass's own contribution.
   std::uint64_t h = 1469598103934665603ull;
@@ -84,7 +68,7 @@ std::uint64_t PassManager::fingerprint_of(const Pass& pass, const core::DesignDB
 
 bool PassManager::audit_enabled(const FlowConfig& config) {
   // Read once per run() on the dispatch thread, same discipline as
-  // ft::resolve / Executor::threads_from_env.
+  // Executor::threads_from_env.
   const char* env = std::getenv("GNNMLS_AUDIT");  // NOLINT(concurrency-mt-unsafe)
   if (env == nullptr || *env == '\0') return config.audit;
   return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
@@ -102,8 +86,11 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
   report_ = RunReport{};
   const std::size_t n = pipeline.size();
   std::vector<char> done(n, 0);
+  std::vector<Contract> contracts;
+  contracts.reserve(n);
+  for (const Pass* pass : pipeline) contracts.push_back(contract_of(*pass));
   const Executor exec(Executor::threads_from_env());
-  const ft::FtOptions ft = ft::resolve(ctx.config.ft);
+  const ft::FtOptions& ft = ctx.config.ft;
   const bool audit = audit_enabled(ctx.config);
 
   for (;;) {
@@ -113,16 +100,7 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     std::vector<char> wants(n, 0);
     for (std::size_t i = 0; i < n; ++i)
       wants[i] = done[i] ? 0 : static_cast<char>(wants_run(*pipeline[i], ctx.db));
-
-    // The wave: every wanting pass with no wanting conflicting predecessor.
-    std::vector<std::size_t> wave;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!wants[i]) continue;
-      bool blocked = false;
-      for (std::size_t j = 0; j < i && !blocked; ++j)
-        blocked = wants[j] && conflicts(*pipeline[j], *pipeline[i]);
-      if (!blocked) wave.push_back(i);
-    }
+    const std::vector<std::size_t> wave = next_wave(contracts, wants);
     if (wave.empty()) break;
 
     // One aggregation node per wave: pass spans — on the dispatch thread and
@@ -137,7 +115,7 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     // taken on wave success.
     std::vector<core::Stage> wave_writes;
     for (const std::size_t i : wave)
-      for (const core::Stage s : pipeline[i]->writes()) {
+      for (const core::Stage s : contracts[i].writes) {
         bool seen = false;
         for (const core::Stage w : wave_writes) seen = seen || w == s;
         if (!seen) wave_writes.push_back(s);
@@ -149,22 +127,16 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     pre_revs.reserve(wave_writes.size());
     for (const core::Stage s : wave_writes)
       pre_revs.push_back(ctx.db.tag(s).revision);
-    std::optional<core::DesignDB::Snapshot> snap;
-    std::uint64_t pre_fp = 0;
-    if (ft.transactional) {
-      // Charged to tx_s (and the flow.tx span): this is manager overhead,
-      // not any pass's work, but it is real wall-clock the stage breakdown
-      // must account for — the snapshot scales with the routing state.
-      GNNMLS_SPAN("flow.tx");
-      const auto tx0 = std::chrono::steady_clock::now();
-      snap = ctx.db.snapshot(wave_writes);
-      pre_fp = ctx.db.state_fingerprint();
-      ctx.metrics.tx_s +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - tx0).count();
-      static obs::Histogram& snap_bytes =
-          obs::Metrics::instance().histogram("flow.snapshot_bytes");
-      snap_bytes.observe(static_cast<double>(snap->approx_bytes()));
-    }
+    // Charged to tx_s (and the flow.tx span): this is manager overhead, not
+    // any pass's work, but it is real wall-clock the stage breakdown must
+    // account for — the snapshot scales with the routing state.
+    obs::Span tx_span("flow.tx");
+    const core::DesignDB::Snapshot snap = ctx.db.snapshot(wave_writes);
+    const std::uint64_t pre_fp = ctx.db.state_fingerprint();
+    tx_span.end();
+    ctx.metrics.tx_s += tx_span.seconds();
+    static obs::Histogram& snap_bytes = obs::Metrics::instance().histogram("flow.snapshot_bytes");
+    snap_bytes.observe(static_cast<double>(snap.approx_bytes()));
 
     std::size_t attempt = 0;
     for (;;) {
@@ -292,22 +264,14 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
       if (!dumped.empty())
         util::log_warn("flow: flight-recorder dump written to ", dumped);
 
-      if (!ft.transactional) {
-        // Legacy mode: no rollback, rethrow the lowest-indexed failure
-        // unwrapped... except it is already wrapped; keep pre-FT observable
-        // behavior by rethrowing the original exception_ptr.
-        for (const std::exception_ptr& e : errors)
-          if (e) std::rethrow_exception(e);
-      }
-
       const auto tx0 = std::chrono::steady_clock::now();
-      ctx.db.restore(*snap);
+      ctx.db.restore(snap);
       const std::uint64_t post_fp = ctx.db.state_fingerprint();
       ctx.metrics.tx_s +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - tx0).count();
       static obs::Histogram& restore_bytes =
           obs::Metrics::instance().histogram("flow.restore_bytes");
-      restore_bytes.observe(static_cast<double>(snap->approx_bytes()));
+      restore_bytes.observe(static_cast<double>(snap.approx_bytes()));
       obs::FlightRecorder::instance().record(obs::EventKind::kRollback, failures.front().pass(),
                                              wave_no, post_fp);
       RollbackRecord rb;
@@ -327,7 +291,6 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
       bool all_retryable = true;
       for (const ft::FlowError& e : failures) all_retryable = all_retryable && e.retryable();
       if (all_retryable && attempt < static_cast<std::size_t>(std::max(0, ft.max_retries))) {
-        ft::apply_backoff(ft, static_cast<int>(attempt));
         ++attempt;
         ++report_.retries;
         ++ctx.metrics.retries;

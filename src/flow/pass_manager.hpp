@@ -1,20 +1,18 @@
 // PassManager: revision-aware wave scheduler over a pass pipeline.
 //
 // Given a pipeline (a vector of passes in canonical order), the manager
-// derives dependency edges from the declared read/write sets — for i < j,
-// pass j depends on pass i when they conflict on any stage (read-after-
-// write, write-after-read, or write-after-write), so conflicting passes
-// serialize in pipeline order and non-conflicting ones parallelize — then
-// repeatedly dispatches "waves": every pass that currently wants to run and
-// has no unfinished conflicting predecessor goes into the wave, the wave
-// runs concurrently on the Executor, and freshness is re-evaluated. A pass
-// wants to run when its written stages are stale under the DesignDB's
-// revision tags (Pass::needs_run); pure-read passes are skipped when the
-// revisions of everything they read match the ledger entry from their last
-// execution. A re-run on an unmutated DB therefore schedules zero passes,
-// and after a local mutation only the dependent suffix re-executes — the
-// incremental-ECO story is the scheduler's default behavior, not a special
-// code path.
+// repeatedly dispatches "waves" by flow::next_wave: every pass that
+// currently wants to run and has no wanting predecessor it conflicts with
+// (flow::conflicts over the declared read/write sets) goes into the wave,
+// the wave runs concurrently on the Executor, and freshness is re-evaluated.
+// Conflicting passes therefore serialize in pipeline order and independent
+// ones parallelize. A pass wants to run when its written stages are stale
+// under the DesignDB's revision tags (Pass::needs_run); pure-read passes are
+// skipped when the revisions of everything they read match the ledger entry
+// from their last execution. A re-run on an unmutated DB therefore schedules
+// zero passes, and after a local mutation only the dependent suffix
+// re-executes — the incremental-ECO story is the scheduler's default
+// behavior, not a special code path.
 #pragma once
 
 #include <cstdint>
@@ -79,24 +77,17 @@ class PassManager {
   // this invocation (also retained as last_report()). The fingerprint ledger
   // for pure-read passes persists across invocations, keyed by pass name.
   //
-  // Failure semantics (governed by ft::resolve(ctx.config.ft)):
-  //   * transactional (default): before each wave the union of its write
-  //     stages is snapshotted; if any pass throws, every failure is wrapped
-  //     into an ft::FlowError, the snapshot is restored (DB bit-identical to
-  //     pre-wave by state_fingerprint), and — when every failure is
-  //     retryable and the retry budget allows — the wave re-dispatches after
-  //     a deterministic backoff. Exhausted budgets throw
-  //     ft::AggregateFlowError carrying ALL wave failures; last_report()
-  //     keeps the FailureRecords and RollbackRecords either way.
-  //   * GNNMLS_FT=off: legacy behavior — no snapshot, the lowest-indexed
-  //     failing pass's exception rethrown as-is after the wave drains.
+  // Failure semantics (ctx.config.ft sets the retry budget and the per-pass
+  // wall-clock budget): before each wave the union of its write stages is
+  // snapshotted; if any pass throws, every failure is wrapped into an
+  // ft::FlowError, the snapshot is restored (DB bit-identical to pre-wave by
+  // state_fingerprint), and — when every failure is retryable and the retry
+  // budget allows — the wave re-dispatches. Exhausted budgets throw
+  // ft::AggregateFlowError carrying ALL wave failures; last_report() keeps
+  // the FailureRecords and RollbackRecords either way.
   const RunReport& run(const std::vector<Pass*>& pipeline, PassContext& ctx);
 
   const RunReport& last_report() const { return report_; }
-
-  // True when passes a (earlier in the pipeline) and b (later) touch a
-  // common stage in a way that forces their order. Exposed for tests.
-  static bool conflicts(const Pass& a, const Pass& b);
 
   // Effective audit-mode switch for a run: config.audit, overridden by
   // GNNMLS_AUDIT=1/on (enable) or =0/off (disable). Exposed so the lint CLI

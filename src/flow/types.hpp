@@ -35,10 +35,8 @@ struct FlowConfig {
   // default: benches measure the flow, not the auditor.
   bool strict_checks = false;
   check::CheckOptions checks;
-  // Fault-tolerance policy (src/ft/): transactional rollback, retry budget,
-  // deterministic backoff, per-pass wall-clock budget. Environment knobs
-  // (GNNMLS_FT, GNNMLS_MAX_RETRIES, ...) override these at run() time via
-  // ft::resolve().
+  // Fault-tolerance policy (src/ft/): retry budget and per-pass wall-clock
+  // budget of the transactional wave recovery.
   ft::FtOptions ft;
   // Contract audit (src/audit/ layer 2): record each pass's actual DesignDB
   // stage accesses on a per-thread recorder and diff them against the

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "flow/registry.hpp"
 #include "ft/blackbox.hpp"
 #include "ft/fault_plan.hpp"
 #include "mls/sota.hpp"
@@ -47,11 +46,5 @@ void DecidePass::run(flow::PassContext& ctx) {
   span.end();
   ctx.metrics.decide_s += span.seconds();
 }
-
-std::unique_ptr<flow::Pass> make_decide_pass() { return std::make_unique<DecidePass>(); }
-
-namespace {
-const flow::PassRegistrar reg(70, "decide", &make_decide_pass);
-}  // namespace
 
 }  // namespace gnnmls::mls

@@ -8,8 +8,6 @@
 // previous answer), while swapping engines forces a fresh inference.
 #pragma once
 
-#include <memory>
-
 #include "flow/pass.hpp"
 #include "mls/gnnmls.hpp"
 
@@ -41,7 +39,5 @@ class DecidePass : public flow::Pass {
   CorpusOptions corpus_{};
   std::vector<std::uint8_t> flags_;
 };
-
-std::unique_ptr<flow::Pass> make_decide_pass();
 
 }  // namespace gnnmls::mls

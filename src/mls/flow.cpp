@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 
-#include "flow/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -55,13 +55,14 @@ DesignFlow::DesignFlow(netlist::Design design, const FlowConfig& config)
 }
 
 std::vector<flow::Pass*> DesignFlow::pipeline(bool with_dft) {
+  const auto member = [&](const flow::Pass* p) {
+    if (p == &passes_.dft) return with_dft;
+    if (p == &passes_.pdn) return config_.run_pdn;
+    if (p == &passes_.check) return config_.strict_checks;
+    return p != &passes_.decide;
+  };
   std::vector<flow::Pass*> passes;
-  passes.push_back(&route_pass_);
-  if (with_dft) passes.push_back(&dft_pass_);
-  passes.push_back(&sta_pass_);
-  passes.push_back(&power_pass_);
-  if (config_.run_pdn) passes.push_back(&pdn_pass_);
-  if (config_.strict_checks) passes.push_back(&check_pass_);
+  std::copy_if(canonical_.begin(), canonical_.end(), std::back_inserter(passes), member);
   return passes;
 }
 
@@ -99,7 +100,7 @@ FlowMetrics DesignFlow::evaluate(const std::vector<std::uint8_t>& flags, Strateg
   db_.set_mls_flags(flags);
   FlowMetrics m;
   m.strategy = to_string(strategy);
-  flow::PassContext ctx{db_, config_, m};
+  flow::PassContext ctx{db_, config_, m, canonical_};
   pm_.run(pipeline(/*with_dft=*/false), ctx);
   fill_metrics(m);
   // One clock, one tree: the whole-evaluate wall time is the root span, of
@@ -117,11 +118,11 @@ FlowMetrics DesignFlow::evaluate_gnn(GnnMlsEngine& engine, const CorpusOptions& 
   // pure-read pass (skipped when the same engine already decided against
   // this exact baseline) and its seconds fold into the reported row, so the
   // "Ours" runtime column is honest.
-  decide_pass_.configure(&engine, corpus_opts);
+  passes_.decide.configure(&engine, corpus_opts);
   FlowMetrics decide_metrics;
-  flow::PassContext decide_ctx{db_, config_, decide_metrics};
-  pm_.run({&decide_pass_}, decide_ctx);
-  FlowMetrics m = evaluate(decide_pass_.flags(), Strategy::kGnn);
+  flow::PassContext decide_ctx{db_, config_, decide_metrics, canonical_};
+  pm_.run({&passes_.decide}, decide_ctx);
+  FlowMetrics m = evaluate(passes_.decide.flags(), Strategy::kGnn);
   m.decide_s = decide_metrics.decide_s;
   m.runtime_s += decide_metrics.decide_s;
   // Recovery outcomes of the decide stage belong to the reported row too
@@ -142,22 +143,12 @@ Corpus DesignFlow::corpus(const CorpusOptions& options, int design_tag) const {
 FlowMetrics DesignFlow::run_passes(const std::vector<std::string>& names,
                                    const std::vector<std::uint8_t>& flags,
                                    Strategy strategy) {
-  const flow::PassRegistry& registry = flow::PassRegistry::instance();
-  for (const std::string& name : names)
-    if (!registry.make(name)) throw std::invalid_argument("unknown flow pass: " + name);
-  // Instantiate in canonical registry order regardless of the order given.
-  std::vector<std::unique_ptr<flow::Pass>> owned;
-  for (const std::string& name : registry.names())
-    if (std::find(names.begin(), names.end(), name) != names.end())
-      owned.push_back(registry.make(name));
-  std::vector<flow::Pass*> passes;
-  for (const std::unique_ptr<flow::Pass>& p : owned) passes.push_back(p.get());
-
+  const std::vector<flow::Pass*> passes = flow::select_passes(canonical_, names);
   obs::Span root("flow.evaluate");
   db_.set_mls_flags(flags);
   FlowMetrics m;
   m.strategy = to_string(strategy);
-  flow::PassContext ctx{db_, config_, m};
+  flow::PassContext ctx{db_, config_, m, canonical_};
   pm_.run(passes, ctx);
   fill_metrics(m);
   m.runtime_s = root.seconds();
@@ -176,7 +167,7 @@ DesignFlow::DftMetrics DesignFlow::evaluate_with_dft(const std::vector<std::uint
   db_.set_mls_flags(flags);
   FlowMetrics m;
   m.strategy = to_string(strategy);
-  flow::PassContext ctx{db_, config_, m};
+  flow::PassContext ctx{db_, config_, m, canonical_};
   ctx.dft_style = style;
   pm_.run(pipeline(/*with_dft=*/true), ctx);
   out.scan_flops = ctx.scan_flops;

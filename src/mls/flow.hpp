@@ -45,6 +45,24 @@ std::string to_string(Strategy s);
 using FlowConfig = flow::FlowConfig;
 using FlowMetrics = flow::FlowMetrics;
 
+// The paper's flow (Figure 4) as one fixed pass list. Every consumer reads
+// it: DesignFlow's pipelines filter its own instance, gnnmls_lint lists and
+// statically analyzes a temporary one, and the checker's "audit" group
+// proves the list handed in from DesignFlow. The passes are cheap to
+// default-construct; only DecidePass holds state (its engine wiring).
+struct FlowPasses {
+  route::RoutePass route;
+  dft::DftPass dft;
+  sta::StaPass sta;
+  pdn::PowerPass power;
+  pdn::PdnPass pdn;
+  check::CheckPass check;
+  DecidePass decide;
+
+  // route, dft, sta, power, pdn, check, decide.
+  std::vector<flow::Pass*> all() { return {&route, &dft, &sta, &power, &pdn, &check, &decide}; }
+};
+
 class DesignFlow {
  public:
   DesignFlow(netlist::Design design, const FlowConfig& config);
@@ -85,11 +103,12 @@ class DesignFlow {
 
   // Decision vector from the most recent evaluate_gnn (DecidePass output);
   // empty before the first GNN evaluate.
-  const std::vector<std::uint8_t>& decide_flags() const { return decide_pass_.flags(); }
+  const std::vector<std::uint8_t>& decide_flags() const { return passes_.decide.flags(); }
 
-  // Runs exactly the named registry passes (canonical order, regardless of
-  // the order given) against the current DB state — the engine behind
-  // gnnmls_lint --only. Throws std::invalid_argument on an unknown name.
+  // Runs exactly the named passes of this flow's FlowPasses (canonical
+  // order, regardless of the order given) against the current DB state —
+  // the engine behind gnnmls_lint --only. Throws std::invalid_argument on an
+  // unknown name.
   FlowMetrics run_passes(const std::vector<std::string>& names,
                          const std::vector<std::uint8_t>& flags,
                          Strategy strategy = Strategy::kNone);
@@ -102,7 +121,7 @@ class DesignFlow {
   // state: netlist lint always; routing/STA/MLS/PDN/DFT rules once the
   // corresponding stage has produced state. The check pass runs this itself
   // when config.strict_checks is set and throws if the report has errors.
-  check::Report run_checks() const { return check::run_flow_checks(db_, config_); }
+  check::Report run_checks() const { return check::run_flow_checks(db_, config_, canonical_); }
 
   // ---- testable-design evaluation (Tables III and VI) --------------------
   // Routes once with the given flags, inserts full scan plus the chosen MLS
@@ -129,8 +148,9 @@ class DesignFlow {
                                  const tech::Tech3D& tech,
                                  netlist::BufferingReport& buffering,
                                  std::size_t& level_shifters);
-  // The standard evaluate pipeline, optionally with the DFT pass between
-  // routing and analysis. PDN and check membership follow the config.
+  // The standard evaluate pipeline: the canonical list minus decide (which
+  // evaluate_gnn runs on its own), with the DFT pass only when asked. PDN and
+  // check membership follow the config.
   std::vector<flow::Pass*> pipeline(bool with_dft);
   // Assembles the PPA row from the DB's stage caches (route summary, STA
   // result, power report, PDN design) — valid even when every pass skipped.
@@ -144,16 +164,10 @@ class DesignFlow {
   // PDN, test model, MLS flags), with per-stage revisions; declared after
   // the fields prepare() fills so the member-init order works out.
   core::DesignDB db_;
-  // The pass instances are plain members: they are stateless apart from
-  // DecidePass (engine wiring + cached decision vector), and the manager's
-  // skip ledger lives in pm_ so it persists across evaluates.
-  route::RoutePass route_pass_;
-  dft::DftPass dft_pass_;
-  sta::StaPass sta_pass_;
-  pdn::PowerPass power_pass_;
-  pdn::PdnPass pdn_pass_;
-  check::CheckPass check_pass_;
-  DecidePass decide_pass_;
+  // The pass instances every pipeline draws from; the manager's skip ledger
+  // lives in pm_ so it persists across evaluates.
+  FlowPasses passes_;
+  std::vector<flow::Pass*> canonical_ = passes_.all();
   flow::PassManager pm_;
 };
 

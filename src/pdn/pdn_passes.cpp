@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "flow/registry.hpp"
 #include "ft/fault_plan.hpp"
 #include "obs/trace.hpp"
 
@@ -40,13 +39,5 @@ void PdnPass::run(flow::PassContext& ctx) {
   db.commit(core::Stage::kPdn);
   ctx.metrics.pdn_s += span.seconds();
 }
-
-std::unique_ptr<flow::Pass> make_power_pass() { return std::make_unique<PowerPass>(); }
-std::unique_ptr<flow::Pass> make_pdn_pass() { return std::make_unique<PdnPass>(); }
-
-namespace {
-const flow::PassRegistrar reg_power(40, "power", &make_power_pass);
-const flow::PassRegistrar reg_pdn(50, "pdn", &make_pdn_pass);
-}  // namespace
 
 }  // namespace gnnmls::pdn

@@ -7,8 +7,6 @@
 // which is what makes the wave safe without locks.
 #pragma once
 
-#include <memory>
-
 #include "flow/pass.hpp"
 
 namespace gnnmls::pdn {
@@ -32,8 +30,5 @@ class PdnPass : public flow::Pass {
   std::vector<core::Stage> writes() const override { return {core::Stage::kPdn}; }
   void run(flow::PassContext& ctx) override;
 };
-
-std::unique_ptr<flow::Pass> make_power_pass();
-std::unique_ptr<flow::Pass> make_pdn_pass();
 
 }  // namespace gnnmls::pdn

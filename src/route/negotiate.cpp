@@ -267,7 +267,6 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
   static obs::Histogram& iters_hist =
       obs::Metrics::instance().histogram("route.negotiation_iters_per_call");
   iters_hist.observe(static_cast<double>(stats.iterations));
-  obs::Metrics::instance().gauge("route.overflow").set(static_cast<double>(stats.final_overflow));
   util::log_debug("negotiate: ", stats.iterations, " iterations, ", stats.ripups,
                   " rip-ups, overflow ", stats.initial_overflow, " -> ", stats.final_overflow);
   return stats;

@@ -2,7 +2,6 @@
 
 #include <exception>
 
-#include "flow/registry.hpp"
 #include "ft/blackbox.hpp"
 #include "ft/fault_plan.hpp"
 #include "obs/metrics.hpp"
@@ -60,11 +59,5 @@ void RoutePass::run(flow::PassContext& ctx) {
   db.commit(core::Stage::kRoutes);
   ctx.metrics.route_s += span.seconds();
 }
-
-std::unique_ptr<flow::Pass> make_route_pass() { return std::make_unique<RoutePass>(); }
-
-namespace {
-const flow::PassRegistrar reg(10, "route", &make_route_pass);
-}  // namespace
 
 }  // namespace gnnmls::route

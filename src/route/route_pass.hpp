@@ -11,8 +11,6 @@
 // cells); the contract audit flagged the old {routes}-only declaration.
 #pragma once
 
-#include <memory>
-
 #include "flow/pass.hpp"
 
 namespace gnnmls::route {
@@ -28,7 +26,5 @@ class RoutePass : public flow::Pass {
   }
   void run(flow::PassContext& ctx) override;
 };
-
-std::unique_ptr<flow::Pass> make_route_pass();
 
 }  // namespace gnnmls::route

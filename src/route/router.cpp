@@ -181,6 +181,8 @@ void Router::finish_route_all(RouteSummary& summary) {
   RouteCounters::get().nets_routed.add(design_.nl.num_nets());
   obs::Metrics::instance().gauge("route.overflow_gcells")
       .set(static_cast<double>(summary.census.overflow_gcells));
+  obs::Metrics::instance().gauge("route.f2f_overflow_gcells")
+      .set(static_cast<double>(summary.census.f2f_overflow_gcells));
   obs::Metrics::instance().gauge("route.wl_m").set(summary.total_wl_m);
   util::log_debug("router: WL ", summary.total_wl_m, " m, MLS nets ", summary.mls_nets,
                   ", overflow gcells ", summary.census.overflow_gcells);

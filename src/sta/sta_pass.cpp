@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "flow/registry.hpp"
 #include "ft/blackbox.hpp"
 #include "ft/fault_plan.hpp"
 #include "obs/metrics.hpp"
@@ -53,11 +52,5 @@ void StaPass::run(flow::PassContext& ctx) {
   db.commit(core::Stage::kTiming);
   ctx.metrics.sta_s += span.seconds();
 }
-
-std::unique_ptr<flow::Pass> make_sta_pass() { return std::make_unique<StaPass>(); }
-
-namespace {
-const flow::PassRegistrar reg(30, "sta", &make_sta_pass);
-}  // namespace
 
 }  // namespace gnnmls::sta

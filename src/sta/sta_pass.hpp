@@ -9,8 +9,6 @@
 // later all-skipped evaluate can still report WNS/TNS.
 #pragma once
 
-#include <memory>
-
 #include "flow/pass.hpp"
 
 namespace gnnmls::sta {
@@ -24,7 +22,5 @@ class StaPass : public flow::Pass {
   std::vector<core::Stage> writes() const override { return {core::Stage::kTiming}; }
   void run(flow::PassContext& ctx) override;
 };
-
-std::unique_ptr<flow::Pass> make_sta_pass();
 
 }  // namespace gnnmls::sta

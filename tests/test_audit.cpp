@@ -1,6 +1,6 @@
 // Pass-contract audit properties, both layers of src/audit/:
 //
-//   * static (AU-00x): the schedule analyzer proves the registered pipeline
+//   * static (AU-00x): the schedule analyzer proves the canonical pass list
 //     clean and refutes deliberately broken models — seeded wave conflicts,
 //     undriven reads, unused writes, rollback-coverage holes, duplicate
 //     declarations;
@@ -10,21 +10,19 @@
 //     real full flow, leaves PPA bit-identical to a non-audited twin, and
 //     keeps its findings across a rolled-back-and-retried wave.
 //
-// The toy passes are run straight through a PassManager — they must NOT be
-// registered in the global PassRegistry, or the registered "audit" check
-// pass (which statically analyzes the registry) would correctly fail every
-// other test in this binary.
+// The toy passes are run straight through a PassManager, outside any
+// DesignFlow's canonical pass list.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "audit/schedule_analyzer.hpp"
 #include "core/design_db.hpp"
 #include "flow/pass_manager.hpp"
-#include "flow/registry.hpp"
 #include "ft/error.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
@@ -74,8 +72,9 @@ void expect_same_ppa(const mls::FlowMetrics& a, const mls::FlowMetrics& b) {
 
 // ---- layer 1: static schedule analysis --------------------------------------
 
-TEST(AuditStatic, RegistryPipelineAnalyzesClean) {
-  const audit::ScheduleModel model = audit::model_from_registry();
+TEST(AuditStatic, PassListAnalyzesClean) {
+  mls::FlowPasses passes;
+  const audit::ScheduleModel model = audit::model_of(passes.all());
   const audit::ScheduleAnalysis analysis = audit::analyze(model);
 
   EXPECT_TRUE(analysis.clean()) << analysis.report.render();
@@ -105,7 +104,7 @@ TEST(AuditStatic, SeededWaveConflictIsDetected) {
   model.passes.push_back({"reader", {Stage::kRoutes}, {Stage::kTiming}, {}, false});
 
   // The self-computed partition serializes them and is clean...
-  EXPECT_TRUE(audit::specs_conflict(model.passes[0], model.passes[1]));
+  ASSERT_EQ(audit::compute_waves(model).size(), 2u);
   EXPECT_TRUE(audit::analyze(model).clean());
 
   // ...but a supplied partition that co-schedules them is refuted (AU-001).
@@ -179,20 +178,22 @@ TEST(AuditStatic, DuplicateDeclarationWarns) {
   EXPECT_EQ(analysis.report.rule_count("AU-005"), 1u);
 }
 
-TEST(AuditStatic, ComputedWavesMatchPassManagerSemantics) {
-  // specs_conflict must mirror PassManager::conflicts on the live passes —
-  // the static proof is only sound if both sides derive the same edges.
-  const flow::PassRegistry& registry = flow::PassRegistry::instance();
-  const std::vector<std::string> names = registry.names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    for (std::size_t j = i + 1; j < names.size(); ++j) {
-      const auto a = registry.make(names[i]);
-      const auto b = registry.make(names[j]);
-      EXPECT_EQ(audit::specs_conflict(audit::spec_of(*a), audit::spec_of(*b)),
-                flow::PassManager::conflicts(*a, *b))
-          << names[i] << " vs " << names[j];
-    }
-  }
+TEST(AuditStatic, SubsetIsAnalyzedInCanonicalOrder) {
+  // --only=sta,route names route's consumer first; the model still follows
+  // the pass list, so route drives sta's routes read and the schedule is the
+  // same as for route,sta.
+  mls::FlowPasses passes;
+  const audit::ScheduleModel given = audit::model_of(passes.all(), {"sta", "route"});
+  const audit::ScheduleModel canonical = audit::model_of(passes.all(), {"route", "sta"});
+  ASSERT_EQ(given.passes.size(), 2u);
+  EXPECT_EQ(given.passes[0].name, "route");
+  EXPECT_EQ(given.passes[1].name, "sta");
+
+  const audit::ScheduleAnalysis analysis = audit::analyze(given);
+  EXPECT_TRUE(analysis.clean()) << analysis.report.render();
+  EXPECT_EQ(analysis.undriven, 0u);
+  EXPECT_EQ(analysis.waves, audit::analyze(canonical).waves);
+  EXPECT_THROW(audit::model_of(passes.all(), {"sta", "bogus"}), std::invalid_argument);
 }
 
 // ---- declaration-drift regressions ------------------------------------------
@@ -200,27 +201,25 @@ TEST(AuditStatic, ComputedWavesMatchPassManagerSemantics) {
 // pin them so the drift cannot come back silently.
 
 TEST(AuditDrift, RouteDeclaresItsPlacementRecommit) {
-  const auto route = flow::PassRegistry::instance().make("route");
-  ASSERT_NE(route, nullptr);
-  EXPECT_TRUE(contains(route->writes(), Stage::kRoutes));
+  const mls::FlowPasses passes;
+  EXPECT_TRUE(contains(passes.route.writes(), Stage::kRoutes));
   // absorb_journal()'s placement re-commit after an external netlist ECO.
-  EXPECT_TRUE(contains(route->writes(), Stage::kPlacement));
+  EXPECT_TRUE(contains(passes.route.writes(), Stage::kPlacement));
 }
 
 TEST(AuditDrift, DftDeclaresItsNetlistMutation) {
-  const auto dft = flow::PassRegistry::instance().make("dft");
-  ASSERT_NE(dft, nullptr);
-  EXPECT_TRUE(contains(dft->writes(), Stage::kTest));
-  EXPECT_TRUE(contains(dft->writes(), Stage::kRoutes));
-  EXPECT_TRUE(contains(dft->writes(), Stage::kPlacement));
+  const mls::FlowPasses passes;
+  EXPECT_TRUE(contains(passes.dft.writes(), Stage::kTest));
+  EXPECT_TRUE(contains(passes.dft.writes(), Stage::kRoutes));
+  EXPECT_TRUE(contains(passes.dft.writes(), Stage::kPlacement));
   // Scan insertion mutates the netlist; the wave snapshot must carry it.
-  EXPECT_TRUE(contains(dft->writes(), Stage::kNetlist));
+  EXPECT_TRUE(contains(passes.dft.writes(), Stage::kNetlist));
 }
 
 // ---- layer 2: dynamic access audit ------------------------------------------
 
-// Toy passes with deliberately broken contracts. Defined here, never
-// registered (see the file comment).
+// Toy passes with deliberately broken contracts, run outside any flow (see
+// the file comment).
 class MisdeclaredWriter : public flow::Pass {
  public:
   const char* name() const override { return "toy-writer"; }
@@ -376,7 +375,7 @@ TEST_F(AuditDynamic, FindingsSurviveRolledBackWave) {
 }
 
 TEST_F(AuditDynamic, CleanFullFlowReportsZeroViolations) {
-  // Doubles as the drift regression for all seven registered passes: any
+  // Doubles as the drift regression for the pipeline's passes: any
   // un-declared DB access in the real pipeline fails here.
   mls::FlowConfig cfg;
   cfg.heterogeneous = true;

@@ -275,6 +275,28 @@ TEST(CheckRegistry, SkipsPassesWithMissingInputs) {
   EXPECT_FALSE(report.passes_skipped().empty());
 }
 
+TEST(CheckRegistry, AuditGroupProvesThePassListHandedIn) {
+  netlist::Design d = netlist::make_maeri_16pe();
+  check::Snapshot snap;
+  snap.design = &d;
+  const check::CheckRegistry registry = check::CheckRegistry::with_default_passes();
+  const std::vector<std::string> only{"audit"};
+
+  // A hand-built snapshot carries no pipeline: the group skips.
+  const check::Report skipped = registry.run(snap, only);
+  EXPECT_TRUE(skipped.passes_run().empty());
+  ASSERT_EQ(skipped.passes_skipped().size(), 1u);
+  EXPECT_EQ(skipped.passes_skipped()[0], "audit (no pipeline)");
+
+  mls::FlowPasses passes;
+  const std::vector<flow::Pass*> list = passes.all();
+  snap.passes = list;
+  const check::Report proved = registry.run(snap, only);
+  EXPECT_TRUE(proved.clean()) << proved.render();
+  ASSERT_EQ(proved.passes_run().size(), 1u);
+  EXPECT_EQ(proved.passes_run()[0], "audit");
+}
+
 TEST(CheckRegistry, SubsetRunsOnlyNamedPasses) {
   netlist::Design d = netlist::make_maeri_16pe();
   check::Snapshot snap;

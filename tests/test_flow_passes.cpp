@@ -11,7 +11,6 @@
 
 #include "flow/executor.hpp"
 #include "flow/pass_manager.hpp"
-#include "flow/registry.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
 #include "util/log.hpp"
@@ -54,35 +53,37 @@ void expect_same_ppa(const mls::FlowMetrics& a, const mls::FlowMetrics& b) {
   EXPECT_EQ(a.overflow_gcells, b.overflow_gcells);
 }
 
-// ---- registry ---------------------------------------------------------------
+// ---- canonical pass list ----------------------------------------------------
 
-TEST(PassRegistry, CanonicalOrderAndLookup) {
-  const std::vector<std::string> names = flow::PassRegistry::instance().names();
+TEST(FlowPasses, CanonicalOrderAndLookup) {
+  mls::FlowPasses passes;
+  std::vector<std::string> names;
+  for (const flow::Pass* p : passes.all()) names.push_back(p->name());
   const std::vector<std::string> want = {"route", "dft", "sta", "power", "pdn", "check",
                                          "decide"};
   EXPECT_EQ(names, want);
 
-  const std::unique_ptr<flow::Pass> route = flow::PassRegistry::instance().make("route");
-  ASSERT_NE(route, nullptr);
-  EXPECT_STREQ(route->name(), "route");
-  EXPECT_EQ(flow::PassRegistry::instance().make("bogus"), nullptr);
+  const std::vector<flow::Pass*> route = flow::select_passes(passes.all(), {"route"});
+  ASSERT_EQ(route.size(), 1u);
+  EXPECT_STREQ(route[0]->name(), "route");
+  EXPECT_THROW(flow::select_passes(passes.all(), {"bogus"}), std::invalid_argument);
 }
 
-TEST(PassRegistry, DeclaredSetsMatchTheDependencyDiagram) {
-  const flow::PassRegistry& registry = flow::PassRegistry::instance();
-  const std::unique_ptr<flow::Pass> route = registry.make("route");
-  const std::unique_ptr<flow::Pass> dft = registry.make("dft");
-  const std::unique_ptr<flow::Pass> sta = registry.make("sta");
-  const std::unique_ptr<flow::Pass> power = registry.make("power");
-  const std::unique_ptr<flow::Pass> pdn = registry.make("pdn");
+TEST(FlowPasses, DeclaredSetsMatchTheDependencyDiagram) {
+  mls::FlowPasses passes;
+  const flow::Contract route = flow::contract_of(passes.route);
+  const flow::Contract dft = flow::contract_of(passes.dft);
+  const flow::Contract sta = flow::contract_of(passes.sta);
+  const flow::Contract power = flow::contract_of(passes.power);
+  const flow::Contract pdn = flow::contract_of(passes.pdn);
 
   // Writers before readers; independent analyses don't conflict.
-  EXPECT_TRUE(flow::PassManager::conflicts(*route, *sta));
-  EXPECT_TRUE(flow::PassManager::conflicts(*route, *dft));   // WAW on routes
-  EXPECT_TRUE(flow::PassManager::conflicts(*dft, *sta));
-  EXPECT_FALSE(flow::PassManager::conflicts(*sta, *power));  // the parallel wave
-  EXPECT_FALSE(flow::PassManager::conflicts(*sta, *pdn));
-  EXPECT_FALSE(flow::PassManager::conflicts(*power, *pdn));
+  EXPECT_TRUE(flow::conflicts(route, sta));
+  EXPECT_TRUE(flow::conflicts(route, dft));   // WAW on routes
+  EXPECT_TRUE(flow::conflicts(dft, sta));
+  EXPECT_FALSE(flow::conflicts(sta, power));  // the parallel wave
+  EXPECT_FALSE(flow::conflicts(sta, pdn));
+  EXPECT_FALSE(flow::conflicts(power, pdn));
 }
 
 // ---- scheduling -------------------------------------------------------------

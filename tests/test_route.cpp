@@ -5,6 +5,7 @@
 
 #include "netlist/buffering.hpp"
 #include "netlist/generators.hpp"
+#include "obs/metrics.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
 
@@ -73,6 +74,23 @@ TEST(Router, RoutesEveryNet) {
     ++routed;
   }
   EXPECT_GT(routed, 1000u);
+}
+
+TEST(RouterCounters, RouteAllTalliesCommittedEdges) {
+  tech::Tech3D tech3d;
+  Design d = placed_16pe(true, tech3d);
+  Router router(d, tech3d);
+  obs::Metrics& metrics = obs::Metrics::instance();
+  const std::uint64_t before = metrics.counter("route.edges_routed").value();
+  const RouteSummary summary = router.route_all({});
+
+  std::uint64_t routed_edges = 0;
+  for (Id n = 0; n < d.nl.num_nets(); ++n)
+    for (const EdgeRoute& er : router.net_edges(n)) routed_edges += er.routed ? 1 : 0;
+  EXPECT_GT(routed_edges, 1000u);
+  EXPECT_EQ(metrics.counter("route.edges_routed").value() - before, routed_edges);
+  EXPECT_EQ(metrics.gauge("route.f2f_overflow_gcells").value(),
+            static_cast<double>(summary.census.f2f_overflow_gcells));
 }
 
 TEST(Router, LongerNetsHaveMoreRC) {

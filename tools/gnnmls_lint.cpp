@@ -13,6 +13,7 @@
 //   $ gnnmls_lint --analyze-schedule           # static pass-contract proofs
 //   $ gnnmls_lint --audit                      # runtime contract audit
 //   $ gnnmls_lint --design maeri16 --profile --trace-out trace.json
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +26,6 @@
 #include "audit/schedule_analyzer.hpp"
 #include "check/checks.hpp"
 #include "flow/pass_manager.hpp"
-#include "flow/registry.hpp"
 #include "ft/fault_plan.hpp"
 #include "mls/flow.hpp"
 #include "obs/ledger.hpp"
@@ -58,7 +58,8 @@ void usage(std::FILE* to) {
                "                   back). Repeatable. See --list-fault-sites\n"
                "  --list-fault-sites  print the fault-site catalogue and exit\n"
                "  --list-rules     print the rule table and exit\n"
-               "  --list-passes    print the flow-pass registry (read/write sets) and exit\n"
+               "  --list-passes    print the canonical flow-pass list (read/write sets) and\n"
+               "                   exit\n"
                "  --analyze-schedule  static schedule analysis (AU-00x) over the declared\n"
                "                   pass contracts — no flow run; honors --only; exits 1 on\n"
                "                   error-severity findings\n"
@@ -66,6 +67,7 @@ void usage(std::FILE* to) {
                "                   diff observed vs declared stage accesses (AU-10x)\n"
                "  --only=P1,P2     run only the named flow passes (canonical order) instead\n"
                "                   of the full pipeline; see --list-passes for names\n"
+               "                   (decide needs an engine: use --strategy gnn instead)\n"
                "  --profile        trace the flow; print the span profile table and\n"
                "                   the metrics ledger after the report\n"
                "  --trace-out F    write a Chrome trace-event JSON (chrome://tracing)\n"
@@ -77,8 +79,6 @@ void usage(std::FILE* to) {
                "  --verbose        flow progress on stderr\n"
                "env: GNNMLS_TRACE=F traces any run; GNNMLS_LOG_LEVEL sets verbosity;\n"
                "     GNNMLS_FAULT=S[:n][,...] arms fault sites like --inject-flow;\n"
-               "     GNNMLS_FT=off disables transactional recovery; GNNMLS_MAX_RETRIES,\n"
-               "     GNNMLS_BACKOFF_MS, GNNMLS_PASS_BUDGET_S tune the retry policy;\n"
                "     GNNMLS_AUDIT=1 enables the contract audit like --audit;\n"
                "     GNNMLS_LEDGER=F appends a ledger record like --ledger;\n"
                "     GNNMLS_GIT_REV stamps ledger records with the git revision;\n"
@@ -163,12 +163,10 @@ void list_fault_sites() {
 
 void list_passes() {
   std::printf("%-8s %-34s %s\n", "pass", "reads", "writes");
-  const flow::PassRegistry& registry = flow::PassRegistry::instance();
-  for (const std::string& name : registry.names()) {
-    const std::unique_ptr<flow::Pass> pass = registry.make(name);
-    std::printf("%-8s %-34s %s\n", name.c_str(), join_stages(pass->reads()).c_str(),
+  mls::FlowPasses passes;
+  for (const flow::Pass* pass : passes.all())
+    std::printf("%-8s %-34s %s\n", pass->name(), join_stages(pass->reads()).c_str(),
                 join_stages(pass->writes()).c_str());
-  }
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -262,18 +260,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "gnnmls_lint: --strategy gnn needs the full pipeline (drop --only)\n");
     return 2;
   }
-  for (const std::string& name : only)
-    if (!flow::PassRegistry::instance().make(name)) {
-      std::fprintf(stderr, "gnnmls_lint: unknown flow pass '%s' (see --list-passes)\n",
-                   name.c_str());
-      return 2;
-    }
+  if (std::find(only.begin(), only.end(), "decide") != only.end()) {
+    std::fprintf(stderr, "gnnmls_lint: --only=decide needs an engine (use --strategy gnn)\n");
+    return 2;
+  }
+  // The canonical pass list validates --only and is what --analyze-schedule
+  // proves.
+  mls::FlowPasses passes;
+  audit::ScheduleModel model;
+  try {
+    model = audit::model_of(passes.all(), only);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "gnnmls_lint: %s (see --list-passes)\n", e.what());
+    return 2;
+  }
 
   if (analyze_schedule) {
     // Static mode: prove/refute the declared contracts, no flow run at all.
-    const audit::ScheduleModel model = audit::model_from_registry(only);
     const audit::ScheduleAnalysis analysis = audit::analyze(model);
-    std::printf("schedule analysis over %zu registered pass(es):\n%s\n",
+    std::printf("schedule analysis over %zu flow pass(es):\n%s\n",
                 analysis.passes, analysis.render_waves(model).c_str());
     std::fputs(analysis.report.render().c_str(), stdout);
     std::printf("%s\n", analysis.summary_line().c_str());
