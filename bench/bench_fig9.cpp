@@ -29,7 +29,9 @@ void run(const char* name, netlist::Design design, double pitch_um) {
   std::printf("  memory-die IR-drop map (darker = larger drop):\n%s",
               pdn::render_drop_map(pdn->ir[1], 48).c_str());
 
-  // (b/c): top-layer budget split between PDN and signal/MLS usage.
+  // (b/c): top-layer budget split between PDN and signal/MLS usage. The
+  // router reserves fixed RouterOptions fractions; the PDN picks its strap
+  // utilization U afterwards, so the two are printed side by side.
   const auto& grid = flow.router().grid();
   for (int tier = 0; tier < 2; ++tier) {
     const int top = grid.num_layers(tier) - 1;
@@ -39,10 +41,13 @@ void run(const char* name, netlist::Design design, double pitch_um) {
         cap += grid.capacity(tier, top, x, y);
         used += grid.usage(tier, top, x, y);
       }
-    std::printf("  tier %d top metal: PDN+CTS reserve %.0f%%, signal usage %.0f%% of leftover\n",
-                tier, 100.0 * flow.config().router.pdn_top_fraction[tier] +
-                          100.0 * flow.config().router.cts_top_fraction,
-                cap > 0 ? 100.0 * used / cap : 0.0);
+    std::printf(
+        "  tier %d top metal: router's fixed PDN+CTS reservation %.0f%% (PDN chose U=%.0f%%), "
+        "signal usage %.0f%% of leftover\n",
+        tier,
+        100.0 * flow.config().router.pdn_top_fraction[tier] +
+            100.0 * flow.config().router.cts_top_fraction,
+        pdn->utilization[tier] * 100.0, cap > 0 ? 100.0 * used / cap : 0.0);
   }
 }
 

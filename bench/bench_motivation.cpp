@@ -4,7 +4,10 @@
 //
 // We rebuild the experiment on the synthetic 16PE 4BW design: the oracle's
 // selective MLS (the ideal the GNN approximates) against the no-MLS
-// sequential-2D flow, reporting critical-path slack for both.
+// sequential-2D flow, reporting critical-path slack for both. The design
+// clock is tightened to 0.75x: at the generator's default the no-MLS flow
+// already meets timing on this small design, leaving MLS nothing to fix
+// (FlowIntegration.OracleMlsImprovesTiming uses the same setting).
 #include "common.hpp"
 
 using namespace gnnmls;
@@ -16,7 +19,12 @@ int main() {
 
   FlowConfig cfg;
   cfg.heterogeneous = true;
-  DesignFlow flow(netlist::make_maeri_16pe(), cfg);
+  netlist::Design design = netlist::make_maeri_16pe();
+  const double default_clock_ps = design.info.clock_ps;
+  design.info.clock_ps *= 0.75;
+  std::printf("clock: %.1f ps (0.75x the design's %.1f ps)\n", design.info.clock_ps,
+              default_clock_ps);
+  DesignFlow flow(std::move(design), cfg);
   const FlowMetrics base = flow.evaluate_no_mls();
 
   // Oracle-selective MLS over all critical and near-critical paths.
@@ -42,5 +50,8 @@ int main() {
              util::fmt_count(static_cast<long long>(shared.mls_nets))});
   t.print();
   bench::note("Shape target: selective MLS recovers most of the negative slack.");
+  if (base.wns_ps < 0.0)
+    std::printf("Measured: selective MLS recovers %.0f%% of the no-MLS negative slack.\n",
+                100.0 * (shared.wns_ps - base.wns_ps) / -base.wns_ps);
   return 0;
 }

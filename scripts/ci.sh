@@ -221,57 +221,6 @@ echo "==> perf smoke: observability primitives (BENCH_obs.json)"
   --benchmark_min_time=0.05
 ./build/tools/gnnmls_report ingest BENCH_obs.json --ledger PERF_LEDGER.jsonl --label obs-micro
 
-echo "==> svc stress gate: multi-session isolation, quarantine, and svc chaos"
-# The deterministic stress driver replays seeded mutation streams against N
-# concurrent sessions, then replays every journal into a freshly forked solo
-# twin: contaminated=0 means every live fingerprint was bit-identical to its
-# twin (no cross-session state bleed), leaked=0 means no rollback ever let a
-# failed wave's state escape. The driver exits nonzero on either, but the
-# grep keeps the gate honest against summary-format drift.
-./build/tools/gnnmls_stress --sessions 4 --requests 5 --seed 7 --workers 4 \
-  --bench-out BENCH_svc.json | tee STRESS_svc.txt
-grep -q 'contaminated=0 leaked=0' STRESS_svc.txt
-rm -f STRESS_svc.txt
-./build/tools/gnnmls_report ingest BENCH_svc.json --ledger PERF_LEDGER.jsonl --label svc-stress
-# Throughput floor + the accounting invariant (submitted == executed + shed
-# + rejected) from the bench JSON.
-./build/tools/gnnmls_report check-svc BENCH_svc.json
-
-# Quarantine path: a poisoned session must quarantine while its neighbors
-# stay twin-identical, and the black box must name the quarantined session.
-svc_dump=flight_svc.json
-rm -f "${svc_dump}"
-GNNMLS_FLIGHT_OUT="${svc_dump}" ./build/tools/gnnmls_stress --sessions 3 --requests 4 \
-  --seed 11 --poison-session 0 --poison-count 3 | tee STRESS_quarantine.txt
-grep -q 'quarantined=1' STRESS_quarantine.txt
-grep -q 'name=s0 state=quarantined' STRESS_quarantine.txt
-grep -q 'contaminated=0 leaked=0' STRESS_quarantine.txt
-grep -q '"session":"s0"' "${svc_dump}"
-grep -q 'session-quarantined' "${svc_dump}"
-rm -f STRESS_quarantine.txt "${svc_dump}"
-
-# Chaos sweep over the service-layer fault sites: each must trip exactly
-# once, land as a structured outcome (shed/reject/failure — never a crash),
-# and leave every surviving session twin-identical. svc.quarantine is only
-# reachable with a failing stream, so that run rides the poison path.
-svc_chaos() {
-  local site="$1" out
-  shift
-  out="$(GNNMLS_FAULT="${site}" ./build/tools/gnnmls_stress --sessions 3 --requests 4 \
-         --seed 5 "$@")" \
-    || { echo "svc chaos FAILED: ${site} broke the service"; echo "${out}"; exit 1; }
-  grep -q 'faults_injected=1' <<<"${out}" \
-    || { echo "svc chaos FAILED: ${site} never tripped"; echo "${out}"; exit 1; }
-  grep -q 'contaminated=0 leaked=0' <<<"${out}" \
-    || { echo "svc chaos FAILED: ${site} contaminated a session"; echo "${out}"; exit 1; }
-  echo "svc chaos OK: ${site}"
-}
-svc_chaos svc.admit
-svc_chaos svc.fork
-svc_chaos svc.request
-svc_chaos svc.quarantine --poison-session 1 --poison-count 3
-echo "svc stress gate OK"
-
 echo "==> ledger gate: gnnmls_report must flag a synthetic >10% stage regression"
 # Self-test of the regression detector with two known records: identical
 # records must diff clean (exit 0), a 25% route regression must flip the
@@ -332,7 +281,7 @@ if [[ "${FAST}" == "0" ]]; then
   cmake -B build-tsan -S . -DGNNMLS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "${JOBS}" \
     --target test_flow_passes test_ft test_audit test_route test_obs test_ml_engine \
-             test_svc gnnmls_lint
+             gnnmls_lint
   # test_obs carries the histogram/flight-recorder concurrent-writer hammers.
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_obs
   # test_ml_engine drives the batched forward across Executor worker threads.
@@ -341,9 +290,6 @@ if [[ "${FAST}" == "0" ]]; then
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_ft
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_audit
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_route
-  # test_svc runs the worker pool with concurrent sessions forking, mutating,
-  # and restoring private DesignDBs — the satellite concurrency contract.
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_svc
   TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 chaos_sweep ./build-tsan/tools/gnnmls_lint
 
   echo "==> sanitizers: ASan+UBSan build + full test suite (build-asan/)"

@@ -267,7 +267,6 @@ DesignDB::Snapshot DesignDB::snapshot(std::span<const Stage> stages) const {
   Snapshot snap;
   snap.stages.assign(stages.begin(), stages.end());
   snap.tags = tags_;
-  snap.counter = counter_.load(std::memory_order_relaxed);
   snap.dirty = dirty_;
   snap.journal_cursor = journal_cursor_;
   snap.mls_flags = mls_flags_;
@@ -296,12 +295,8 @@ DesignDB::Snapshot DesignDB::snapshot(std::span<const Stage> stages) const {
 
 void DesignDB::restore(const Snapshot& snap) {
   tags_ = snap.tags;
-  // Monotone: never rewind (rollback), but catch up to the source DB's
-  // watermark when the snapshot came from another DB (session fork).
-  std::uint64_t cur = counter_.load(std::memory_order_relaxed);
-  while (cur < snap.counter &&
-         !counter_.compare_exchange_weak(cur, snap.counter, std::memory_order_relaxed)) {
-  }
+  // The revision counter is left alone: it never rewinds, so a commit after
+  // the restore still draws a revision above every tag the snapshot holds.
   dirty_ = snap.dirty;
   journal_cursor_ = snap.journal_cursor;
   mls_flags_ = snap.mls_flags;

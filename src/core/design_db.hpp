@@ -197,17 +197,11 @@ class DesignDB {
   // artifact restored by dropping: the graph's value arrays are a cache of
   // run(), so a rolled-back STA simply rebuilds (bit-identical results, the
   // incremental-equivalence tests enforce it) instead of deep-copying the
-  // arrays.
+  // arrays. A snapshot is restored into the DB that took it; the revision
+  // counter is not captured and never rewinds.
   struct Snapshot {
     std::vector<Stage> stages;
     std::array<StageTag, kNumStages> tags{};
-    // Revision-counter watermark at capture time. restore() advances the
-    // target DB's counter to at least this value: restoring into a *different*
-    // DB (session forking, src/svc/) must not let the fork's next commit
-    // reissue a revision number the captured tags already hold, or a stale
-    // stage could alias a fresh built_from link. In-place rollback is
-    // unaffected (the counter there is already past the watermark).
-    std::uint64_t counter = 0;
     std::vector<netlist::Id> dirty;
     std::size_t journal_cursor = 0;
     std::vector<std::uint8_t> mls_flags;  // always captured (cheap, any pass may flip)

@@ -154,7 +154,7 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
       const std::size_t wave_no = report_.waves;
       for (std::size_t k = 0; k < wave.size(); ++k) {
         Pass* pass = pipeline[wave[k]];
-        tasks.push_back([pass, &ctx, &seconds, k, &ft, audit, &recorders, wave_no, attempt] {
+        tasks.push_back([pass, &ctx, &seconds, k, audit, &recorders, wave_no, attempt] {
           obs::FlightRecorder::instance().record(obs::EventKind::kPassBegin, pass->name(),
                                                  wave_no, attempt);
           const auto t0 = std::chrono::steady_clock::now();
@@ -172,20 +172,6 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
           obs::FlightRecorder::instance().record(
               obs::EventKind::kPassEnd, pass->name(), wave_no,
               static_cast<std::uint64_t>(seconds[k] * 1e9));
-          // Cooperative watchdog: passes cannot be killed mid-flight
-          // portably, so budget overruns are detected on return and
-          // converted into retryable timeouts (the retry observes the
-          // rolled-back — smaller or warmer — state, and may well fit).
-          if (ft.pass_budget_s > 0.0 && seconds[k] > ft.pass_budget_s) {
-            static obs::Counter& timeouts = obs::Metrics::instance().counter("ft.timeouts");
-            timeouts.add(1);
-            throw ft::FlowError(
-                ft::ErrorCode::kTimeout, pass->name(),
-                pass->writes().empty() ? "" : core::to_string(pass->writes().front()),
-                ctx.db.revision(core::Stage::kNetlist), /*retryable=*/true,
-                "pass ran " + std::to_string(seconds[k]) + " s, budget " +
-                    std::to_string(ft.pass_budget_s) + " s");
-          }
         });
       }
 

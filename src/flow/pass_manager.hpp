@@ -77,12 +77,12 @@ class PassManager {
   // this invocation (also retained as last_report()). The fingerprint ledger
   // for pure-read passes persists across invocations, keyed by pass name.
   //
-  // Failure semantics (ctx.config.ft sets the retry budget and the per-pass
-  // wall-clock budget): before each wave the union of its write stages is
-  // snapshotted; if any pass throws, every failure is wrapped into an
-  // ft::FlowError, the snapshot is restored (DB bit-identical to pre-wave by
-  // state_fingerprint), and — when every failure is retryable and the retry
-  // budget allows — the wave re-dispatches. Exhausted budgets throw
+  // Failure semantics (ctx.config.ft sets the retry budget): before each
+  // wave the union of its write stages is snapshotted; if any pass throws,
+  // every failure is wrapped into an ft::FlowError, the snapshot is restored
+  // (DB bit-identical to pre-wave by state_fingerprint), and — when every
+  // failure is retryable and the retry budget allows — the wave
+  // re-dispatches. Exhausted budgets throw
   // ft::AggregateFlowError carrying ALL wave failures; last_report() keeps
   // the FailureRecords and RollbackRecords either way.
   const RunReport& run(const std::vector<Pass*>& pipeline, PassContext& ctx);

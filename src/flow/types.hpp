@@ -35,8 +35,8 @@ struct FlowConfig {
   // default: benches measure the flow, not the auditor.
   bool strict_checks = false;
   check::CheckOptions checks;
-  // Fault-tolerance policy (src/ft/): retry budget and per-pass wall-clock
-  // budget of the transactional wave recovery.
+  // Fault-tolerance policy (src/ft/): retry budget of the transactional wave
+  // recovery.
   ft::FtOptions ft;
   // Contract audit (src/audit/ layer 2): record each pass's actual DesignDB
   // stage accesses on a per-thread recorder and diff them against the

@@ -10,19 +10,6 @@
 
 namespace gnnmls::ft {
 
-namespace {
-// NOLINTNEXTLINE(runtime/string): intentional per-thread lifetime.
-thread_local std::string t_session_label;  // NOLINT(cert-err58-cpp)
-}  // namespace
-
-const std::string& session_label() { return t_session_label; }
-
-SessionLabelScope::SessionLabelScope(std::string label) : previous_(std::move(t_session_label)) {
-  t_session_label = std::move(label);
-}
-
-SessionLabelScope::~SessionLabelScope() { t_session_label = std::move(previous_); }
-
 std::string black_box_json(const std::vector<FlowError>& failures, std::size_t wave,
                            std::size_t attempt, const std::string& note,
                            std::size_t max_events) {
@@ -30,7 +17,6 @@ std::string black_box_json(const std::vector<FlowError>& failures, std::size_t w
   out += ",\"wave\":" + util::json_num(static_cast<double>(wave));
   out += ",\"attempt\":" + util::json_num(static_cast<double>(attempt));
   out += ",\"note\":" + util::json_quote(note);
-  out += ",\"session\":" + util::json_quote(t_session_label);
   out += ",\"failures\":[";
   bool first = true;
   for (const FlowError& e : failures) {

@@ -8,14 +8,10 @@ const char* to_string(ErrorCode code) {
   switch (code) {
     case ErrorCode::kUnknown: return "unknown";
     case ErrorCode::kInjectedFault: return "injected-fault";
-    case ErrorCode::kTimeout: return "timeout";
     case ErrorCode::kPrecondition: return "precondition";
     case ErrorCode::kCheckFailed: return "check-failed";
     case ErrorCode::kResourceExhausted: return "resource-exhausted";
     case ErrorCode::kPassFailed: return "pass-failed";
-    case ErrorCode::kAdmissionRejected: return "admission-rejected";
-    case ErrorCode::kSessionQuarantined: return "session-quarantined";
-    case ErrorCode::kShuttingDown: return "shutting-down";
   }
   return "?";
 }
@@ -50,8 +46,8 @@ FlowError FlowError::wrap(std::exception_ptr error, const std::string& pass,
   try {
     std::rethrow_exception(error);
   } catch (const FlowError& e) {
-    // Already classified (fault plan, watchdog): keep its code/retryability,
-    // fill in the boundary context where the thrower left it blank.
+    // Already classified (fault plan): keep its code/retryability, fill in
+    // the boundary context where the thrower left it blank.
     return FlowError(e.code(), e.pass().empty() ? pass : e.pass(),
                      e.stage().empty() ? stage : e.stage(), db_revision, e.retryable(),
                      e.what());

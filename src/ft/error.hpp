@@ -3,10 +3,10 @@
 // Every exception that crosses a pass boundary is wrapped into a FlowError:
 // a stable error code, the failing pass, the stage it was writing, the DB
 // revision at failure time, and — the field the recovery policy keys on —
-// whether the failure is retryable. Transient failures (injected faults,
-// watchdog timeouts) are; broken invariants (std::logic_error) and failed
-// integrity checks are not, because re-running the same pass on the same
-// state would fail the same way.
+// whether the failure is retryable. Transient failures (injected faults)
+// are; broken invariants (std::logic_error) and failed integrity checks are
+// not, because re-running the same pass on the same state would fail the
+// same way.
 //
 // A wave can fail in more than one pass at once; AggregateFlowError carries
 // every FlowError from the wave so multi-failure waves are not silently
@@ -26,15 +26,10 @@ namespace gnnmls::ft {
 enum class ErrorCode : std::uint8_t {
   kUnknown = 0,        // unrecognized exception type
   kInjectedFault,      // ft::FaultPlan trip (chaos testing)
-  kTimeout,            // per-pass wall-clock budget overrun
   kPrecondition,       // std::logic_error: a stage invariant was violated
   kCheckFailed,        // strict design-integrity checks found errors
   kResourceExhausted,  // std::bad_alloc
   kPassFailed,         // std::runtime_error from a pass body
-  // Service-layer codes (src/svc/). Stable: wire clients key on these.
-  kAdmissionRejected,   // queue/in-flight budget exceeded — retry later
-  kSessionQuarantined,  // session exceeded its failure budget; not retryable
-  kShuttingDown,        // service is draining; not retryable on this instance
 };
 
 const char* to_string(ErrorCode code);

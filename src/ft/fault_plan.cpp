@@ -27,10 +27,6 @@ constexpr FaultSite kSites[] = {
     {"pdn.synthesize", "PDN synthesis dispatched, kPdn not yet committed", false},
     {"check.run", "integrity audit dispatched (pure-read wave member)", false},
     {"decide.infer", "GNN inference dispatched; DecidePass degrades to SOTA", false},
-    {"svc.admit", "admission check passed, request not yet enqueued", false},
-    {"svc.fork", "session slot reserved, baseline DB not yet forked", false},
-    {"svc.request", "request dequeued on a worker, session state untouched", false},
-    {"svc.quarantine", "failure budget exceeded, quarantine transition pending", false},
 };
 
 }  // namespace

@@ -2,11 +2,9 @@
 //
 // The PassManager snapshots each wave's write-set stages and rolls them back
 // when a pass throws. FtOptions sets how many times an all-retryable wave
-// failure is retried and the per-pass wall-clock budget the watchdog
-// converts into retryable timeouts. The struct lives here (not in
-// flow/types.hpp) so low-level layers can reason about policies without
-// pulling in the flow configuration; FlowConfig embeds one, and the service
-// layer (src/svc/) swaps it per request.
+// failure is retried. The struct lives here (not in flow/types.hpp) so
+// low-level layers can reason about policies without pulling in the flow
+// configuration; FlowConfig embeds one.
 #pragma once
 
 namespace gnnmls::ft {
@@ -15,10 +13,6 @@ struct FtOptions {
   // How many times a wave whose every failure is retryable re-runs before
   // the AggregateFlowError propagates.
   int max_retries = 2;
-  // Per-pass wall-clock budget in seconds; a pass exceeding it fails with a
-  // retryable kTimeout after it returns (cooperative watchdog — passes are
-  // not killed mid-flight). 0 disables.
-  double pass_budget_s = 0.0;
 };
 
 }  // namespace gnnmls::ft

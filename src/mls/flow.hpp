@@ -87,11 +87,6 @@ class DesignFlow {
   route::Router& router() { return db_.router(config_.router); }
   sta::TimingGraph& sta() { return db_.timing(); }
   const FlowConfig& config() const { return config_; }
-  // Recovery-policy override after construction: the service layer (src/svc/)
-  // applies per-session / per-request deadline budgets and retry caps by
-  // swapping the ft options between evaluates. Everything else in the config
-  // stays fixed for the flow's lifetime.
-  void set_ft_options(const ft::FtOptions& ft) { config_.ft = ft; }
   const pdn::PdnDesign* pdn_design() const { return db_.pdn(); }
   core::DesignDB& db() { return db_; }
   const core::DesignDB& db() const { return db_; }

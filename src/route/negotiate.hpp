@@ -23,8 +23,7 @@
 // GNNMLS_THREADS, which the thread-sweep tests and ci.sh gate enforce.
 //
 // The loop is bounded by RouterOptions::max_negotiation_iters and
-// stagnation_limit; wall-clock deadlines are the pass manager's cooperative
-// per-pass budget (ft::FtOptions::pass_budget_s).
+// stagnation_limit; it has no wall-clock deadline.
 #pragma once
 
 #include <cstddef>

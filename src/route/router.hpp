@@ -50,8 +50,10 @@ namespace gnnmls::route {
 
 struct RouterOptions {
   GridConfig grid;
-  // PDN reservation on each tier's top layer, set by the flow from the PDN
-  // design (paper Table IV: M-T utilization 14% MAERI / 30% A7).
+  // PDN reservation on each tier's top layer. A fixed constant: nothing sets
+  // it, and the PDN synthesized after routing chooses its own utilization
+  // without feeding it back here (paper Table IV: M-T utilization 14% MAERI /
+  // 30% A7).
   double pdn_top_fraction[2] = {0.14, 0.14};
   // Clock-tree + shielding reservation: top pair of each tier loses this
   // fraction on top of the PDN straps (real stacks route CTS trunks there).

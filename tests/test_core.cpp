@@ -1,10 +1,13 @@
 // Tests for the versioned DesignDB core: stage revisions, freshness,
 // invalidation cascades, the dirty-net set, the netlist mutation journal,
 // and the flow-level behaviors built on them (timing-graph rebuild on
-// netlist change, RT-005 as a revision comparison).
+// netlist change, RT-005 as a revision comparison, in-place snapshot
+// rollback).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "core/design_db.hpp"
 #include "mls/flow.hpp"
@@ -255,6 +258,41 @@ TEST(FlowDB, Rt005FiresOnRevisionNotJustSize) {
   flow.evaluate_no_mls();
   const check::Report again = flow.run_checks();
   EXPECT_TRUE(again.clean()) << again.render();
+}
+
+TEST(FlowDB, InPlaceRestoreNeverReissuesARevision) {
+  // Wave rollback and the ECO benchmark restore a snapshot into the DB that
+  // took it. The snapshot does not carry the revision counter, so the commits
+  // made after the snapshot and the commits made after the restore must still
+  // draw distinct, increasing revisions.
+  mls::DesignFlow flow = make_flow();
+  flow.evaluate_no_mls();
+  DesignDB& db = flow.db();
+  std::vector<Stage> all;
+  for (std::size_t i = 0; i < core::kNumStages; ++i) all.push_back(static_cast<Stage>(i));
+  // kNetlist reports the netlist's own revision, which has its own counter.
+  const auto max_stage_revision = [&] {
+    std::uint64_t m = 0;
+    for (const Stage s : all)
+      if (s != Stage::kNetlist) m = std::max(m, db.revision(s));
+    return m;
+  };
+  const std::uint64_t fp_before = db.state_fingerprint();
+  const DesignDB::Snapshot snap = db.snapshot(all);
+  const std::uint64_t at_snapshot = max_stage_revision();
+
+  flow.evaluate_sota();  // new flags: route, STA and power commit again
+  const std::uint64_t held = max_stage_revision();
+  ASSERT_GT(held, at_snapshot);
+  EXPECT_NE(db.state_fingerprint(), fp_before);
+
+  db.restore(snap);
+  EXPECT_EQ(db.state_fingerprint(), fp_before);
+  EXPECT_EQ(max_stage_revision(), at_snapshot);
+
+  const std::uint64_t next = db.commit(Stage::kPower);
+  EXPECT_GT(next, held);
+  EXPECT_EQ(db.revision(Stage::kPower), next);
 }
 
 }  // namespace

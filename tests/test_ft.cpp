@@ -90,26 +90,6 @@ TEST(FlowErrorTaxonomy, WrapClassifiesStandardExceptions) {
   EXPECT_NE(std::string(run.what()).find("boom"), std::string::npos);
 }
 
-TEST(FlowErrorTaxonomy, ServiceCodesHaveStableNamesAndRetryability) {
-  // Wire clients key on these strings; pin them (src/svc/ admission answers).
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kAdmissionRejected)), "admission-rejected");
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kSessionQuarantined)),
-            "session-quarantined");
-  EXPECT_EQ(std::string(ft::to_string(ft::ErrorCode::kShuttingDown)), "shutting-down");
-
-  // Admission rejection is backpressure: retrying later is the contract.
-  const ft::FlowError shed(ft::ErrorCode::kAdmissionRejected, "svc", "", 0,
-                           /*retryable=*/true, "queue full");
-  EXPECT_TRUE(shed.retryable());
-  // Quarantine and shutdown are terminal for this session/instance.
-  const ft::FlowError q(ft::ErrorCode::kSessionQuarantined, "svc", "", 0,
-                        /*retryable=*/false, "over budget");
-  EXPECT_FALSE(q.retryable());
-  const ft::FlowError down(ft::ErrorCode::kShuttingDown, "svc", "", 0,
-                           /*retryable=*/false, "draining");
-  EXPECT_FALSE(down.retryable());
-}
-
 TEST(FlowErrorTaxonomy, WrapPassesNestedFlowErrorsThrough) {
   // Thrown with blank pass/stage (the fault plan does this): the boundary
   // context fills in, code and retryability survive.
@@ -123,18 +103,18 @@ TEST(FlowErrorTaxonomy, WrapPassesNestedFlowErrorsThrough) {
   EXPECT_EQ(filled.stage(), "routes");
 
   // Already-attributed errors keep their own context.
-  const ft::FlowError owned(ft::ErrorCode::kTimeout, "power", "power", 3, true, "slow");
+  const ft::FlowError owned(ft::ErrorCode::kPassFailed, "power", "power", 3, true, "slow");
   const ft::FlowError kept =
       ft::FlowError::wrap(std::make_exception_ptr(owned), "route", "routes", 11);
   EXPECT_EQ(kept.pass(), "power");
   EXPECT_EQ(kept.stage(), "power");
-  EXPECT_EQ(kept.code(), ft::ErrorCode::kTimeout);
+  EXPECT_EQ(kept.code(), ft::ErrorCode::kPassFailed);
 }
 
 TEST(FlowErrorTaxonomy, AggregateIsRetryableOnlyWhenEveryMemberIs) {
   std::vector<ft::FlowError> both;
   both.emplace_back(ft::ErrorCode::kInjectedFault, "power", "power", 1, true, "a");
-  both.emplace_back(ft::ErrorCode::kTimeout, "pdn", "pdn", 1, true, "b");
+  both.emplace_back(ft::ErrorCode::kPassFailed, "pdn", "pdn", 1, true, "b");
   const ft::AggregateFlowError all_retryable(both);
   EXPECT_TRUE(all_retryable.retryable());
   EXPECT_EQ(all_retryable.errors().size(), 2u);
@@ -186,20 +166,19 @@ TEST_F(Ft, UnknownSiteErrorListsEveryValidSite) {
   // GNNMLS_FAULT / --inject-flow typos must come back with the full menu,
   // not a bare "unknown site" (satellite: operator-debuggable chaos specs).
   try {
-    ft::FaultPlan::instance().arm("svc.amit");  // typo'd svc.admit
+    ft::FaultPlan::instance().arm("route.nte");  // typo'd route.net
     FAIL() << "unknown site must throw";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown fault site: svc.amit"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown fault site: route.nte"), std::string::npos) << msg;
     EXPECT_NE(msg.find("valid sites:"), std::string::npos) << msg;
-    // A few anchors spanning the table: first entry, a mid-table classic,
-    // and the new service-layer sites.
+    // Anchors spanning the table, from its first entry to its last.
     EXPECT_NE(msg.find("route.net"), std::string::npos) << msg;
     EXPECT_NE(msg.find("sta.run"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.admit"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.fork"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.request"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("svc.quarantine"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("dft.insert"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("pdn.synthesize"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("check.run"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("decide.infer"), std::string::npos) << msg;
   }
 }
 
@@ -412,37 +391,6 @@ TEST_F(Ft, GnnInferenceFailureDegradesToSota) {
   EXPECT_TRUE(faulted.degraded);  // the "Ours" row declares its fallback
   expect_same_ppa(faulted, twin.evaluate_sota());
   EXPECT_TRUE(flow.run_checks().clean());
-}
-
-// ---- watchdog ---------------------------------------------------------------
-
-TEST_F(Ft, WatchdogConvertsBudgetOverrunIntoRetryableTimeout) {
-  mls::FlowConfig cfg = make_config();
-  cfg.ft.pass_budget_s = 1e-9;  // every pass overruns
-  cfg.ft.max_retries = 0;
-  mls::DesignFlow flow = make_flow(cfg);
-  try {
-    flow.evaluate_no_mls();
-    FAIL() << "watchdog must fire";
-  } catch (const ft::AggregateFlowError& e) {
-    ASSERT_EQ(e.errors().size(), 1u);  // wave 0 is the route pass alone
-    EXPECT_EQ(e.errors()[0].code(), ft::ErrorCode::kTimeout);
-    EXPECT_EQ(e.errors()[0].pass(), "route");
-    EXPECT_TRUE(e.retryable());
-  }
-  const flow::RunReport report = flow.last_run_report();
-  ASSERT_FALSE(report.failed.empty());
-  EXPECT_EQ(report.failed[0].code, "timeout");
-  for (const flow::RollbackRecord& rb : report.rollbacks)
-    EXPECT_EQ(rb.pre_fp, rb.post_fp);
-
-  // A generous budget never trips.
-  mls::FlowConfig roomy = make_config();
-  roomy.ft.pass_budget_s = 1e6;
-  mls::DesignFlow ok = make_flow(roomy);
-  const mls::FlowMetrics m = ok.evaluate_no_mls();
-  EXPECT_FALSE(m.degraded);
-  EXPECT_EQ(m.retries, 0u);
 }
 
 // ---- FT-001 integrity rule --------------------------------------------------
