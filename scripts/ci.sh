@@ -99,8 +99,8 @@ echo "==> chaos gate: every injectable fault must recover with zero leaked state
 # One lint run per CLI-reachable fault site (--list-fault-sites is the
 # catalogue). Each run must (a) actually trip the armed site, (b) exit clean
 # after retry/rollback, and (c) report leaked=0 — the rolled-back DB was
-# fingerprint-identical to its pre-wave self. route.eco / sta.update need a
-# mid-run mutation the CLI does not stage (tests/test_ft.cpp covers those);
+# fingerprint-identical to its pre-wave self. route.eco needs a mid-run
+# netlist mutation the CLI does not stage (tests/test_ft.cpp covers it);
 # decide.infer runs with a live engine in the ml-engine chaos gate below.
 # One site, one run: must trip, recover, leak nothing — and leave a flight-
 # recorder black box (ft::dump_black_box via GNNMLS_FLIGHT_OUT) whose failure
@@ -143,16 +143,17 @@ chaos_sweep() {
 chaos_sweep ./build/tools/gnnmls_lint
 
 echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
-# Exercises the full-route baseline against the incremental paths
-# (Router::reroute_nets / TimingGraph::update) plus the per-stage flow
-# ledgers (BM_Flow*Stages/BM_DecideStage export route_s/sta_s/... counters),
+# Exercises the full-route baseline against the incremental ECO repair
+# (Router::reroute_nets), the full STA run (TimingGraph::run), the
+# per-stage flow ledgers (BM_Flow*Stages/BM_DecideStage export
+# route_s/sta_s/... counters),
 # the scheduler's skip fast path (BM_PassSkip exports the skip rate), and
 # the 1-vs-4-thread wave timings (BM_FlowParallel exports pdn_s/faultsim_s
 # per thread count), so BENCH_incremental.json carries stage times run over
 # run; the gate is that the cases run to completion, the JSON is for trend
 # tracking.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_StaIncremental|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_AuditOverhead' \
+  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_AuditOverhead' \
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 

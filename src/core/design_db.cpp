@@ -154,26 +154,6 @@ void DesignDB::set_mls_flags(std::vector<std::uint8_t> flags) {
   mls_flags_ = std::move(flags);
 }
 
-void DesignDB::set_route_summary(const route::RouteSummary& summary, bool incremental) {
-  audit_note_write(Stage::kRoutes);
-  route_summary_ = summary;
-  route_delta_.valid = incremental;
-  route_delta_.changed = summary.changed_nets;
-  route_delta_.changed_edges = summary.changed_edges;
-}
-
-void DesignDB::set_sta_result(const sta::StaResult& result) {
-  // Consuming the route delta below is modeled as part of the kTiming
-  // hand-off (the delta rides along with every snapshot), not a kRoutes
-  // write — otherwise every STA run would need a phantom kRoutes
-  // declaration and the sta/power/pdn wave could never parallelize.
-  audit_note_write(Stage::kTiming);
-  sta_result_ = result;
-  route_delta_.valid = false;  // consumed: the next STA must not reuse it
-  route_delta_.changed.clear();
-  route_delta_.changed_edges.clear();
-}
-
 std::vector<netlist::Id> DesignDB::take_dirty_nets() {
   audit_note_read(Stage::kRoutes);
   audit_note_write(Stage::kRoutes);
@@ -212,12 +192,6 @@ const sta::TimingGraph* DesignDB::timing_if_fresh() const {
   return sta_.get();
 }
 
-sta::TimingGraph* DesignDB::timing_if_fresh() {
-  audit_note_read(Stage::kTiming);
-  if (!sta_ || sta_built_at_ != design_.nl.revision()) return nullptr;
-  return sta_.get();
-}
-
 namespace {
 
 bool contains(std::span<const Stage> stages, Stage s) {
@@ -232,8 +206,6 @@ std::size_t DesignDB::Snapshot::approx_bytes() const {
   std::size_t b = sizeof(Snapshot);
   b += dirty.size() * sizeof(netlist::Id);
   b += mls_flags.size();
-  b += route_delta.changed.size() * sizeof(netlist::Id) +
-       route_delta.changed_edges.size() * sizeof(route::EdgeRef);
   if (design) {
     const netlist::Netlist& nl = design->nl;
     b += nl.num_cells() * sizeof(netlist::CellInst) + nl.num_pins() * sizeof(netlist::Pin);
@@ -252,10 +224,7 @@ std::size_t DesignDB::Snapshot::approx_bytes() const {
     b += cp.history.size() * sizeof(float) + cp.mls_flags.size();
     b += (cp.grid.use.size() + cp.grid.f2f_use.size()) * sizeof(float);
   }
-  if (route_summary)
-    b += sizeof(route::RouteSummary) +
-         route_summary->changed_nets.size() * sizeof(netlist::Id) +
-         route_summary->changed_edges.size() * sizeof(route::EdgeRef);
+  if (route_summary) b += sizeof(route::RouteSummary);
   if (sta_result) b += sizeof(sta::StaResult);
   if (power) b += sizeof(pdn::PowerReport);
   if (pdn) b += sizeof(pdn::PdnDesign);
@@ -270,10 +239,6 @@ DesignDB::Snapshot DesignDB::snapshot(std::span<const Stage> stages) const {
   snap.dirty = dirty_;
   snap.journal_cursor = journal_cursor_;
   snap.mls_flags = mls_flags_;
-  // The STA pass CONSUMES the route delta (set_sta_result clears it) while
-  // declaring only kTiming writes, so the delta must ride along with every
-  // snapshot, not just kRoutes ones.
-  snap.route_delta = route_delta_;
   // DFT insertion mutates the netlist itself (declared via its kPlacement /
   // kTest writes), so those stages capture the whole design value.
   if (contains(stages, Stage::kNetlist) || contains(stages, Stage::kPlacement) ||
@@ -300,7 +265,6 @@ void DesignDB::restore(const Snapshot& snap) {
   dirty_ = snap.dirty;
   journal_cursor_ = snap.journal_cursor;
   mls_flags_ = snap.mls_flags;
-  route_delta_ = snap.route_delta;
   if (snap.design) design_ = *snap.design;
   const std::span<const Stage> stages(snap.stages);
   if (contains(stages, Stage::kRoutes)) {
@@ -410,12 +374,6 @@ std::uint64_t DesignDB::state_fingerprint() const {
     mix(route_summary_->mls_nets);
     mix(route_summary_->f2f_pairs);
     mix(route_summary_->census.overflow_gcells);
-  }
-  mix(static_cast<std::uint64_t>(route_delta_.valid));
-  for (const netlist::Id n : route_delta_.changed) mix(n);
-  for (const route::EdgeRef& e : route_delta_.changed_edges) {
-    mix(e.net);
-    mix(e.edge);
   }
   if (sta_result_) {
     mix_f(sta_result_->wns_ps);

@@ -14,8 +14,8 @@
 //     whole upstream chain is unchanged since it was committed, and RT-005
 //     becomes a revision comparison instead of an array-size guess.
 //   * Incremental ECO: the dirty-net set (fed from the netlist's mutation
-//     journal or touch_nets()) is exactly what Router::reroute_nets() and
-//     TimingGraph::update() need to repair only what changed.
+//     journal or touch_nets()) is exactly what Router::reroute_nets() needs
+//     to rip up and repair only what changed.
 #pragma once
 
 #include <array>
@@ -121,7 +121,6 @@ class DesignDB {
   // Non-rebuilding view for read-only consumers (checker, corpus): null
   // until built, and null again once the netlist left it behind.
   const sta::TimingGraph* timing_if_fresh() const;
-  sta::TimingGraph* timing_if_fresh();
 
   void set_power(const pdn::PowerReport& report) {
     audit_note_write(Stage::kPower);
@@ -151,38 +150,26 @@ class DesignDB {
   // actually changed (absent entries count as 0). A flag flip therefore
   // dirties exactly the nets it affects, routing staleness falls out of the
   // ordinary fresh(kRoutes) rule, and the route pass re-routes with
-  // route_all, whose exact diff against the previous routing becomes the
-  // incremental delta for the STA update.
+  // route_all.
   void set_mls_flags(std::vector<std::uint8_t> flags);
   const std::vector<std::uint8_t>& mls_flags() const { return mls_flags_; }
 
   // ---- stage result caches ----------------------------------------------
   // Summaries of the last routing / STA commits, kept so that an evaluate()
   // whose passes were all skipped can still assemble its metrics row from
-  // the DB alone. `incremental` marks a result whose changed_nets list is
-  // the exact dirty set for TimingGraph::update() (a reroute_nets() repair
-  // or a same-netlist route_all after a flag flip); the
-  // STA pass consumes it (set_sta_result clears the delta) so a stale list
-  // can never feed a later incremental update.
-  void set_route_summary(const route::RouteSummary& summary, bool incremental);
+  // the DB alone.
+  void set_route_summary(const route::RouteSummary& summary) {
+    audit_note_write(Stage::kRoutes);
+    route_summary_ = summary;
+  }
   const route::RouteSummary* route_summary() const {
     audit_note_read(Stage::kRoutes);
     return route_summary_ ? &*route_summary_ : nullptr;
   }
-  struct RouteDelta {
-    bool valid = false;  // true only between an incremental route and the next STA
-    std::vector<netlist::Id> changed;
-    // Edge-granular view of the same delta: the exact 2-pin tree edges whose
-    // routed values changed, as reported by the router. Every edge's
-    // net appears in `changed`; consumers that only need net granularity can
-    // ignore this list.
-    std::vector<route::EdgeRef> changed_edges;
-  };
-  const RouteDelta& route_delta() const {
-    audit_note_read(Stage::kRoutes);
-    return route_delta_;
+  void set_sta_result(const sta::StaResult& result) {
+    audit_note_write(Stage::kTiming);
+    sta_result_ = result;
   }
-  void set_sta_result(const sta::StaResult& result);
   const sta::StaResult* sta_result() const {
     audit_note_read(Stage::kTiming);
     return sta_result_ ? &*sta_result_ : nullptr;
@@ -195,10 +182,10 @@ class DesignDB {
   // a pass that failed mid-write leaves the DB bit-identical (by
   // state_fingerprint) to the pre-dispatch state. Timing is the one derived
   // artifact restored by dropping: the graph's value arrays are a cache of
-  // run(), so a rolled-back STA simply rebuilds (bit-identical results, the
-  // incremental-equivalence tests enforce it) instead of deep-copying the
-  // arrays. A snapshot is restored into the DB that took it; the revision
-  // counter is not captured and never rewinds.
+  // run(), so a rolled-back STA simply rebuilds (bit-identical results,
+  // since run() recomputes every pin from the routes) instead of
+  // deep-copying the arrays. A snapshot is restored into the DB that took
+  // it; the revision counter is not captured and never rewinds.
   struct Snapshot {
     std::vector<Stage> stages;
     std::array<StageTag, kNumStages> tags{};
@@ -208,7 +195,6 @@ class DesignDB {
     std::optional<netlist::Design> design;          // kNetlist / kPlacement / kTest
     std::optional<route::Router::Checkpoint> router;  // kRoutes, if built
     std::optional<route::RouteSummary> route_summary;
-    RouteDelta route_delta;
     std::optional<sta::StaResult> sta_result;       // kTiming
     std::uint64_t sta_built_at = 0;
     std::optional<pdn::PowerReport> power;          // kPower
@@ -268,7 +254,6 @@ class DesignDB {
   std::optional<dft::TestModel> test_model_;
   std::vector<std::uint8_t> mls_flags_;
   std::optional<route::RouteSummary> route_summary_;
-  RouteDelta route_delta_;
   std::optional<sta::StaResult> sta_result_;
   // Mid-write markers, one per stage. Atomic because passes in the same wave
   // bracket their disjoint write stages from different executor threads.

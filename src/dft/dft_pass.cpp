@@ -37,13 +37,13 @@ void DftPass::run(flow::PassContext& ctx) {
 
   // Rip up and re-route only the touched nets (nets added since the last
   // route are implicitly dirty); the surviving grid state is kept. The
-  // netlist revision moved, so the STA pass takes its full-rebuild path.
+  // netlist revision moved, so the STA pass rebuilds its timing graph.
   {
     obs::Span span("flow.route.eco");
     GNNMLS_FAULT_POINT("dft.eco");
     const std::vector<netlist::Id> dirty = db.take_dirty_nets();
     const route::RouteSummary rs = router.reroute_nets(dirty, db.mls_flags());
-    db.set_route_summary(rs, true);
+    db.set_route_summary(rs);
     db.commit(core::Stage::kRoutes);
     ctx.metrics.route_s += span.seconds();
   }

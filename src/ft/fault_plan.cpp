@@ -16,17 +16,16 @@ namespace {
 // The site catalogue. Names are <pass-ish>.<point>; every entry is visited
 // by exactly one place in the codebase. Keep DESIGN.md §3f in sync.
 constexpr FaultSite kSites[] = {
-    {"route.net", "mid-route: partial grid usage + a prefix of committed nets", false},
-    {"route.commit", "route summary stored, kRoutes not yet committed", false},
-    {"route.eco", "ECO repair dispatched; RoutePass degrades to a full reroute", false},
-    {"dft.insert", "scan flops replaced, netlist mid-mutation, kTest uncommitted", false},
-    {"dft.eco", "DFT cells inserted + journal absorbed, routing repair pending", false},
-    {"sta.run", "full STA evaluated, result not yet stored", false},
-    {"sta.update", "stale-graph precondition: StaPass degrades to a full rebuild", true},
-    {"power.estimate", "power report computed, kPower not yet committed", false},
-    {"pdn.synthesize", "PDN synthesis dispatched, kPdn not yet committed", false},
-    {"check.run", "integrity audit dispatched (pure-read wave member)", false},
-    {"decide.infer", "GNN inference dispatched; DecidePass degrades to SOTA", false},
+    {"route.net", "mid-route: partial grid usage + a prefix of committed nets"},
+    {"route.commit", "route summary stored, kRoutes not yet committed"},
+    {"route.eco", "ECO repair dispatched; RoutePass degrades to a full reroute"},
+    {"dft.insert", "scan flops replaced, netlist mid-mutation, kTest uncommitted"},
+    {"dft.eco", "DFT cells inserted + journal absorbed, routing repair pending"},
+    {"sta.run", "full STA evaluated, result not yet stored"},
+    {"power.estimate", "power report computed, kPower not yet committed"},
+    {"pdn.synthesize", "PDN synthesis dispatched, kPdn not yet committed"},
+    {"check.run", "integrity audit dispatched (pure-read wave member)"},
+    {"decide.infer", "GNN inference dispatched; DecidePass degrades to SOTA"},
 };
 
 }  // namespace
@@ -149,8 +148,6 @@ void FaultPlan::visit(const char* site) {
   obs::Metrics::instance().counter("ft.faults_injected").add(1);
   obs::FlightRecorder::instance().record(obs::EventKind::kFaultTrip, site, hit);
   util::log_warn("ft: injected fault at site ", site, " (hit ", hit, ")");
-  if (s->info->throws_logic_error)
-    throw std::logic_error(std::string("injected precondition failure at ") + site);
   throw FlowError(ErrorCode::kInjectedFault, /*pass=*/"", /*stage=*/"", 0,
                   /*retryable=*/true, std::string("injected fault at ") + site);
 }

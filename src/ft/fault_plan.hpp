@@ -13,10 +13,7 @@
 // gnnmls_lint --inject-flow. Hit counting is atomic: sites fire from
 // executor threads.
 //
-// A tripped site throws ft::FlowError{kInjectedFault, retryable} — except
-// sites marked kLogicError in the catalogue, which throw std::logic_error to
-// exercise the non-retryable / degradation paths (e.g. the STA stale-graph
-// guard).
+// A tripped site throws ft::FlowError{kInjectedFault, retryable}.
 #pragma once
 
 #include <atomic>
@@ -28,9 +25,8 @@
 namespace gnnmls::ft {
 
 struct FaultSite {
-  const char* name;         // "route.net", "sta.update", ...
+  const char* name;         // "route.net", "sta.run", ...
   const char* description;  // what partial state exists when it trips
-  bool throws_logic_error;  // kLogicError sites model invariant breakage
 };
 
 class FaultPlan {

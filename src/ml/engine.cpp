@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/fingerprint.hpp"
 #include "flow/executor.hpp"
@@ -125,26 +124,6 @@ void InferenceEngine::clear_cache() {
   cache_.clear();
 }
 
-void InferenceEngine::invalidate_nets(std::span<const std::uint32_t> nets) {
-  if (nets.empty() || cache_.empty()) return;
-  const std::unordered_set<std::uint32_t> dead(nets.begin(), nets.end());
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    bool touched = false;
-    for (const std::uint32_t n : it->second.net_ids) {
-      if (dead.count(n) != 0) {
-        touched = true;
-        break;
-      }
-    }
-    if (touched) {
-      it = cache_.erase(it);
-      ++stats_.evictions;
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::vector<std::vector<float>> InferenceEngine::forward_batch(const PackedBatch& batch) const {
   std::vector<std::vector<float>> out(static_cast<std::size_t>(batch.graphs));
   if (batch.graphs == 0) return out;
@@ -259,7 +238,7 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
       const std::uint64_t key = cache_key(graph_fingerprint(graphs[i]));
       const auto it = cache_.find(key);
       if (it != cache_.end()) {
-        results[i] = it->second.probs;
+        results[i] = it->second;
         ++hits;
         continue;
       }
@@ -319,10 +298,8 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
 
   if (opts_.cache_enabled && !miss_idx.empty()) {
     if (cache_.size() + miss_idx.size() > opts_.cache_capacity) clear_cache();
-    for (std::size_t m = 0; m < miss_idx.size(); ++m) {
-      const PathGraph& g = graphs[miss_idx[m]];
-      cache_[miss_keys[m]] = CacheEntry{results[miss_idx[m]], g.net_ids};
-    }
+    for (std::size_t m = 0; m < miss_idx.size(); ++m)
+      cache_[miss_keys[m]] = results[miss_idx[m]];
   }
 
   stats_.cache_hits += hits;

@@ -15,10 +15,10 @@
 //      depends on thread count — and every batch writes disjoint result
 //      slots, so results are bit-identical across GNNMLS_THREADS.
 //   3. Embedding cache — per-graph probabilities keyed by (graph content
-//      fingerprint, scaler epoch, weights epoch). After an ECO only the
-//      graphs whose content changed miss; DecidePass additionally feeds the
-//      DB's RouteDelta/dirty-net sets into invalidate_nets() so stale
-//      entries are evicted eagerly rather than merely unreachable.
+//      fingerprint, scaler epoch, weights epoch). The fingerprint hashes
+//      every feature and net id, so after an ECO exactly the graphs whose
+//      content changed miss; a stale entry is unreachable and ages out with
+//      the capacity eviction.
 //
 // Observability: per-batch latency lands in ml.infer_s, a per-graph
 // equivalent in ml.infer_graph_s (comparable with the pre-batching records),
@@ -42,7 +42,7 @@ struct EngineOptions {
   // chunks of the length-sorted miss list regardless of thread count.
   int batch_paths = 32;
   // Cached graphs before the cache is wholesale-evicted (bounds memory for
-  // long-lived sessions; one entry is ~path_len floats + net ids).
+  // long-running flows; one entry is ~path_len floats).
   std::size_t cache_capacity = 1 << 15;
   bool cache_enabled = true;
 };
@@ -52,7 +52,7 @@ struct EngineStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t batches = 0;
   std::uint64_t paths = 0;       // graphs that went through a batched forward
-  std::uint64_t evictions = 0;   // entries dropped (capacity or invalidation)
+  std::uint64_t evictions = 0;   // entries dropped (capacity or re-sync)
 };
 
 class InferenceEngine {
@@ -70,9 +70,6 @@ class InferenceEngine {
   // Cache hits skip the forward entirely.
   std::vector<std::vector<float>> predict(std::span<const PathGraph> graphs);
 
-  // Evicts every cached entry that touches any of `nets` (revision-driven
-  // invalidation from RouteDelta / dirty-net sets).
-  void invalidate_nets(std::span<const std::uint32_t> nets);
   void clear_cache();
 
   std::size_t cache_size() const { return cache_.size(); }
@@ -109,11 +106,6 @@ class InferenceEngine {
     NormF final_ln;
     DenseF h1, h2;  // decision head
   };
-  struct CacheEntry {
-    std::vector<float> probs;
-    std::vector<std::uint32_t> net_ids;
-  };
-
   void snapshot(const GraphTransformer& encoder, const MlpHead& head);
   std::uint64_t cache_key(std::uint64_t graph_fp) const;
 
@@ -122,7 +114,7 @@ class InferenceEngine {
   FeatureScaler scaler_;
   std::uint64_t weights_epoch_ = 0;
   std::uint64_t scaler_epoch_ = 0;
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
+  std::unordered_map<std::uint64_t, std::vector<float>> cache_;  // key -> node probs
   EngineStats stats_;
 };
 

@@ -92,14 +92,6 @@ void bias_relu_rows_scalar(int m, int n, const float* bias, float* x) {
   }
 }
 
-void gelu_scalar(std::size_t count, float* x) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (std::size_t i = 0; i < count; ++i) {
-    const float v = x[i];
-    x[i] = 0.5f * v * (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
-  }
-}
-
 void layernorm_rows_scalar(int m, int n, const float* x, const float* gamma, const float* beta,
                            float eps, float* y) {
   for (int i = 0; i < m; ++i) {
@@ -151,8 +143,7 @@ void attention_scalar(int n, int d, int heads, const float* q, const float* kmat
 
 constexpr Kernels kScalarKernels{gemm_scalar,          gemm_nt_scalar,  softmax_rows_scalar,
                                  relu_scalar,          bias_relu_rows_scalar,
-                                 gelu_scalar,          layernorm_rows_scalar,
-                                 attention_scalar};
+                                 layernorm_rows_scalar, attention_scalar};
 
 // ---- AVX2 + FMA kernels -----------------------------------------------------
 
@@ -561,12 +552,9 @@ __attribute__((target("avx2,fma"))) void attention_avx2(int n, int d, int heads,
   }
 }
 
-// gelu stays scalar even at the AVX2 level: the current model is ReLU so it
-// never runs on the hot path, and std::tanh keeps it bit-comparable.
 constexpr Kernels kAvx2Kernels{gemm_avx2,          gemm_nt_avx2,  softmax_rows_avx2,
                                relu_avx2,          bias_relu_rows_avx2,
-                               gelu_scalar,        layernorm_rows_avx2,
-                               attention_avx2};
+                               layernorm_rows_avx2, attention_avx2};
 
 #endif  // GNNMLS_X86
 

@@ -38,9 +38,6 @@ struct Kernels {
   // Fused x = max(0, x + bias) per row (bias is n wide): the FFN/head
   // activation without a separate bias-fill pass over the buffer.
   void (*bias_relu_rows)(int m, int n, const float* bias, float* x);
-  // In-place tanh-approximation GELU (reserved for future heads; the current
-  // model is ReLU but the engine exposes both activations).
-  void (*gelu)(std::size_t count, float* x);
   // Row-wise layer norm: y = (x - mean) / sqrt(var + eps) * gamma + beta.
   // In-place safe (y may alias x).
   void (*layernorm_rows)(int m, int n, const float* x, const float* gamma, const float* beta,

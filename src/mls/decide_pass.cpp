@@ -22,13 +22,6 @@ void DecidePass::run(flow::PassContext& ctx) {
   // dependency — if it dies (missing weights, injected fault), the flow
   // falls back to the SOTA selection heuristic and flags the row degraded
   // rather than failing the run.
-  // Revision-driven embedding-cache invalidation: nets the last incremental
-  // route changed (RouteDelta) or that are pending reroute (dirty set) evict
-  // their cached path-graph probabilities before inference runs, so the
-  // batched engine can only serve entries whose inputs are provably current.
-  const core::DesignDB::RouteDelta& delta = db.route_delta();
-  if (delta.valid && !delta.changed.empty()) engine_->invalidate_cached_nets(delta.changed);
-  if (!db.dirty_nets().empty()) engine_->invalidate_cached_nets(db.dirty_nets());
   try {
     GNNMLS_FAULT_POINT("decide.infer");
     flags_ = engine_->decide(db.design(), db.tech(), db.router(ctx.config.router), db.timing(),

@@ -91,11 +91,6 @@ class GnnMlsEngine {
   const ml::EngineStats* inference_stats() const {
     return infer_ ? &infer_->stats() : nullptr;
   }
-  // Revision-driven cache invalidation: DecidePass feeds RouteDelta /
-  // dirty-net sets here so an ECO evicts exactly the affected graphs.
-  void invalidate_cached_nets(std::span<const std::uint32_t> nets) {
-    if (infer_) infer_->invalidate_nets(nets);
-  }
   void clear_inference_cache() {
     if (infer_) infer_->clear_cache();
   }

@@ -21,7 +21,6 @@ void RoutePass::run(flow::PassContext& ctx) {
   const std::vector<std::uint8_t>& flags = db.mls_flags();
 
   RouteSummary rs;
-  bool incremental = false;
   if (router.routed_revision() == 0) {
     rs = router.route_all(flags);
   } else if (db.design().nl.revision() != router.routed_revision()) {
@@ -34,7 +33,6 @@ void RoutePass::run(flow::PassContext& ctx) {
     try {
       GNNMLS_FAULT_POINT("route.eco");
       rs = router.reroute_nets(dirty, flags);
-      incremental = true;
     } catch (const std::exception& e) {
       util::log_warn("route pass: ECO reroute failed (", e.what(),
                      "); degrading to full route_all");
@@ -44,18 +42,16 @@ void RoutePass::run(flow::PassContext& ctx) {
       obs::FlightRecorder::instance().record(obs::EventKind::kDegrade, "route.full_reroute");
       ft::dump_black_box({}, 0, 0, std::string("route ECO degraded to full route: ") + e.what());
       rs = router.route_all(flags);
-      incremental = false;
     }
   } else {
     // Same netlist: local changes (flag flips, touched pins) or a stage
-    // invalidated outright. route_all on an unchanged netlist reports the
-    // exact diff against the routing it replaces, so a non-empty dirty set
-    // makes this an incremental result for the STA update.
-    incremental = !db.take_dirty_nets().empty();
+    // invalidated outright. A flip re-negotiates the whole grid anyway, so
+    // the dirty set is consumed and everything is routed afresh.
+    db.take_dirty_nets();
     rs = router.route_all(flags);
   }
   GNNMLS_FAULT_POINT("route.commit");
-  db.set_route_summary(rs, incremental);
+  db.set_route_summary(rs);
   db.commit(core::Stage::kRoutes);
   ctx.metrics.route_s += span.seconds();
 }

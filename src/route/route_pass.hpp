@@ -4,8 +4,7 @@
 // ECO story lives entirely in run()'s dispatch: a never-routed design gets
 // route_all, a netlist that moved since the last route gets a minimal-
 // rip-up ECO over the dirty set, and a same-netlist change (an MLS flag
-// flip, a touched pin) gets route_all with its exact diff against the
-// previous routing as the incremental delta. Callers never pick a path.
+// flip, a touched pin) gets route_all. Callers never pick a path.
 // The kPlacement write is absorb_journal()'s placement re-commit when
 // an external ECO left journal entries pending (mutators place their own
 // cells); the contract audit flagged the old {routes}-only declaration.

@@ -36,17 +36,6 @@ struct RouteCounters {
 using netlist::Id;
 using netlist::kNullId;
 
-// Value equality of two routed results, used by reroute_nets to report which
-// nets actually moved (exact compare: a rerouted net that sees the identical
-// congestion state must reproduce the identical route).
-bool net_route_equal(const NetRoute& a, const NetRoute& b) {
-  return a.wl_um == b.wl_um && a.res_ohm == b.res_ohm && a.cap_ff == b.cap_ff &&
-         a.load_ff == b.load_ff && a.detour == b.detour &&
-         a.layers_used[0] == b.layers_used[0] && a.layers_used[1] == b.layers_used[1] &&
-         a.f2f_vias == b.f2f_vias && a.mls_applied == b.mls_applied &&
-         a.worst_overflow == b.worst_overflow && a.sink_elmore_ps == b.sink_elmore_ps;
-}
-
 // Tallies the per-edge observability counts of one net's routed edges.
 struct EdgeTally {
   std::uint64_t candidates = 0, routed = 0, fallbacks = 0, f2f = 0;
@@ -64,25 +53,6 @@ struct EdgeTally {
     if (committed && f2f) rc.f2f_committed.add(f2f);
   }
 };
-
-// Appends one net's exact value diff to `summary`: every 2-pin edge whose
-// routed value moved (edges present on only one side — the topology grew or
-// shrank — count as changed), and the net itself if its electrical value
-// moved OR any of its edges was re-chosen (an edge can move between
-// equal-cost cells without shifting the net totals; its grid footprint still
-// changed, so the changed_edges ⊆ changed_nets contract must count the net).
-void diff_net(Id net, const NetRoute& before, const std::vector<EdgeRoute>& before_edges,
-              const NetRoute& after, const std::vector<EdgeRoute>& after_edges,
-              RouteSummary& summary) {
-  const std::size_t edges_listed = summary.changed_edges.size();
-  const std::size_t n = std::max(before_edges.size(), after_edges.size());
-  for (std::size_t e = 0; e < n; ++e) {
-    if (e >= before_edges.size() || e >= after_edges.size() || !(before_edges[e] == after_edges[e]))
-      summary.changed_edges.push_back(EdgeRef{net, static_cast<std::uint32_t>(e)});
-  }
-  if (!net_route_equal(before, after) || summary.changed_edges.size() != edges_listed)
-    summary.changed_nets.push_back(net);
-}
 
 }  // namespace
 
@@ -190,16 +160,7 @@ void Router::finish_route_all(RouteSummary& summary) {
 
 RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
   GNNMLS_SPAN("route.route_all");
-  // A routing built on the current netlist (a flag flip replaces it) is kept
-  // aside so the summary can report the exact diff against it.
   const netlist::Netlist& nl = design_.nl;
-  const bool diff = routes_.size() == nl.num_nets() && routed_revision_ == nl.revision();
-  std::vector<NetRoute> before_routes;
-  std::vector<std::vector<EdgeRoute>> before_edges;
-  if (diff) {
-    before_routes = std::move(routes_);
-    before_edges = std::move(edge_routes_);
-  }
   reset_state(mls_flags);
   history_.assign(grid_.num_track_cells(), 0.0f);
 
@@ -245,9 +206,6 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
   summary.negotiation_iters = stats.iterations;
   summary.negotiation_ripups = stats.ripups;
   finish_route_all(summary);
-  if (diff)
-    for (Id i = 0; i < nl.num_nets(); ++i)
-      diff_net(i, before_routes[i], before_edges[i], routes_[i], edge_routes_[i], summary);
   return summary;
 }
 
@@ -279,15 +237,6 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   // Deterministic repair order = the route order restricted to the dirty set.
   sort_route_order(affected, mls_flags);
 
-  std::vector<NetRoute> before;
-  std::vector<std::vector<EdgeRoute>> before_edges;
-  before.reserve(affected.size());
-  before_edges.reserve(affected.size());
-  for (const Id i : affected) {
-    before.push_back(routes_[i]);
-    before_edges.push_back(edge_routes_[i]);
-  }
-
   {
     RouteCounters& rc = RouteCounters::get();
     rc.rip_ups.add(affected.size());
@@ -301,13 +250,8 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   }
   routed_revision_ = nl.revision();
 
-  RouteSummary summary = summarize();
-  for (std::size_t k = 0; k < affected.size(); ++k) {
-    const Id i = affected[k];
-    diff_net(i, before[k], before_edges[k], routes_[i], edge_routes_[i], summary);
-  }
-  util::log_debug("router: rerouted ", affected.size(), " nets (", summary.changed_nets.size(),
-                  " changed), WL ", summary.total_wl_m, " m");
+  const RouteSummary summary = summarize();
+  util::log_debug("router: rerouted ", affected.size(), " nets, WL ", summary.total_wl_m, " m");
   return summary;
 }
 

@@ -103,19 +103,6 @@ struct RouteSummary {
   std::size_t mls_nets = 0;   // nets routed with shared layers
   std::size_t f2f_pairs = 0;  // F2F via count
   RoutingGrid::Census census;
-  // Delta contract: changed_nets/changed_edges list the nets (and the 2-pin
-  // edges within them) whose routed value actually changed; a rerouted net
-  // that lands on an identical route is not listed. Feed changed_nets to
-  // TimingGraph::update(). reroute_nets() always reports its exact diff.
-  // route_all() reports the exact diff against the routing it replaces
-  // when that routing was built on the current netlist revision (a flag
-  // flip); on a first route, or after the netlist moved, BOTH lists are
-  // empty — a full invalidation, not a delta. The route pass marks the
-  // full-invalidation case DesignDB::RouteDelta::valid == false so no
-  // downstream consumer can mistake "empty" for "nothing changed".
-  // (Pinned by RouterDelta.RouteAllReportsNoDeltaRerouteReportsExact.)
-  std::vector<netlist::Id> changed_nets;
-  std::vector<EdgeRef> changed_edges;
   // Negotiation statistics of the producing route_all (0 for reroute_nets'
   // ECO repairs).
   std::size_t negotiation_iters = 0;
@@ -130,9 +117,7 @@ class Router {
   // Routes every net with the sharded negotiated engine. mls_flags is
   // per-net (empty = no MLS anywhere). Resets any previous routing state,
   // including the negotiation history. The result is a pure function of
-  // (netlist, flags, options); when the replaced routing was built on the
-  // current netlist revision, the summary carries the exact diff against it
-  // (see RouteSummary's delta contract).
+  // (netlist, flags, options).
   RouteSummary route_all(const std::vector<std::uint8_t>& mls_flags);
 
   // Minimal rip-up repair after `dirty` nets changed (connectivity,

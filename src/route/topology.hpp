@@ -53,13 +53,6 @@ struct NetTopology {
 NetTopology build_net_topology(const netlist::Design& design, const tech::Tech3D& tech,
                                netlist::Id net);
 
-// Names one 2-pin edge globally: (net, edge index within the net's tree).
-struct EdgeRef {
-  netlist::Id net = 0;
-  std::uint32_t edge = 0;
-  friend bool operator==(const EdgeRef&, const EdgeRef&) = default;
-};
-
 // Routed result of one 2-pin edge. Electrical values are post-detour (the
 // overflow-driven wirelength inflation is already applied), so Elmore
 // assembly consumes them directly.

@@ -22,7 +22,6 @@ const tech::Library& lib_of(const tech::Tech3D& tech, const netlist::CellInst& c
 
 struct StaCounters {
   obs::Counter& full_runs = obs::Metrics::instance().counter("sta.full_runs");
-  obs::Counter& incremental_updates = obs::Metrics::instance().counter("sta.incremental_updates");
   obs::Counter& pin_evals = obs::Metrics::instance().counter("sta.pin_evals");
   static StaCounters& get() {
     static StaCounters c;
@@ -246,103 +245,6 @@ StaResult TimingGraph::run(double clock_ps, double clock_uncertainty_ps) {
   }
   util::log_debug("sta: WNS ", result.wns_ps, " ps, TNS ", result.tns_ns, " ns, #vio ",
                   result.violating_endpoints, "/", result.endpoints);
-  return result;
-}
-
-StaResult TimingGraph::update(std::span<const netlist::Id> dirty_nets) {
-  GNNMLS_SPAN("sta.update");
-  const netlist::Netlist& nl = design_.nl;
-  if (clock_ps_ <= 0.0)
-    throw std::logic_error("TimingGraph::update called before run()");
-  if (nl.num_pins() != arrival_.size() || routes_->size() != nl.num_nets())
-    throw std::logic_error(
-        "timing graph topology is stale (netlist changed); rebuild the graph");
-
-  const std::size_t np = nl.num_pins();
-  std::vector<std::uint8_t> fwd(np, 0), changed(np, 0), bwd(np, 0);
-
-  // Seeds: a dirty net changes its driver's load (cell arc) and its sinks'
-  // wire delays (net arcs).
-  for (const Id net : dirty_nets) {
-    if (net >= nl.num_nets()) continue;
-    const netlist::Net& nt = nl.net(net);
-    if (nt.driver != kNullId) {
-      fwd[nt.driver] = 1;
-      bwd[nt.driver] = 1;
-    }
-    for (const Id s : nt.sinks) fwd[s] = 1;
-  }
-
-  // Forward cone: re-evaluate flagged pins in topological order, flagging
-  // successors whenever an arrival actually moved.
-  std::uint64_t n_evals = 0;
-  for (const Id p : topo_) {
-    if (!fwd[p]) continue;
-    ++n_evals;
-    const double old_arrival = arrival_[p];
-    const double old_delay = out_delay_[p];
-    forward_eval(p);
-    const bool arrival_moved = arrival_[p] != old_arrival;
-    if (arrival_moved || out_delay_[p] != old_delay) changed[p] = 1;
-    if (!arrival_moved) continue;
-    const netlist::Pin& pin = nl.pin(p);
-    if (pin.dir == PinDir::kIn) {
-      if (tech::is_combinational(nl.cell(pin.cell).kind))
-        for (int o = 0; o < nl.cell(pin.cell).num_out; ++o)
-          fwd[nl.output_pin(pin.cell, o)] = 1;
-    } else if (pin.net != kNullId) {
-      for (const Id s : nl.net(pin.net).sinks) fwd[s] = 1;
-    }
-  }
-
-  // Backward cone seeds: every pin whose arrival or cell-arc delay moved
-  // invalidates the required times that were gathered from it.
-  for (Id p = 0; p < np; ++p) {
-    if (!changed[p]) continue;
-    bwd[p] = 1;  // an output pin's own gather uses its arrival
-    const netlist::Pin& pin = nl.pin(p);
-    if (pin.dir == PinDir::kIn) {
-      if (pin.net != kNullId && nl.net(pin.net).driver != kNullId)
-        bwd[nl.net(pin.net).driver] = 1;
-    } else if (tech::is_combinational(nl.cell(pin.cell).kind)) {
-      for (int i = 0; i < nl.cell(pin.cell).num_in; ++i)
-        bwd[nl.input_pin(pin.cell, i)] = 1;
-    }
-  }
-
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const Id p = *it;
-    if (!bwd[p]) continue;
-    ++n_evals;
-    const double old_req = required_[p];
-    backward_eval(p);
-    if (required_[p] == old_req) continue;
-    const netlist::Pin& pin = nl.pin(p);
-    if (pin.dir == PinDir::kIn) {
-      if (pin.net != kNullId && nl.net(pin.net).driver != kNullId)
-        bwd[nl.net(pin.net).driver] = 1;
-    } else if (tech::is_combinational(nl.cell(pin.cell).kind)) {
-      for (int i = 0; i < nl.cell(pin.cell).num_in; ++i)
-        bwd[nl.input_pin(pin.cell, i)] = 1;
-    }
-  }
-
-  for (Id p = 0; p < np; ++p)
-    slack_[p] = required_[p] - (arrival_[p] > kNegInf / 2 ? arrival_[p] : 0.0);
-
-  const StaResult result = finalize_result();
-  {
-    StaCounters& sc = StaCounters::get();
-    sc.incremental_updates.add(1);
-    sc.pin_evals.add(n_evals);
-    // Cone-size distribution: whether incremental updates stay incremental
-    // (small dirty cones) or regularly degenerate to near-full sweeps.
-    static obs::Histogram& cone =
-        obs::Metrics::instance().histogram("sta.update_cone_pins");
-    cone.observe(static_cast<double>(n_evals));
-  }
-  util::log_debug("sta(update): ", dirty_nets.size(), " dirty nets, WNS ", result.wns_ps,
-                  " ps, TNS ", result.tns_ns, " ns");
   return result;
 }
 

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netlist/generators.hpp"
@@ -41,21 +40,13 @@ class TimingGraph {
   TimingGraph(const netlist::Design& design, const tech::Tech3D& tech,
               const std::vector<route::NetRoute>& routes);
 
-  // Full forward/backward propagation. Call again after routes change.
+  // Full forward/backward propagation. Call again after routes change: the
+  // graph reads the router's routes vector in place, so a re-route under a
+  // live graph is re-timed by run() alone (the graph itself is rebuilt only
+  // when the netlist changes).
   // `clock_uncertainty_ps` is the signoff guard band subtracted from every
   // endpoint's required time (jitter + skew margin).
   StaResult run(double clock_ps, double clock_uncertainty_ps = 0.0);
-
-  // Incremental re-propagation after the listed nets' electrical results
-  // changed (reroute_nets reports them in RouteSummary::changed_nets).
-  // Re-evaluates only the forward cone of the dirty arcs and the backward
-  // cone of whatever moved, then re-aggregates; every per-pin value is
-  // recomputed with the same arithmetic run() uses, so the result is
-  // bit-identical to a full run() at the last clock/uncertainty. Requires a
-  // prior run() and an unchanged netlist topology — if the netlist gained
-  // cells or nets since construction, rebuild the graph instead (throws
-  // std::logic_error).
-  StaResult update(std::span<const netlist::Id> dirty_nets);
 
   // --- per-object queries (valid after run()) -----------------------------
   double arrival_ps(netlist::Id pin) const { return arrival_[pin]; }
@@ -79,8 +70,7 @@ class TimingGraph {
 
  private:
   void build_topology();
-  // Per-pin gather recomputation, shared verbatim between run() and
-  // update() so the incremental path cannot drift from the full one.
+  // Per-pin gather recomputation for run()'s forward and backward sweeps.
   void forward_eval(netlist::Id p);
   void backward_eval(netlist::Id p);
   StaResult finalize_result() const;

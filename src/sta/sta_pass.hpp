@@ -1,12 +1,11 @@
 // StaPass: static timing as a schedulable flow pass.
 //
-// Reads {netlist, routes}, writes {timing}. When the previous route was
-// incremental (the DB holds a valid RouteDelta) and the timing graph still
-// matches the netlist, the pass repairs timing with TimingGraph::update()
-// over exactly the changed nets — bit-identical to a full run() at the same
-// clock. Any other staleness (netlist moved, first run) takes the full
-// rebuild-and-run path. The result lands in the DB's StaResult cache so a
-// later all-skipped evaluate can still report WNS/TNS.
+// Reads {netlist, routes}, writes {timing}. Every run is one full
+// TimingGraph::run() at the design clock: on the live graph when the
+// netlist is unchanged since it was built (a flag flip re-routed under it),
+// on a rebuilt graph otherwise (an ECO moved the netlist). The result lands
+// in the DB's StaResult cache so a later all-skipped evaluate can still
+// report WNS/TNS.
 #pragma once
 
 #include "flow/pass.hpp"

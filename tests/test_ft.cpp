@@ -20,7 +20,6 @@
 #include "mls/flow.hpp"
 #include "mls/gnnmls.hpp"
 #include "netlist/generators.hpp"
-#include "obs/metrics.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -180,12 +179,6 @@ TEST_F(Ft, UnknownSiteErrorListsEveryValidSite) {
     EXPECT_NE(msg.find("check.run"), std::string::npos) << msg;
     EXPECT_NE(msg.find("decide.infer"), std::string::npos) << msg;
   }
-}
-
-TEST_F(Ft, LogicErrorSitesThrowLogicError) {
-  ft::FaultPlan& plan = ft::FaultPlan::instance();
-  plan.arm("sta.update");
-  EXPECT_THROW(plan.visit("sta.update"), std::logic_error);
 }
 
 // ---- executor: collect-all semantics ----------------------------------------
@@ -349,32 +342,6 @@ TEST_F(Ft, EcoRerouteFailureDegradesToFullRoute) {
   EXPECT_EQ(flow.last_run_report().retries, 0u);
   EXPECT_TRUE(flow.run_checks().clean());
   EXPECT_GT(m.wl_m, 0.0);
-}
-
-TEST_F(Ft, StaUpdateFailureFallsBackToFullRebuild) {
-  const mls::FlowConfig cfg = make_config();
-  mls::DesignFlow flow = make_flow(cfg);
-  mls::DesignFlow twin = make_flow(cfg);
-  flow.evaluate_no_mls();
-  twin.evaluate_no_mls();
-
-  const std::uint64_t rebuilds_before =
-      obs::Metrics::instance().counter("ft.sta_rebuilds").value();
-  // The SOTA replay flips flags -> incremental route -> valid delta -> the
-  // STA update path, where the armed precondition failure forces a rebuild.
-  ft::FaultPlan::instance().arm("sta.update");
-  const mls::FlowMetrics faulted = flow.evaluate_sota();
-  EXPECT_EQ(ft::FaultPlan::instance().tripped(), 1u);
-  EXPECT_GE(obs::Metrics::instance().counter("ft.sta_rebuilds").value(),
-            rebuilds_before + 1);
-
-  ft::FaultPlan::instance().reset();
-  const mls::FlowMetrics clean = twin.evaluate_sota();
-
-  // A full rebuild is equivalence-preserving, not a degradation.
-  EXPECT_FALSE(faulted.degraded);
-  EXPECT_TRUE(flow.last_run_report().rollbacks.empty());
-  expect_same_ppa(faulted, clean);
 }
 
 TEST_F(Ft, GnnInferenceFailureDegradesToSota) {

@@ -222,7 +222,7 @@ TEST_P(RouterSweep, TrialRouteLeavesZeroWrites) {
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
   for (Id n = 0; n < d.nl.num_nets(); ++n)
     if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > mls_wl_threshold) flags[n] = 1;
-  db.set_route_summary(router.route_all(flags), /*incremental=*/false);
+  db.set_route_summary(router.route_all(flags));
 
   const std::uint64_t fp_before = db.state_fingerprint();
   const auto grid_before = router.grid().usage_state();

@@ -155,10 +155,9 @@ std::string join_stages(const std::vector<core::Stage>& stages) {
 }
 
 void list_fault_sites() {
-  std::printf("%-16s %-6s %s\n", "site", "throws", "partial state when tripped");
+  std::printf("%-16s %s\n", "site", "partial state when tripped");
   for (const ft::FaultSite& s : ft::FaultPlan::known_sites())
-    std::printf("%-16s %-6s %s\n", s.name, s.throws_logic_error ? "logic" : "flow",
-                s.description);
+    std::printf("%-16s %s\n", s.name, s.description);
 }
 
 void list_passes() {
