@@ -12,7 +12,10 @@ using namespace gnnmls::mls;
 namespace {
 
 void bars(const char* label, double none, double sota, double gnn) {
-  const double mx = std::max({none, sota, gnn, 1e-12});
+  const double base = std::max(none, 1e-12);
+  const double n_none = none / base, n_sota = sota / base, n_gnn = gnn / base;
+  // Scale by the longest drawn (normalized) bar, so none exceeds 40 chars.
+  const double mx = std::max({n_none, n_sota, n_gnn, 1e-12});
   auto bar = [&](const char* name, double v) {
     std::printf("    %-8s |", name);
     const int n = static_cast<int>(40.0 * v / mx);
@@ -20,9 +23,9 @@ void bars(const char* label, double none, double sota, double gnn) {
     std::printf(" %.2f\n", v);
   };
   std::printf("  %s (lower is better, normalized to No MLS):\n", label);
-  bar("No MLS", none / std::max(none, 1e-12));
-  bar("SOTA", sota / std::max(none, 1e-12));
-  bar("GNN-MLS", gnn / std::max(none, 1e-12));
+  bar("No MLS", n_none);
+  bar("SOTA", n_sota);
+  bar("GNN-MLS", n_gnn);
 }
 
 void run(const char* name, netlist::Design design, bool hetero, GnnMlsEngine& engine) {

@@ -368,12 +368,46 @@ struct FaultSimPass : flow::Pass {
   }
 };
 
-// One wave of independent passes (pdn ∥ dft fault sim, ~84ms and ~36ms on
-// the 128-PE design) at 1 vs 4 executor threads. The schedule and every
-// result are bit-identical across thread counts (test-enforced); this
-// measures the wall-clock side of that bargain — serial pays the sum,
-// parallel pays the max (on a single-CPU host the two time-slice and the
-// Args read the same; the CPU-time column still shows the split).
+// One IR-drop solve on the MAERI-128 memory tier's 88x88 PDN grid (7 um
+// pitch, U = 8%), fed the tier's routed power map: the per-tier cost of
+// synthesize_pdn, which solves once per tier and sizes U in closed form.
+void BM_IrDropSolve(benchmark::State& st) {
+  static const auto input = [] {
+    util::set_log_level(util::LogLevel::kError);
+    mls::FlowConfig cfg;
+    cfg.heterogeneous = true;
+    cfg.run_pdn = false;
+    mls::DesignFlow flow(netlist::make_maeri_128pe(), cfg);
+    flow.evaluate_no_mls();
+    const tech::MetalLayer& top = flow.tech().beol_top.layer(flow.tech().beol_top.top());
+    pdn::PdnGridSpec spec;
+    spec.die_w_um = flow.design().info.die_w_um;
+    spec.die_h_um = flow.design().info.die_h_um;
+    spec.strap_pitch_um = 7.0;
+    spec.strap_width_um = 0.08 * spec.strap_pitch_um;
+    spec.sheet_r_ohm = top.r_ohm_per_um * top.width_um;
+    spec.vdd = flow.tech().vdd_top();
+    return std::make_pair(spec, pdn::power_density_map(flow.design(), flow.tech(),
+                                                       flow.router().routes(), 1, 48, 48));
+  }();
+  pdn::IrDropResult r;
+  for (auto _ : st) {
+    r = pdn::solve_ir_drop(input.first, input.second, 48, 48);
+    benchmark::ClobberMemory();  // see BM_FlowStages: lvalue DoNotOptimize miscompiles
+  }
+  st.counters["grid_nx"] = r.grid_nx;
+  st.counters["grid_ny"] = r.grid_ny;
+  st.counters["max_drop_mv"] = r.max_drop_mv;
+}
+BENCHMARK(BM_IrDropSolve)->Unit(benchmark::kMillisecond);
+
+// One wave of independent passes (pdn ∥ dft fault sim, ~3ms and ~36ms on
+// the 128-PE design, so the fault sim bounds the wave) at 1 vs 4 executor
+// threads. The schedule and every result are bit-identical across thread
+// counts (test-enforced); this measures the wall-clock side of that bargain
+// — serial pays the sum, parallel pays the max (on a single-CPU host the
+// two time-slice and the Args read the same; the CPU-time column still
+// shows the split).
 void BM_FlowParallel(benchmark::State& st) {
   static std::unique_ptr<mls::DesignFlow> flow = [] {
     util::set_log_level(util::LogLevel::kError);

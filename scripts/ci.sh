@@ -147,13 +147,14 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
 # (Router::reroute_nets), the full STA run (TimingGraph::run), the
 # per-stage flow ledgers (BM_Flow*Stages/BM_DecideStage export
 # route_s/sta_s/... counters),
-# the scheduler's skip fast path (BM_PassSkip exports the skip rate), and
+# the scheduler's skip fast path (BM_PassSkip exports the skip rate),
 # the 1-vs-4-thread wave timings (BM_FlowParallel exports pdn_s/faultsim_s
-# per thread count), so BENCH_incremental.json carries stage times run over
+# per thread count) and one IR-drop solve on the MAERI-128 PDN grid
+# (BM_IrDropSolve), so BENCH_incremental.json carries stage times run over
 # run; the gate is that the cases run to completion, the JSON is for trend
 # tracking.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_AuditOverhead' \
+  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_IrDropSolve|BM_AuditOverhead' \
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 

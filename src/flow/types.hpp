@@ -82,10 +82,10 @@ struct FlowMetrics {
   double decide_s = 0.0;
   double dft_s = 0.0;
   // Transactional overhead the PassManager spends outside any pass: the
-  // per-wave write-set snapshot and the pre-wave leak-detection fingerprint
-  // (plus rollback/restore work on a failed wave). Accounted under the
-  // flow.tx span so the stage breakdown stays within tolerance of
-  // runtime_s even as the snapshotted state grows.
+  // per-wave write-set snapshot, its release after the wave, and the
+  // pre-wave leak-detection fingerprint (plus rollback/restore work on a
+  // failed wave). Accounted under the flow.tx span so the stage breakdown
+  // stays within tolerance of runtime_s even as the snapshotted state grows.
   double tx_s = 0.0;
   // Sum of the stage fields above — the audited part of runtime_s.
   double stage_sum_s() const {

@@ -4,8 +4,11 @@
 // horizontal straps, one of vertical, via-stitched at every crossing. The
 // solver builds one node per crossing, injects each gcell's load current at
 // the nearest node, clamps boundary nodes (pad ring / bump array at the die
-// edge) to VDD, and relaxes with SOR to the DC operating point. Output is
-// the worst-case drop and a coarse drop map (paper Figure 9(a)).
+// edge) to VDD, and solves the DC operating point exactly with a 2-D
+// discrete sine transform (the grid's eigenbasis). Output is the worst-case
+// drop and a coarse drop map (paper Figure 9(a)). Every segment conductance
+// is proportional to the strap width, so the drop scales exactly as
+// 1/strap_width_um.
 #pragma once
 
 #include <vector>
@@ -30,8 +33,6 @@ struct IrDropResult {
   double drop_pct_of_vdd = 0.0;
   int grid_nx = 0, grid_ny = 0;
   std::vector<double> node_drop_mv;  // row-major ny x nx map
-  int iterations = 0;
-  bool converged = false;
 };
 
 // power_map_mw: row-major map_ny x map_nx of load power per region; it is

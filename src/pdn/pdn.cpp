@@ -8,6 +8,18 @@
 
 namespace gnnmls::pdn {
 
+namespace {
+
+// Rescales a solved drop map by factor (the drop is linear in 1/strap width).
+void scale_drop(IrDropResult& ir, double factor) {
+  ir.max_drop_mv *= factor;
+  ir.mean_drop_mv *= factor;
+  ir.drop_pct_of_vdd *= factor;
+  for (double& d : ir.node_drop_mv) d *= factor;
+}
+
+}  // namespace
+
 std::vector<double> power_density_map(const netlist::Design& design, const tech::Tech3D& tech,
                                       const std::vector<route::NetRoute>& routes, int tier,
                                       int map_nx, int map_ny, const PowerOptions& options) {
@@ -58,22 +70,24 @@ PdnDesign synthesize_pdn(const netlist::Design& design, const tech::Tech3D& tech
     const tech::MetalLayer& top = stack.layer(stack.top());
     spec.sheet_r_ohm = top.r_ohm_per_um * top.width_um;  // Ohm/um * um = Ohm/sq
 
+    // One solve at the narrowest strap; the drop scales exactly as
+    // 1/width = 1/(U·pitch), so every step of the sweep is closed form.
+    spec.strap_width_um = options.min_utilization * spec.strap_pitch_um;
+    IrDropResult ir = solve_ir_drop(spec, pmap, map_nx, map_ny);
+    // Budget is expressed against the lowest VDD in the stack (Table IV).
+    const double budget_mv = options.ir_budget_pct * 0.01 * vdd_min * 1e3;
     double util = options.min_utilization;
-    IrDropResult best;
-    for (; util <= options.max_utilization + 1e-9; util += 0.02) {
-      spec.strap_width_um = util * spec.strap_pitch_um;
-      best = solve_ir_drop(spec, pmap, map_nx, map_ny);
-      // Budget is expressed against the lowest VDD in the stack (Table IV).
-      if (best.max_drop_mv <= options.ir_budget_pct * 0.01 * vdd_min * 1e3) break;
-    }
+    while (util <= options.max_utilization + 1e-9 &&
+           ir.max_drop_mv * (options.min_utilization / util) > budget_mv)
+      util += 0.02;
     util = std::min(util, options.max_utilization);
+    scale_drop(ir, options.min_utilization / util);
     out.strap_width_um[tier] = util * spec.strap_pitch_um;
     out.strap_pitch_um[tier] = spec.strap_pitch_um;
     out.utilization[tier] = util;
-    out.ir[tier] = best;
-    out.worst_ir_pct =
-        std::max(out.worst_ir_pct, best.max_drop_mv / (vdd_min * 1e3) * 100.0);
-    util::log_debug("pdn tier ", tier, ": U=", util, " drop ", best.max_drop_mv, " mV");
+    out.worst_ir_pct = std::max(out.worst_ir_pct, ir.max_drop_mv / (vdd_min * 1e3) * 100.0);
+    out.ir[tier] = std::move(ir);
+    util::log_debug("pdn tier ", tier, ": U=", util, " drop ", out.ir[tier].max_drop_mv, " mV");
   }
   return out;
 }
