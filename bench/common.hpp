@@ -1,9 +1,8 @@
-// Shared helpers for the bench binaries.
+// Shared helpers for the paper reproduction (bench_paper) and perfbench.
 //
-// Every bench reproduces one table or figure from the paper. To keep the
-// whole suite runnable in minutes, benches share one training recipe
-// (smaller than the library defaults but the same architecture) and a
-// common "paper vs measured" table style.
+// To keep the whole reproduction runnable in about a minute, every engine
+// shares one training recipe (smaller than the library defaults but the
+// same architecture), and the tables share one "paper vs measured" style.
 #pragma once
 
 #include <cstdio>
@@ -22,14 +21,6 @@ inline mls::GnnMlsConfig bench_engine_config() {
   cfg.dgi.epochs = 6;
   cfg.fine_tune.epochs = 30;
   return cfg;
-}
-
-// Trains one engine the way the paper describes (Section II-B): pooled
-// paths from hetero + homo training configurations. The evaluation designs
-// (dual-core A7, 256PE) stay out of the training pool.
-inline mls::TrainedEngine train_bench_engine(std::vector<mls::DesignFlow*> flows,
-                                             int paths_per_design = 400) {
-  return mls::train_engine_on(flows, bench_engine_config(), paths_per_design);
 }
 
 inline std::string fmt1(double v) { return util::fmt_fixed(v, 1); }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, sanitizer runs (ASan/UBSan + TSan), the
-# design-integrity lint, and the pass-contract audit (static + runtime).
+# design-integrity lint, the pass-contract audit (static + runtime), and the
+# paper reproduction run end to end.
 #
 #   scripts/ci.sh            # everything (four build trees)
-#   scripts/ci.sh --fast     # tier-1 + lint/audit only, skip tidy + sanitizers
+#   scripts/ci.sh --fast     # tier-1 + lint/audit only, skip the paper run,
+#                            # tidy + sanitizers
 #
 # Exits nonzero on the first failing stage.
 set -euo pipefail
@@ -265,6 +267,16 @@ GNNMLS_TRACE=trace_flow.json ./build/tools/gnnmls_lint --design maeri16 --profil
   --require flow.evaluate,flow.route,sta.run,flow.wave
 
 if [[ "${FAST}" == "0" ]]; then
+  echo "==> paper reproduction: bench_paper prints every table and figure (REPRO_output.txt)"
+  # The gate is that bench_paper runs to completion; no printed number is
+  # checked here.
+  if ! ./build/bench/bench_paper >REPRO_output.txt 2>&1; then
+    echo "paper reproduction FAILED"
+    tail -n 40 REPRO_output.txt
+    exit 1
+  fi
+  echo "paper reproduction OK"
+
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> clang-tidy: src/ against compile_commands.json"
     cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null

@@ -1,10 +1,10 @@
 // FNV-1a fingerprint accumulator.
 //
 // One hashing scheme serves every content key in the system: the DesignDB
-// state fingerprint (thread-sweep determinism gate), and the ML engine's
-// graph-content cache keys (ml/batcher.cpp). Keeping the mixing in one place
-// means a cache key and a state fingerprint can never silently disagree on
-// how a double is folded in.
+// state fingerprint (thread-sweep determinism gate), the ML engine's
+// graph-content cache keys (ml/batcher.cpp) and the decide pass's skip key.
+// Keeping the mixing in one place means a cache key and a state fingerprint
+// can never silently disagree on how a double is folded in.
 //
 // The byte-at-a-time folding matches the original DesignDB lambda exactly,
 // so extracting it here leaves every historical fingerprint value unchanged.

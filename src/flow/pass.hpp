@@ -67,8 +67,8 @@ class Pass {
   virtual bool needs_run(const core::DesignDB& db) const;
 
   // Extra state mixed into the manager's skip fingerprint for pure-read
-  // passes (e.g. the decide pass hashes its engine identity so swapping
-  // engines forces a re-run).
+  // passes (e.g. the decide pass hashes its engine's weights version and its
+  // options, so swapping engines or options forces a re-run).
   virtual std::uint64_t fingerprint() const { return 0; }
 
   // True for consumers that degrade gracefully when a declared read stage

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/fingerprint.hpp"
 #include "ft/blackbox.hpp"
 #include "ft/fault_plan.hpp"
 #include "mls/sota.hpp"
@@ -11,6 +12,17 @@
 #include "util/log.hpp"
 
 namespace gnnmls::mls {
+
+std::uint64_t DecidePass::fingerprint() const {
+  core::Fnv1a h;
+  h.mix(engine_ ? engine_->weights_version() : 0);
+  h.mix(static_cast<std::uint64_t>(corpus_.max_paths));
+  h.mix(corpus_.include_near_critical ? 1 : 0);
+  h.mix_double(corpus_.margin_ps);
+  h.mix(corpus_.attach_labels ? 1 : 0);
+  h.mix_double(corpus_.labeler.min_gain_ps);
+  return h.value();
+}
 
 void DecidePass::run(flow::PassContext& ctx) {
   if (engine_ == nullptr)

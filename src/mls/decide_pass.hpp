@@ -3,9 +3,11 @@
 // Reads {netlist, routes, timing}, writes nothing — the decision vector is
 // per-strategy input, not a DB stage, so the pass parks it in flags() and
 // the flow driver feeds it to the next pipeline via set_mls_flags. The
-// skip fingerprint mixes in the engine identity: re-running with the same
-// engine over an unchanged baseline is skipped (flags() still holds the
-// previous answer), while swapping engines forces a fresh inference.
+// skip fingerprint mixes in the engine's weights version and the corpus
+// options: re-running with the same weights and options over an unchanged
+// baseline is skipped (flags() still holds the previous answer), while
+// swapping or retraining the engine, or changing any option, forces a fresh
+// inference.
 #pragma once
 
 #include "flow/pass.hpp"
@@ -29,9 +31,7 @@ class DecidePass : public flow::Pass {
     return {core::Stage::kNetlist, core::Stage::kRoutes, core::Stage::kTiming};
   }
   std::vector<core::Stage> writes() const override { return {}; }
-  std::uint64_t fingerprint() const override {
-    return reinterpret_cast<std::uint64_t>(engine_);
-  }
+  std::uint64_t fingerprint() const override;
   void run(flow::PassContext& ctx) override;
 
  private:

@@ -1,6 +1,7 @@
 #include "mls/gnnmls.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/metrics.hpp"
@@ -17,7 +18,17 @@ const char* to_string(MlEnginePath path) {
   return "unknown";
 }
 
-GnnMlsEngine::GnnMlsEngine(const GnnMlsConfig& config) : config_(config), rng_(config.seed) {
+namespace {
+
+std::uint64_t next_weights_version() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+GnnMlsEngine::GnnMlsEngine(const GnnMlsConfig& config)
+    : config_(config), rng_(config.seed), weights_version_(next_weights_version()) {
   encoder_ = std::make_unique<ml::GraphTransformer>(config_.transformer, rng_);
   head_ = std::make_unique<ml::MlpHead>(config_.transformer.dim, config_.mlp_hidden, rng_);
   dgi_ = std::make_unique<ml::DgiTrainer>(*encoder_, rng_);
@@ -37,6 +48,7 @@ std::vector<double> GnnMlsEngine::pretrain(std::span<const ml::PathGraph> unlabe
   const std::vector<double> loss = dgi_->pretrain(normed, config_.dgi, rng_);
   pretrained_ = true;
   infer_dirty_ = true;  // scaler refit + encoder weights moved
+  weights_version_ = next_weights_version();
   if (!loss.empty())
     util::log_info("gnn-mls: DGI pretrained on ", normed.size(), " paths, loss ",
                    loss.front(), " -> ", loss.back());
@@ -60,6 +72,7 @@ TrainReport GnnMlsEngine::fine_tune(std::span<const ml::PathGraph> labeled,
   report.fine_tune_loss =
       ml::fine_tune(*encoder_, *head_, train_set, config_.fine_tune, rng_);
   infer_dirty_ = true;
+  weights_version_ = next_weights_version();
   // Metrics at the canonical 0.5 threshold; the decision stage separately
   // applies its own (more aggressive) threshold plus the trial guard.
   report.train_metrics = ml::evaluate(*encoder_, *head_, train_set, 0.5);
@@ -139,8 +152,12 @@ std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
       }
     }
   }
-  // Candidates above threshold, optionally verified by a what-if trial,
-  // then admitted best-first under the shared-capacity budget.
+  // Candidates above threshold, verified by the router's O(1) what-if trial,
+  // then admitted best-first under the shared-capacity budget. The trial
+  // guards the targeted routing against model false positives (forcing MLS
+  // onto a losing net costs real slack, Table I): a net whose measured gain
+  // is below options.labeler.min_gain_ps is vetoed, so a floor of -infinity
+  // turns the guard off.
   struct Candidate {
     netlist::Id net;
     float score;
@@ -154,14 +171,11 @@ std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
     if (best[n] <= config_.decision_threshold) continue;
     const netlist::Net& net = design.nl.net(static_cast<netlist::Id>(n));
     if (net.driver == netlist::kNullId || net.sinks.empty()) continue;
-    if (config_.verify_with_trial) {
-      const netlist::Id next_cell = design.nl.pin(net.sinks[0]).cell;
-      const double gain =
-          mls_gain_ps(design, tech, router, static_cast<netlist::Id>(n), next_cell);
-      if (gain < opts.labeler.min_gain_ps) {
-        ++vetoed;
-        continue;
-      }
+    const netlist::Id next_cell = design.nl.pin(net.sinks[0]).cell;
+    const double gain = mls_gain_ps(design, tech, router, static_cast<netlist::Id>(n), next_cell);
+    if (gain < opts.labeler.min_gain_ps) {
+      ++vetoed;
+      continue;
     }
     Candidate c;
     c.net = static_cast<netlist::Id>(n);

@@ -33,11 +33,6 @@ struct GnnMlsConfig {
   ml::DgiConfig dgi{10, 1e-3};
   ml::FineTuneConfig fine_tune;
   double decision_threshold = 0.15;
-  // Verify each flagged net with the router's O(1) what-if trial and drop
-  // nets whose measured gain is below the labeler noise floor. This guards
-  // the targeted routing against model false positives (forcing MLS onto a
-  // losing net costs real slack, Table I).
-  bool verify_with_trial = true;
   // Fraction of the shared (other-tier top-pair) track capacity MLS nets may
   // claim. Indiscriminate sharing collapses into overflow detours — this is
   // the flow-level budget the paper's targeted routing respects.
@@ -75,7 +70,9 @@ class GnnMlsEngine {
   std::vector<double> predict(const ml::PathGraph& raw_graph);
 
   // Per-net MLS decisions for a routed design: extracts paths, runs
-  // inference, aggregates per net (max probability over appearances).
+  // inference, aggregates per net (max probability over appearances), and
+  // vetoes nets whose what-if trial gain is below options.labeler.min_gain_ps
+  // (-infinity turns that guard off).
   std::vector<std::uint8_t> decide(const netlist::Design& design, const tech::Tech3D& tech,
                                    const route::Router& router,
                                    const sta::TimingGraph& sta_graph,
@@ -83,6 +80,10 @@ class GnnMlsEngine {
 
   const GnnMlsConfig& config() const { return config_; }
   bool pretrained() const { return pretrained_; }
+  // Names the current weights: a process-wide counter stamps construction
+  // and every pretrain()/fine_tune(), so no two weight states share a value,
+  // not even two engines at one address. The decide pass keys its skip on it.
+  std::uint64_t weights_version() const { return weights_version_; }
 
   // The batched float32 engine, created on first use and re-synced (weight
   // re-snapshot + cache drop) after any pretrain/fine_tune.
@@ -105,6 +106,7 @@ class GnnMlsEngine {
   std::unique_ptr<ml::DgiTrainer> dgi_;
   ml::FeatureScaler scaler_;
   bool pretrained_ = false;
+  std::uint64_t weights_version_ = 0;
   ml::Mat predict_scratch_;  // scalar-path normalize buffer (no graph copies)
   std::unique_ptr<ml::InferenceEngine> infer_;
   bool infer_dirty_ = false;  // training moved weights since the last sync

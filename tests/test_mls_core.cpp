@@ -2,7 +2,12 @@
 // baseline, corpus assembly, and the decision engine end to end (small).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+
 #include "mls/flow.hpp"
+#include "obs/metrics.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -22,6 +27,16 @@ struct FlowFixture : ::testing::Test {
   std::unique_ptr<DesignFlow> flow;
   FlowMetrics baseline;
 };
+
+// A small engine that still trains in well under a second on MAERI-16.
+GnnMlsConfig small_engine_config() {
+  GnnMlsConfig cfg;
+  cfg.transformer.dim = 24;
+  cfg.transformer.ffn_hidden = 48;
+  cfg.dgi.epochs = 2;
+  cfg.fine_tune.epochs = 15;
+  return cfg;
+}
 
 TEST_F(FlowFixture, FeatureExtractionMatchesTableII) {
   CorpusOptions co;
@@ -124,11 +139,7 @@ TEST_F(FlowFixture, SotaThresholdMonotone) {
 }
 
 TEST_F(FlowFixture, EngineTrainsAndDecides) {
-  GnnMlsConfig cfg;
-  cfg.transformer.dim = 24;
-  cfg.transformer.ffn_hidden = 48;
-  cfg.dgi.epochs = 2;
-  cfg.fine_tune.epochs = 15;
+  const GnnMlsConfig cfg = small_engine_config();
   GnnMlsEngine engine(cfg);
 
   CorpusOptions co;
@@ -153,6 +164,82 @@ TEST_F(FlowFixture, EngineTrainsAndDecides) {
                                     flow->design().nl.pin(net.sinks[0]).cell);
     EXPECT_GE(gain, cfg.fine_tune.positive_weight >= 0 ? 1.0 : 0.0) << "net " << n;
   }
+
+  // The guard turns off through the options: a -infinity gain floor vetoes
+  // nothing, and when the shared-capacity budget admits every candidate,
+  // every net the guarded run flagged is flagged without the guard too.
+  obs::Counter& vetoed = obs::Metrics::instance().counter("decide.vetoed");
+  obs::Counter& capped = obs::Metrics::instance().counter("decide.capped");
+  const std::uint64_t vetoed_before = vetoed.value();
+  const std::uint64_t capped_before = capped.value();
+  CorpusOptions unguarded;
+  unguarded.labeler.min_gain_ps = -std::numeric_limits<double>::infinity();
+  const auto all =
+      engine.decide(flow->design(), flow->tech(), flow->router(), flow->sta(), unguarded);
+  EXPECT_EQ(vetoed.value(), vetoed_before);
+  if (capped.value() == capped_before) {
+    for (netlist::Id n = 0; n < flags.size(); ++n) {
+      if (flags[n]) {
+        EXPECT_TRUE(all[n]) << "net " << n << " flagged only with the guard";
+      }
+    }
+  }
+}
+
+// The decide pass must re-run when only its options change. A first GNN
+// evaluate whose gain floor vetoes every net flags nothing, so it touches no
+// route and the baseline stays fresh; the second evaluate, with the guard
+// off, must still run inference instead of reusing the empty decision.
+TEST_F(FlowFixture, DecideRerunsWhenOnlyTheOptionsChange) {
+  const GnnMlsConfig cfg = small_engine_config();
+  const TrainedEngine trained = train_engine_on({flow.get()}, cfg, 150);
+  ASSERT_GT(trained.corpus_paths, 20u);
+
+  CorpusOptions veto_all;
+  veto_all.labeler.min_gain_ps = std::numeric_limits<double>::infinity();
+  const FlowMetrics none_flagged = flow->evaluate_gnn(*trained.engine, veto_all);
+  EXPECT_EQ(none_flagged.mls_nets, 0u);
+
+  CorpusOptions unguarded;
+  unguarded.labeler.min_gain_ps = -std::numeric_limits<double>::infinity();
+  const FlowMetrics flagged = flow->evaluate_gnn(*trained.engine, unguarded);
+  std::size_t count = 0;
+  for (const std::uint8_t f : flow->decide_flags()) count += f;
+  EXPECT_GT(count, 0u);
+  EXPECT_GT(flagged.mls_nets, 0u);
+}
+
+// The decide pass must re-run for a new engine over an unchanged baseline,
+// even one built at the address of the engine it replaces.
+TEST_F(FlowFixture, DecideRerunsForANewEngineAtTheSameAddress) {
+  CorpusOptions co;
+  co.max_paths = 150;
+  co.include_near_critical = true;
+  co.margin_ps = 200.0;
+  co.attach_labels = true;
+  const Corpus corpus = flow->corpus(co);
+  const GnnMlsConfig cfg = small_engine_config();
+  GnnMlsConfig mute = cfg;
+  mute.decision_threshold = 2.0;  // no probability exceeds it
+
+  std::optional<GnnMlsEngine> slot;
+  slot.emplace(mute);
+  slot->pretrain(corpus.graphs);
+  slot->fine_tune(corpus.graphs);
+  const GnnMlsEngine* first = &*slot;
+  // Flags nothing, so the baseline routes stay fresh.
+  EXPECT_EQ(flow->evaluate_gnn(*slot).mls_nets, 0u);
+
+  slot.emplace(cfg);
+  ASSERT_EQ(&*slot, first);
+  slot->pretrain(corpus.graphs);
+  slot->fine_tune(corpus.graphs);
+  const CorpusOptions eval_options{4000, true, 60.0, false, {}};
+  const auto expected =
+      slot->decide(flow->design(), flow->tech(), flow->router(), flow->sta(), eval_options);
+  ASSERT_GT(std::count(expected.begin(), expected.end(), 1), 0);
+  flow->evaluate_gnn(*slot, eval_options);
+  EXPECT_EQ(flow->decide_flags(), expected);
 }
 
 // The reported training time covers DGI pretraining, not just fine-tuning.
