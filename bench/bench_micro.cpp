@@ -208,17 +208,48 @@ void BM_TransformerTrainStep(benchmark::State& st) {
   std::vector<ml::Param*> params = enc.params();
   for (ml::Param* p : head.params()) params.push_back(p);
   ml::Adam opt(params, 1e-3);
+  ml::GraphTransformer::Cache cache;
+  ml::Mat h, dh, dx;
   for (auto _ : st) {
     enc.zero_grad();
     head.zero_grad();
-    ml::Mat h = enc.forward(x, adj);
-    ml::Mat dh;
+    enc.forward(x, adj, cache, h);
     benchmark::DoNotOptimize(head.loss_and_grad(h, labels, 2.0, dh));
-    enc.backward(dh);
+    enc.backward(dh, cache, dx);
     opt.step();
   }
 }
 BENCHMARK(BM_TransformerTrainStep)->Unit(benchmark::kMicrosecond);
+
+// One DGI epoch over the maeri16 corpus: per path a clean and a corrupted
+// forward, two backward passes and one Adam step, with the default model.
+// The corpus and the trainer are built once; the weights keep training
+// across iterations, which leaves the per-epoch work unchanged.
+void BM_DgiEpoch(benchmark::State& st) {
+  struct DgiBenchState {
+    DgiBenchState() : rng(42), enc(ml::TransformerConfig{}, rng), dgi(enc, rng) {
+      mls::CorpusOptions co;
+      co.max_paths = 200;
+      co.attach_labels = false;
+      graphs = state().flow->corpus(co).graphs;
+      ml::FeatureScaler scaler;
+      scaler.fit(graphs);
+      for (ml::PathGraph& g : graphs) scaler.apply(g);
+      std::vector<ml::Param*> params = enc.params();
+      params.push_back(&dgi.discriminator());
+      opt = std::make_unique<ml::Adam>(params, 1e-3);
+    }
+    util::Rng rng;
+    ml::GraphTransformer enc;
+    ml::DgiTrainer dgi;
+    std::vector<ml::PathGraph> graphs;
+    std::unique_ptr<ml::Adam> opt;
+  };
+  static DgiBenchState ds;
+  for (auto _ : st) benchmark::DoNotOptimize(ds.dgi.train_epoch(ds.graphs, *ds.opt, ds.rng));
+  st.counters["paths"] = static_cast<double>(ds.graphs.size());
+}
+BENCHMARK(BM_DgiEpoch)->Unit(benchmark::kMillisecond);
 
 void BM_FaultSimulation(benchmark::State& st) {
   auto& f = *state().flow;

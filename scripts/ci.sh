@@ -174,14 +174,16 @@ echo "==> perf smoke: sharded negotiated routing thread sweep (BENCH_routing.jso
 # python-less runners and its logic is unit-testable C++.
 ./build/tools/gnnmls_report check-routing BENCH_routing.json
 
-echo "==> perf smoke: ML inference engine (scalar vs batched vs cached, BENCH_ml.json)"
+echo "==> perf smoke: ML engine and training (BENCH_ml.json)"
 # BM_DecideStage is the double-precision per-graph reference; Batched runs
 # the float32 SIMD engine cold (cache cleared every iteration) and Cached
 # re-decides against a warm embedding cache, exporting cache_hit_pct. The
 # longer min_time stabilizes the scalar baseline on noisy runners — the
 # check-ml gate enforces >= 5x cold speedup, warm <= cold, and >= 90% hits.
+# BM_TransformerTrainStep and BM_DgiEpoch (one DGI epoch on the maeri16
+# corpus) put training in the ledger run over run; no gate reads them.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_MlGemm|BM_MlBatchedForward|BM_DecideStage' \
+  --benchmark_filter='BM_MlGemm|BM_MlBatchedForward|BM_DecideStage|BM_TransformerTrainStep|BM_DgiEpoch' \
   --benchmark_out=BENCH_ml.json --benchmark_out_format=json \
   --benchmark_min_time=0.3
 ./build/tools/gnnmls_report ingest BENCH_ml.json --ledger PERF_LEDGER.jsonl --label ml-micro

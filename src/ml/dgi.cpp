@@ -22,14 +22,13 @@ Mat readout(const Mat& h) {
   return s;
 }
 
-Mat shuffle_rows(const Mat& x, util::Rng& rng) {
+void shuffle_rows(const Mat& x, util::Rng& rng, Mat& y) {
   std::vector<int> perm(static_cast<std::size_t>(x.rows()));
   for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
   rng.shuffle(perm);
-  Mat y(x.rows(), x.cols());
+  y.resize(x.rows(), x.cols());
   for (int i = 0; i < x.rows(); ++i)
     for (int j = 0; j < x.cols(); ++j) y.at(i, j) = x.at(perm[static_cast<std::size_t>(i)], j);
-  return y;
 }
 
 }  // namespace
@@ -48,7 +47,7 @@ double DgiTrainer::discriminate(const Mat& h_row, const Mat& summary) const {
 double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimizer,
                                util::Rng& rng) {
   double total_loss = 0.0;
-  std::size_t total_nodes = 0;
+  std::size_t trained_graphs = 0;
   const int dim = encoder_.config().dim;
   for (const PathGraph& g : graphs) {
     const int n = g.x.rows();
@@ -56,9 +55,11 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
     encoder_.zero_grad();
     w_.zero_grad();
 
-    // Positive pass (leave encoder cache on the corrupted pass later).
-    Mat h = encoder_.forward(g.x, g.adj);
-    Mat x_corrupt = shuffle_rows(g.x, rng);
+    // Clean pass, then the corrupted one, each into its own cache.
+    const Mat& h = h_;
+    const Mat& h_neg = h_neg_;
+    encoder_.forward(g.x, g.adj, clean_, h_);
+    shuffle_rows(g.x, rng, x_corrupt_);
     // Summary comes from the CLEAN graph only (DGI definition).
     Mat s = readout(h);
 
@@ -76,7 +77,7 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
     };
 
     // --- corrupted pass ---------------------------------------------------
-    Mat h_neg = encoder_.forward(x_corrupt, g.adj);
+    encoder_.forward(x_corrupt_, g.adj, corrupt_, h_neg_);
 
     double loss = 0.0;
     // dL/d(score) for each positive / negative node.
@@ -93,13 +94,13 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
     loss /= n;
 
     // --- gradients ----------------------------------------------------------
-    // dL/dh_neg = dneg_i * (W s^T)^T; backprop through the (currently cached)
-    // corrupted forward first.
-    Mat dh_neg(n, dim);
+    // dL/dh_neg = dneg_i * (W s^T)^T; backprop through the corrupted
+    // forward first.
+    dh_neg_.resize(n, dim);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < dim; ++j)
-        dh_neg.at(i, j) = dneg[static_cast<std::size_t>(i)] * ws.at(j, 0);
-    encoder_.backward(dh_neg);
+        dh_neg_.at(i, j) = dneg[static_cast<std::size_t>(i)] * ws.at(j, 0);
+    encoder_.backward(dh_neg_, corrupt_, dx_);
 
     // dL/dW from both halves; dL/ds collected for the summary path.
     Mat ds(1, dim);
@@ -124,7 +125,8 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
     }
 
     // dL/dh (positive) = direct discriminator term + summary term.
-    Mat dh(n, dim);
+    Mat& dh = dh_;
+    dh.resize(n, dim);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < dim; ++j)
         dh.at(i, j) = dpos[static_cast<std::size_t>(i)] * ws.at(j, 0);
@@ -134,15 +136,15 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
       const double v = ds.at(0, j) * gate;
       for (int i = 0; i < n; ++i) dh.at(i, j) += v;
     }
-    // Re-forward the clean graph so the encoder cache matches, then backprop.
-    encoder_.forward(g.x, g.adj);
-    encoder_.backward(dh);
+    // The weights have not moved since the clean forward, so its cache is
+    // exactly what a re-forward would produce.
+    encoder_.backward(dh, clean_, dx_);
 
     optimizer.step();
     total_loss += loss;
-    ++total_nodes;
+    ++trained_graphs;
   }
-  return total_nodes ? total_loss / static_cast<double>(total_nodes) : 0.0;
+  return trained_graphs ? total_loss / static_cast<double>(trained_graphs) : 0.0;
 }
 
 std::vector<double> DgiTrainer::pretrain(std::span<const PathGraph> graphs,

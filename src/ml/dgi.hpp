@@ -24,7 +24,9 @@ class DgiTrainer {
  public:
   DgiTrainer(GraphTransformer& encoder, util::Rng& rng);
 
-  // One pass over the corpus; returns the mean DGI loss.
+  // One pass over the corpus, one optimizer step per graph; returns the
+  // mean DGI loss over the graphs it trained on (those with at least 2
+  // nodes: a single node has no corruption to contrast).
   double train_epoch(std::span<const PathGraph> graphs, Adam& optimizer, util::Rng& rng);
 
   // Full pretraining loop with its own Adam over encoder + discriminator.
@@ -41,6 +43,11 @@ class DgiTrainer {
  private:
   GraphTransformer& encoder_;
   Param w_;  // dim x dim bilinear form
+  // Per-step buffers, reused across graphs. The clean and the corrupted
+  // forward each keep their own activations, so both backward passes run
+  // without a re-forward.
+  GraphTransformer::Cache clean_, corrupt_;
+  Mat x_corrupt_, h_, h_neg_, dh_, dh_neg_, dx_;
 };
 
 }  // namespace gnnmls::ml

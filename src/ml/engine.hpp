@@ -1,8 +1,10 @@
 // Batched float32 inference engine (ROADMAP item 2).
 //
-// Training stays on the double-precision Mat stack; this engine snapshots
-// the trained weights into flat float32 buffers and serves decide-time
-// inference three ways faster than the per-graph scalar path:
+// Training runs the double-precision Mat stack on the kernel table's double
+// entries, which are bit-equal across SIMD levels. This engine snapshots the
+// trained weights into flat float32 buffers, whose kernels may differ across
+// levels in the last ulps, and serves decide-time inference three ways
+// faster than the per-graph scalar path:
 //
 //   1. SIMD kernels — GEMM/softmax/layernorm from ml/kernels.hpp, runtime
 //      dispatched (AVX2 or portable scalar) once per process;

@@ -12,6 +12,7 @@
 #define GNNMLS_X86 1
 #endif
 
+#include "ml/kernels_f64.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "util/log.hpp"
@@ -141,9 +142,12 @@ void attention_scalar(int n, int d, int heads, const float* q, const float* kmat
   }
 }
 
-constexpr Kernels kScalarKernels{gemm_scalar,          gemm_nt_scalar,  softmax_rows_scalar,
-                                 relu_scalar,          bias_relu_rows_scalar,
-                                 layernorm_rows_scalar, attention_scalar};
+constexpr Kernels kScalarKernels{gemm_scalar,           gemm_nt_scalar,
+                                 softmax_rows_scalar,   relu_scalar,
+                                 bias_relu_rows_scalar, layernorm_rows_scalar,
+                                 attention_scalar,      detail::dgemm_scalar,
+                                 detail::dgemm_tn_scalar, detail::dgemm_nt_scalar,
+                                 detail::adam_scalar};
 
 // ---- AVX2 + FMA kernels -----------------------------------------------------
 
@@ -552,9 +556,12 @@ __attribute__((target("avx2,fma"))) void attention_avx2(int n, int d, int heads,
   }
 }
 
-constexpr Kernels kAvx2Kernels{gemm_avx2,          gemm_nt_avx2,  softmax_rows_avx2,
-                               relu_avx2,          bias_relu_rows_avx2,
-                               layernorm_rows_avx2, attention_avx2};
+constexpr Kernels kAvx2Kernels{gemm_avx2,           gemm_nt_avx2,
+                               softmax_rows_avx2,   relu_avx2,
+                               bias_relu_rows_avx2, layernorm_rows_avx2,
+                               attention_avx2,      detail::dgemm_avx2,
+                               detail::dgemm_tn_avx2, detail::dgemm_nt_avx2,
+                               detail::adam_avx2};
 
 #endif  // GNNMLS_X86
 
@@ -567,7 +574,7 @@ void record_dispatch(SimdLevel level) {
   obs::Metrics::instance()
       .counter(std::string("ml.engine.dispatch.") + to_string(level))
       .add(1);
-  util::log_info("ml: inference kernels dispatched to ", to_string(level));
+  util::log_info("ml: kernels dispatched to ", to_string(level));
 }
 
 }  // namespace

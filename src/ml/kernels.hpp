@@ -1,9 +1,11 @@
-// Float32 compute kernels for the batched inference engine.
+// Compute kernels for the ML stack: float32 for the batched inference
+// engine, double precision for training.
 //
-// Training keeps the double-precision Mat path (ml/tensor.hpp); inference
-// runs on contiguous float32 buffers through this kernel table. The table is
-// resolved once per process: AVX2+FMA variants when the CPU supports them,
-// portable scalar fallbacks otherwise, with a GNNMLS_SIMD=scalar|avx2
+// Inference runs on contiguous float32 buffers through this kernel table;
+// training runs the double-precision Mat stack (ml/tensor.hpp), whose
+// products and optimizer step call the table's double entries. The table is
+// resolved once per process: AVX2 variants when the CPU supports AVX2 and
+// FMA, portable scalar fallbacks otherwise, with a GNNMLS_SIMD=scalar|avx2
 // environment override for A/B runs. The selection is recorded in the flight
 // recorder (EventKind::kDispatch) and the ml.engine.dispatch.* counters so a
 // perf-ledger row always says which code path produced it.
@@ -12,10 +14,16 @@
 //   * gemm / gemm_nt take an `accumulate` flag: true is C += A·B (callers
 //     pre-fill C with the bias row for a fused bias add), false is C = A·B
 //     (overwrite — saves the zero-fill pass and the C read).
-//   * All matrices are dense row-major with no padding between rows.
-//   * Scalar and AVX2 variants may differ in the last float ulps (different
-//     summation order, FMA contraction, polynomial exp in softmax); the
-//     engine's parity tests pin the tolerance.
+//   * The float matrices are dense row-major with no padding between rows;
+//     the double products take a leading dimension (row stride) per matrix.
+//   * Float variants may differ in the last ulps (different summation order,
+//     FMA contraction, polynomial exp in softmax); the engine's parity tests
+//     pin the tolerance.
+//   * Double variants are bit-equal across SIMD levels: each output element
+//     is the same IEEE mul-then-add sequence in ascending k, starting from
+//     +0.0, at every level (no FMA; the scalar variant builds with
+//     -ffp-contract=off), and Adam keeps its expression order lane by lane.
+//     Training results therefore never depend on GNNMLS_SIMD.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +32,12 @@ namespace gnnmls::ml {
 
 enum class SimdLevel { kScalar = 0, kAvx2 = 1 };
 const char* to_string(SimdLevel level);
+
+// One Adam step's coefficients; bc1 and bc2 are the bias corrections
+// 1 - beta1^t and 1 - beta2^t.
+struct AdamStep {
+  double lr, beta1, beta2, eps, bc1, bc2;
+};
 
 struct Kernels {
   // C(m x n) (+)= A(m x k) · B(k x n); accumulate selects += vs overwrite.
@@ -52,6 +66,23 @@ struct Kernels {
   void (*attention)(int n, int d, int heads, const float* q, const float* kmat, const float* v,
                     int qkv_stride, const float* adj, int adj_stride, const float* edge_bias,
                     float scale, float* scores_ws, float* out, int out_stride);
+
+  // ---- double precision (training) ----
+  // C(m x n) = A(m x k) · B(k x n); lda/ldb/ldc are row strides. Terms whose
+  // A entry is zero are left out (ReLU outputs, adjacency and attention
+  // rows are sparse).
+  void (*dgemm)(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                double* c, int ldc);
+  // C(m x n) = A(k x m)ᵀ · B(k x n); zero A entries are left out.
+  void (*dgemm_tn)(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                   double* c, int ldc);
+  // C(m x n) = A(m x k) · B(n x k)ᵀ; every term is summed.
+  void (*dgemm_nt)(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                   double* c, int ldc);
+  // Adam over `count` parameters: m and v are the moment estimates, w the
+  // weights, g the gradient.
+  void (*adam)(std::size_t count, const AdamStep& step, const double* g, double* m, double* v,
+               double* w);
 };
 
 // The process-wide kernel table / active level (resolved on first use).

@@ -1,0 +1,35 @@
+// Double-precision training kernels behind the ml/kernels.hpp dispatch
+// table (internal: include ml/kernels.hpp and call through the table).
+//
+// kernels_f64.cpp builds with -ffp-contract=off and its AVX2 variants
+// target avx2 without fma, so every output element is the same IEEE
+// mul-then-add sequence at every SIMD level: the variants are bit-equal.
+#pragma once
+
+#include <cstddef>
+
+#include "ml/kernels.hpp"
+
+namespace gnnmls::ml::detail {
+
+void dgemm_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                  double* c, int ldc);
+void dgemm_tn_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc);
+void dgemm_nt_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc);
+void adam_scalar(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
+                 double* w);
+
+#if defined(__x86_64__) || defined(__i386__)
+void dgemm_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                double* c, int ldc);
+void dgemm_tn_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                   double* c, int ldc);
+void dgemm_nt_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                   double* c, int ldc);
+void adam_avx2(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
+               double* w);
+#endif
+
+}  // namespace gnnmls::ml::detail

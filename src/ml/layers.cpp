@@ -3,40 +3,42 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/kernels.hpp"
+
 namespace gnnmls::ml {
 
 // ---- Linear ----------------------------------------------------------------
 Linear::Linear(int in, int out, util::Rng& rng)
     : w_(Mat::xavier(in, out, rng)), b_(Mat(1, out)) {}
 
-Mat Linear::forward(const Mat& x) {
-  x_ = x;
-  Mat y = matmul(x, w_.value);
+void Linear::forward(const Mat& x, Cache& cache, Mat& y) const {
+  cache.x = x;
+  matmul(x, w_.value, y);
   add_row_bias(y, b_.value);
-  return y;
 }
 
-Mat Linear::backward(const Mat& dy) {
-  w_.grad.axpy(1.0, matmul_tn(x_, dy));
+void Linear::backward(const Mat& dy, const Cache& cache, Mat& dx) {
+  matmul_tn(cache.x, dy, dw_);
+  w_.grad.axpy(1.0, dw_);
   for (int i = 0; i < dy.rows(); ++i)
     for (int j = 0; j < dy.cols(); ++j) b_.grad.at(0, j) += dy.at(i, j);
-  return matmul_nt(dy, w_.value);
+  matmul_nt(dy, w_.value, dx);
 }
 
 // ---- ReLU ------------------------------------------------------------------
-Mat ReLU::forward(const Mat& x) {
-  x_ = x;
-  Mat y = x;
-  for (double& v : y.data())
-    if (v < 0.0) v = 0.0;
-  return y;
+void ReLU::forward(const Mat& x, Mat& y) {
+  y.resize(x.rows(), x.cols());
+  const std::vector<double>& in = x.data();
+  std::vector<double>& out = y.data();
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i] < 0.0 ? 0.0 : in[i];
 }
 
-Mat ReLU::backward(const Mat& dy) {
-  Mat dx = dy;
-  for (std::size_t i = 0; i < dx.data().size(); ++i)
-    if (x_.data()[i] <= 0.0) dx.data()[i] = 0.0;
-  return dx;
+void ReLU::backward(const Mat& dy, const Mat& y, Mat& dx) {
+  dx.resize(dy.rows(), dy.cols());
+  const std::vector<double>& g = dy.data();
+  const std::vector<double>& out = y.data();
+  std::vector<double>& d = dx.data();
+  for (std::size_t i = 0; i < g.size(); ++i) d[i] = out[i] <= 0.0 ? 0.0 : g[i];
 }
 
 // ---- LayerNorm ---------------------------------------------------------------
@@ -44,11 +46,11 @@ LayerNorm::LayerNorm(int dim) : gamma_(Mat(1, dim)), beta_(Mat(1, dim)) {
   gamma_.value.fill(1.0);
 }
 
-Mat LayerNorm::forward(const Mat& x) {
+void LayerNorm::forward(const Mat& x, Cache& cache, Mat& y) const {
   const int n = x.rows(), d = x.cols();
-  xhat_ = Mat(n, d);
-  inv_std_.assign(static_cast<std::size_t>(n), 0.0);
-  Mat y(n, d);
+  cache.xhat.resize(n, d);
+  cache.inv_std.assign(static_cast<std::size_t>(n), 0.0);
+  y.resize(n, d);
   for (int i = 0; i < n; ++i) {
     const double* row = x.row(i);
     double mean = 0.0;
@@ -58,38 +60,37 @@ Mat LayerNorm::forward(const Mat& x) {
     for (int j = 0; j < d; ++j) var += (row[j] - mean) * (row[j] - mean);
     var /= d;
     const double inv = 1.0 / std::sqrt(var + kEps);
-    inv_std_[static_cast<std::size_t>(i)] = inv;
+    cache.inv_std[static_cast<std::size_t>(i)] = inv;
     for (int j = 0; j < d; ++j) {
       const double xh = (row[j] - mean) * inv;
-      xhat_.at(i, j) = xh;
+      cache.xhat.at(i, j) = xh;
       y.at(i, j) = xh * gamma_.value.at(0, j) + beta_.value.at(0, j);
     }
   }
-  return y;
 }
 
-Mat LayerNorm::backward(const Mat& dy) {
+void LayerNorm::backward(const Mat& dy, const Cache& cache, Mat& dx) {
   const int n = dy.rows(), d = dy.cols();
-  Mat dx(n, d);
+  const Mat& xhat = cache.xhat;
+  dx.resize(n, d);
   for (int i = 0; i < n; ++i) {
     // Accumulate parameter grads and the two reduction terms.
     double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
     for (int j = 0; j < d; ++j) {
       const double g = dy.at(i, j);
-      gamma_.grad.at(0, j) += g * xhat_.at(i, j);
+      gamma_.grad.at(0, j) += g * xhat.at(i, j);
       beta_.grad.at(0, j) += g;
       const double dxhat = g * gamma_.value.at(0, j);
       sum_dxhat += dxhat;
-      sum_dxhat_xhat += dxhat * xhat_.at(i, j);
+      sum_dxhat_xhat += dxhat * xhat.at(i, j);
     }
-    const double inv = inv_std_[static_cast<std::size_t>(i)];
+    const double inv = cache.inv_std[static_cast<std::size_t>(i)];
     for (int j = 0; j < d; ++j) {
       const double dxhat = dy.at(i, j) * gamma_.value.at(0, j);
       dx.at(i, j) =
-          inv * (dxhat - sum_dxhat / d - xhat_.at(i, j) * sum_dxhat_xhat / d);
+          inv * (dxhat - sum_dxhat / d - xhat.at(i, j) * sum_dxhat_xhat / d);
     }
   }
-  return dx;
 }
 
 // ---- MultiHeadAttention ------------------------------------------------------
@@ -106,99 +107,106 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, util::Rng& rng)
   edge_bias_.value.fill(0.5);  // start with a mild preference for graph edges
 }
 
-namespace {
-// Extracts head h columns [h*hd, (h+1)*hd) of a packed n x dim matrix.
-Mat head_slice(const Mat& packed, int h, int hd) {
-  Mat out(packed.rows(), hd);
-  for (int i = 0; i < packed.rows(); ++i)
-    for (int j = 0; j < hd; ++j) out.at(i, j) = packed.at(i, h * hd + j);
-  return out;
-}
-void head_place(Mat& packed, const Mat& slice, int h, int hd) {
-  for (int i = 0; i < slice.rows(); ++i)
-    for (int j = 0; j < hd; ++j) packed.at(i, h * hd + j) += slice.at(i, j);
-}
-}  // namespace
-
-Mat MultiHeadAttention::forward(const Mat& x, const Mat& adj) {
-  x_ = x;
-  adj_ = adj;
-  q_ = matmul(x, wq_.value);
-  k_ = matmul(x, wk_.value);
-  v_ = matmul(x, wv_.value);
+// Head h is the column slice [h * head_dim, (h + 1) * head_dim) of the packed
+// n x dim matrices; the kernels read and write it in place through the row
+// stride dim. Every product starts its sums at +0.0 and never yields -0.0,
+// so writing a head's result straight into its slice gives the same bits as
+// adding it into a zeroed matrix.
+void MultiHeadAttention::forward(const Mat& x, const Mat& adj, Cache& c, Mat& y) const {
+  c.x = x;
+  c.adj = adj;
+  matmul(x, wq_.value, c.q);
+  matmul(x, wk_.value, c.k);
+  matmul(x, wv_.value, c.v);
   const int n = x.rows();
-  attn_.assign(static_cast<std::size_t>(heads_), Mat());
-  concat_ = Mat(n, dim_);
+  const Kernels& kern = kernels();
+  c.attn.resize(static_cast<std::size_t>(heads_));
+  c.concat.resize(n, dim_);
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
   for (int h = 0; h < heads_; ++h) {
-    Mat qh = head_slice(q_, h, head_dim_);
-    Mat kh = head_slice(k_, h, head_dim_);
-    Mat vh = head_slice(v_, h, head_dim_);
-    Mat scores = matmul_nt(qh, kh);
+    const int off = h * head_dim_;
+    Mat& scores = c.attn[static_cast<std::size_t>(h)];
+    scores.resize(n, n);
+    kern.dgemm_nt(n, head_dim_, n, c.q.data().data() + off, dim_, c.k.data().data() + off, dim_,
+                  scores.data().data(), n);
     for (double& s : scores.data()) s *= scale;
-    if (!adj_.empty()) {
+    if (!adj.empty()) {
       const double bias = edge_bias_.value.at(0, h);
       for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) scores.at(i, j) += bias * adj_.at(i, j);
+        for (int j = 0; j < n; ++j) scores.at(i, j) += bias * adj.at(i, j);
     }
-    attn_[static_cast<std::size_t>(h)] = softmax_rows(scores);
-    Mat oh = matmul(attn_[static_cast<std::size_t>(h)], vh);
-    head_place(concat_, oh, h, head_dim_);
+    softmax_rows_inplace(scores);
+    kern.dgemm(n, n, head_dim_, scores.data().data(), n, c.v.data().data() + off, dim_,
+               c.concat.data().data() + off, dim_);
   }
-  return matmul(concat_, wo_.value);
+  matmul(c.concat, wo_.value, y);
 }
 
-Mat MultiHeadAttention::backward(const Mat& dy) {
+void MultiHeadAttention::backward(const Mat& dy, const Cache& c, Mat& dx) {
   const int n = dy.rows();
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
+  const Kernels& kern = kernels();
   // Through Wo.
-  wo_.grad.axpy(1.0, matmul_tn(concat_, dy));
-  Mat dconcat = matmul_nt(dy, wo_.value);
+  matmul_tn(c.concat, dy, tmp_);
+  wo_.grad.axpy(1.0, tmp_);
+  matmul_nt(dy, wo_.value, dconcat_);
 
-  Mat dq(n, dim_), dk(n, dim_), dv(n, dim_);
+  dq_.resize(n, dim_);
+  dk_.resize(n, dim_);
+  dv_.resize(n, dim_);
+  da_.resize(n, n);
   for (int h = 0; h < heads_; ++h) {
-    const Mat& a = attn_[static_cast<std::size_t>(h)];
-    Mat doh = head_slice(dconcat, h, head_dim_);
-    Mat vh = head_slice(v_, h, head_dim_);
-    Mat qh = head_slice(q_, h, head_dim_);
-    Mat kh = head_slice(k_, h, head_dim_);
+    const int off = h * head_dim_;
+    const Mat& a = c.attn[static_cast<std::size_t>(h)];
+    const double* doh = dconcat_.data().data() + off;
     // O_h = A V_h
-    Mat da = matmul_nt(doh, vh);
-    Mat dvh = matmul_tn(a, doh);
+    kern.dgemm_nt(n, head_dim_, n, doh, dim_, c.v.data().data() + off, dim_, da_.data().data(),
+                  n);
+    kern.dgemm_tn(n, n, head_dim_, a.data().data(), n, doh, dim_, dv_.data().data() + off,
+                  dim_);
     // Through softmax.
-    Mat dscores = softmax_rows_backward(a, da);
+    softmax_rows_backward(a, da_, dscores_);
     // Adjacency bias gradient.
-    if (!adj_.empty()) {
+    if (!c.adj.empty()) {
       double g = 0.0;
       for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) g += dscores.at(i, j) * adj_.at(i, j);
+        for (int j = 0; j < n; ++j) g += dscores_.at(i, j) * c.adj.at(i, j);
       edge_bias_.grad.at(0, h) += g;
     }
     // scores = scale * Q_h K_h^T
-    for (double& s : dscores.data()) s *= scale;
-    Mat dqh = matmul(dscores, kh);
-    Mat dkh = matmul_tn(dscores, qh);
-    head_place(dq, dqh, h, head_dim_);
-    head_place(dk, dkh, h, head_dim_);
-    head_place(dv, dvh, h, head_dim_);
+    for (double& s : dscores_.data()) s *= scale;
+    kern.dgemm(n, n, head_dim_, dscores_.data().data(), n, c.k.data().data() + off, dim_,
+               dq_.data().data() + off, dim_);
+    kern.dgemm_tn(n, n, head_dim_, dscores_.data().data(), n, c.q.data().data() + off, dim_,
+                  dk_.data().data() + off, dim_);
   }
-  wq_.grad.axpy(1.0, matmul_tn(x_, dq));
-  wk_.grad.axpy(1.0, matmul_tn(x_, dk));
-  wv_.grad.axpy(1.0, matmul_tn(x_, dv));
-  Mat dx = matmul_nt(dq, wq_.value);
-  dx.axpy(1.0, matmul_nt(dk, wk_.value));
-  dx.axpy(1.0, matmul_nt(dv, wv_.value));
-  return dx;
+  matmul_tn(c.x, dq_, tmp_);
+  wq_.grad.axpy(1.0, tmp_);
+  matmul_tn(c.x, dk_, tmp_);
+  wk_.grad.axpy(1.0, tmp_);
+  matmul_tn(c.x, dv_, tmp_);
+  wv_.grad.axpy(1.0, tmp_);
+  matmul_nt(dq_, wq_.value, dx);
+  matmul_nt(dk_, wk_.value, tmp_);
+  dx.axpy(1.0, tmp_);
+  matmul_nt(dv_, wv_.value, tmp_);
+  dx.axpy(1.0, tmp_);
 }
 
 // ---- FeedForward --------------------------------------------------------------
-FeedForward::FeedForward(int dim, int hidden, util::Rng& rng)
-    : fc1_(dim, hidden, rng), fc2_(hidden, dim, rng) {}
+FeedForward::FeedForward(int in, int hidden, int out, util::Rng& rng)
+    : fc1_(in, hidden, rng), fc2_(hidden, out, rng) {}
 
-Mat FeedForward::forward(const Mat& x) { return fc2_.forward(relu_.forward(fc1_.forward(x))); }
+void FeedForward::forward(const Mat& x, Cache& c, Mat& y) const {
+  fc1_.forward(x, c.fc1, c.hidden);
+  ReLU::forward(c.hidden, c.act);
+  fc2_.forward(c.act, c.fc2, y);
+}
 
-Mat FeedForward::backward(const Mat& dy) {
-  return fc1_.backward(relu_.backward(fc2_.backward(dy)));
+void FeedForward::backward(const Mat& dy, const Cache& c, Mat& dx) {
+  fc2_.backward(dy, c.fc2, dact_);
+  ReLU::backward(dact_, c.act, dhidden_);
+  fc1_.backward(dhidden_, c.fc1, dx);
 }
 
 std::vector<Param*> FeedForward::params() {
@@ -218,21 +226,17 @@ Adam::Adam(std::vector<Param*> params, double lr, double beta1, double beta2, do
 
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamStep s{lr_,
+                   beta1_,
+                   beta2_,
+                   eps_,
+                   1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                   1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  const Kernels& kern = kernels();
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Param* p = params_[i];
-    auto& m = m_[i].data();
-    auto& v = v_[i].data();
-    const auto& g = p->grad.data();
-    auto& w = p->value.data();
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g[j] * g[j];
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    kern.adam(p->value.data().size(), s, p->grad.data().data(), m_[i].data().data(),
+              v_[i].data().data(), p->value.data().data());
   }
 }
 

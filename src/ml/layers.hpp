@@ -1,9 +1,14 @@
 // Neural-network layers with hand-written backward passes.
 //
-// Every layer caches what its backward pass needs during forward, takes
-// dL/d(output) and returns dL/d(input) while accumulating parameter
-// gradients (so minibatching = several forward/backward calls per step).
-// Layers are sized for sequence inputs X of shape [path_len x features].
+// A forward pass writes what its backward pass needs into a caller-owned
+// Cache, so several forwards through one layer can be in flight at once
+// (DGI backpropagates a clean and a corrupted pass through the same
+// encoder) and a cache reused across calls keeps its storage. Backward takes
+// dL/d(output) and the matching forward's cache, writes dL/d(input) and
+// accumulates parameter gradients (so minibatching = several
+// forward/backward calls per step). Layers are sized for sequence inputs X
+// of shape [path_len x features]. Outputs are caller-owned too and are
+// resized in place; an output must not alias the layer's input.
 #pragma once
 
 #include <vector>
@@ -34,9 +39,13 @@ class Layer {
 // Y = X W + b
 class Linear : public Layer {
  public:
+  struct Cache {
+    Mat x;  // the input
+  };
+
   Linear(int in, int out, util::Rng& rng);
-  Mat forward(const Mat& x);
-  Mat backward(const Mat& dy);
+  void forward(const Mat& x, Cache& cache, Mat& y) const;
+  void backward(const Mat& dy, const Cache& cache, Mat& dx);
   std::vector<Param*> params() override { return {&w_, &b_}; }
 
   // Read-only weight views for the float32 inference engine's snapshot.
@@ -46,26 +55,27 @@ class Linear : public Layer {
  private:
   Param w_;
   Param b_;
-  Mat x_;  // cached input
+  Mat dw_;  // backward scratch
 };
 
-// Elementwise max(0, x).
-class ReLU : public Layer {
- public:
-  Mat forward(const Mat& x);
-  Mat backward(const Mat& dy);
-  std::vector<Param*> params() override { return {}; }
-
- private:
-  Mat x_;
+// Elementwise max(0, x). Backward reads the forward's output y, which is
+// <= 0 exactly where x is, so the layer needs no cache of its own.
+struct ReLU {
+  static void forward(const Mat& x, Mat& y);
+  static void backward(const Mat& dy, const Mat& y, Mat& dx);
 };
 
 // Per-row layer normalization with learned gain/bias.
 class LayerNorm : public Layer {
  public:
+  struct Cache {
+    Mat xhat;
+    std::vector<double> inv_std;
+  };
+
   explicit LayerNorm(int dim);
-  Mat forward(const Mat& x);
-  Mat backward(const Mat& dy);
+  void forward(const Mat& x, Cache& cache, Mat& y) const;
+  void backward(const Mat& dy, const Cache& cache, Mat& dx);
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
 
   const Mat& gamma() const { return gamma_.value; }
@@ -75,8 +85,6 @@ class LayerNorm : public Layer {
  private:
   Param gamma_;
   Param beta_;
-  Mat xhat_;
-  std::vector<double> inv_std_;
   static constexpr double kEps = 1e-5;
 };
 
@@ -87,11 +95,18 @@ class LayerNorm : public Layer {
 // paper's Figure 5).
 class MultiHeadAttention : public Layer {
  public:
+  struct Cache {
+    Mat x, adj;
+    Mat q, k, v;            // n x dim (all heads packed)
+    std::vector<Mat> attn;  // per head: n x n softmax matrices
+    Mat concat;             // n x dim, pre-Wo
+  };
+
   MultiHeadAttention(int dim, int heads, util::Rng& rng);
 
   // adj: n x n, 1.0 where an edge exists (may be empty -> pure attention).
-  Mat forward(const Mat& x, const Mat& adj);
-  Mat backward(const Mat& dy);
+  void forward(const Mat& x, const Mat& adj, Cache& cache, Mat& y) const;
+  void backward(const Mat& dy, const Cache& cache, Mat& dx);
   std::vector<Param*> params() override {
     return {&wq_, &wk_, &wv_, &wo_, &edge_bias_};
   }
@@ -107,19 +122,22 @@ class MultiHeadAttention : public Layer {
   int dim_, heads_, head_dim_;
   Param wq_, wk_, wv_, wo_;
   Param edge_bias_;  // 1 x heads, scales the adjacency bias per head
-  // Forward caches.
-  Mat x_, adj_;
-  Mat q_, k_, v_;          // n x dim (all heads packed)
-  std::vector<Mat> attn_;  // per head: n x n softmax matrices
-  Mat concat_;             // n x dim, pre-Wo
+  // Backward scratch.
+  Mat dconcat_, dq_, dk_, dv_, da_, dscores_, tmp_;
 };
 
 // Two-layer position-wise feed-forward: Linear -> ReLU -> Linear.
 class FeedForward : public Layer {
  public:
-  FeedForward(int dim, int hidden, util::Rng& rng);
-  Mat forward(const Mat& x);
-  Mat backward(const Mat& dy);
+  struct Cache {
+    Linear::Cache fc1;
+    Linear::Cache fc2;
+    Mat hidden, act;  // fc1 output, ReLU output
+  };
+
+  FeedForward(int in, int hidden, int out, util::Rng& rng);
+  void forward(const Mat& x, Cache& cache, Mat& y) const;
+  void backward(const Mat& dy, const Cache& cache, Mat& dx);
   std::vector<Param*> params() override;
 
   const Linear& fc1() const { return fc1_; }
@@ -127,11 +145,12 @@ class FeedForward : public Layer {
 
  private:
   Linear fc1_;
-  ReLU relu_;
   Linear fc2_;
+  Mat dact_, dhidden_;  // backward scratch
 };
 
-// Adam optimizer over a flat parameter list.
+// Adam optimizer over a flat parameter list; the update runs on the
+// kernel table's adam entry.
 class Adam {
  public:
   explicit Adam(std::vector<Param*> params, double lr = 1e-3, double beta1 = 0.9,

@@ -7,11 +7,10 @@
 
 namespace gnnmls::ml {
 
-MlpHead::MlpHead(int dim, int hidden, util::Rng& rng)
-    : fc1_(dim, hidden, rng), fc2_(hidden, 1, rng) {}
+MlpHead::MlpHead(int dim, int hidden, util::Rng& rng) : mlp_(dim, hidden, 1, rng) {}
 
 std::vector<double> MlpHead::predict(const Mat& h) {
-  logits_ = fc2_.forward(relu_.forward(fc1_.forward(h)));
+  mlp_.forward(h, cache_, logits_);
   std::vector<double> probs(static_cast<std::size_t>(logits_.rows()));
   for (int i = 0; i < logits_.rows(); ++i) probs[static_cast<std::size_t>(i)] = sigmoid(logits_.at(i, 0));
   return probs;
@@ -21,7 +20,8 @@ double MlpHead::loss_and_grad(const Mat& h, std::span<const int> labels, double 
                               Mat& dh) {
   const std::vector<double> probs = predict(h);
   const int n = h.rows();
-  Mat dlogits(n, 1);
+  dlogits_.resize(n, 1);
+  dlogits_.zero();
   double loss = 0.0;
   int counted = 0;
   for (int i = 0; i < n; ++i) {
@@ -31,7 +31,7 @@ double MlpHead::loss_and_grad(const Mat& h, std::span<const int> labels, double 
     const double w = label == 1 ? positive_weight : 1.0;
     loss += -w * (label == 1 ? std::log(std::max(p, 1e-12))
                              : std::log(std::max(1.0 - p, 1e-12)));
-    dlogits.at(i, 0) = w * (p - static_cast<double>(label));
+    dlogits_.at(i, 0) = w * (p - static_cast<double>(label));
     ++counted;
   }
   if (counted == 0) {
@@ -39,21 +39,14 @@ double MlpHead::loss_and_grad(const Mat& h, std::span<const int> labels, double 
     return 0.0;
   }
   loss /= counted;
-  for (int i = 0; i < n; ++i) dlogits.at(i, 0) /= counted;
-  dh = fc1_.backward(relu_.backward(fc2_.backward(dlogits)));
+  for (int i = 0; i < n; ++i) dlogits_.at(i, 0) /= counted;
+  mlp_.backward(dlogits_, cache_, dh);
   return loss;
 }
 
-std::vector<Param*> MlpHead::params() {
-  std::vector<Param*> ps = fc1_.params();
-  for (Param* p : fc2_.params()) ps.push_back(p);
-  return ps;
-}
-
 std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
-                              std::span<const PathGraph> graphs, const FineTuneConfig& config,
-                              util::Rng& rng) {
-  (void)rng;
+                              std::span<const PathGraph> graphs, const FineTuneConfig& config) {
+  GNNMLS_SPAN("ml.fine_tune");
   std::vector<Param*> ps = head.params();
   if (config.train_encoder)
     for (Param* p : encoder.params()) ps.push_back(p);
@@ -71,18 +64,20 @@ std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
       }
     }
   }
+  GraphTransformer::Cache cache;
   std::vector<Mat> cached;
   if (!config.train_encoder) {
-    cached.reserve(labeled.size());
-    for (const PathGraph* g : labeled) cached.push_back(encoder.forward(g->x, g->adj));
+    cached.resize(labeled.size());
+    for (std::size_t i = 0; i < labeled.size(); ++i)
+      encoder.forward(labeled[i]->x, labeled[i]->adj, cache, cached[i]);
   }
 
   std::vector<double> trajectory;
   trajectory.reserve(static_cast<std::size_t>(config.epochs));
-  GNNMLS_SPAN("ml.fine_tune");
   obs::Counter& epochs_c = obs::Metrics::instance().counter("ml.fine_tune.epochs");
   obs::Gauge& loss_g = obs::Metrics::instance().gauge("ml.fine_tune.loss");
   obs::Gauge& gnorm_g = obs::Metrics::instance().gauge("ml.fine_tune.grad_norm");
+  Mat h, dh, dx;
   for (int e = 0; e < config.epochs; ++e) {
     GNNMLS_SPAN("ml.fine_tune.epoch");
     double epoch_loss = 0.0;
@@ -91,12 +86,11 @@ std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
       const PathGraph& g = *labeled[i];
       head.zero_grad();
       if (config.train_encoder) encoder.zero_grad();
-      Mat dh;
       double loss = 0.0;
       if (config.train_encoder) {
-        Mat h = encoder.forward(g.x, g.adj);
+        encoder.forward(g.x, g.adj, cache, h);
         loss = head.loss_and_grad(h, g.labels, config.positive_weight, dh);
-        encoder.backward(dh);
+        encoder.backward(dh, cache, dx);
       } else {
         loss = head.loss_and_grad(cached[i], g.labels, config.positive_weight, dh);
       }
@@ -115,12 +109,14 @@ std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
   return trajectory;
 }
 
-util::BinaryMetrics evaluate(GraphTransformer& encoder, MlpHead& head,
+util::BinaryMetrics evaluate(const GraphTransformer& encoder, MlpHead& head,
                              std::span<const PathGraph> graphs, double threshold) {
   std::vector<double> probs;
   std::vector<int> labels;
+  GraphTransformer::Cache cache;
+  Mat h;
   for (const PathGraph& g : graphs) {
-    Mat h = encoder.forward(g.x, g.adj);
+    encoder.forward(g.x, g.adj, cache, h);
     const std::vector<double> p = head.predict(h);
     for (std::size_t i = 0; i < p.size(); ++i) {
       if (g.labels[i] == kLabelUnknown) continue;

@@ -34,27 +34,25 @@ class MlpHead : public Layer {
   double loss_and_grad(const Mat& h, std::span<const int> labels, double positive_weight,
                        Mat& dh);
 
-  std::vector<Param*> params() override;
+  std::vector<Param*> params() override { return mlp_.params(); }
 
-  const Linear& fc1() const { return fc1_; }
-  const Linear& fc2() const { return fc2_; }
+  const Linear& fc1() const { return mlp_.fc1(); }
+  const Linear& fc2() const { return mlp_.fc2(); }
 
  private:
-  Linear fc1_;
-  ReLU relu_;
-  Linear fc2_;
-  Mat logits_;
+  FeedForward mlp_;           // dim -> hidden -> 1 logit
+  FeedForward::Cache cache_;  // the last predict()'s activations
+  Mat logits_, dlogits_;
 };
 
-// Trains the head (and optionally the encoder) on labeled graphs; returns
-// per-epoch training loss. Validation metrics can be computed by the caller
-// via evaluate().
+// Trains the head (and optionally the encoder) on labeled graphs in corpus
+// order; returns per-epoch training loss. Validation metrics can be
+// computed by the caller via evaluate().
 std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
-                              std::span<const PathGraph> graphs, const FineTuneConfig& config,
-                              util::Rng& rng);
+                              std::span<const PathGraph> graphs, const FineTuneConfig& config);
 
 // Accuracy/precision/recall of head(encoder(x)) over labeled nodes.
-util::BinaryMetrics evaluate(GraphTransformer& encoder, MlpHead& head,
+util::BinaryMetrics evaluate(const GraphTransformer& encoder, MlpHead& head,
                              std::span<const PathGraph> graphs, double threshold = 0.5);
 
 }  // namespace gnnmls::ml

@@ -4,10 +4,18 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/kernels.hpp"
+
 namespace gnnmls::ml {
 
 void Mat::zero() { std::fill(d_.begin(), d_.end(), 0.0); }
 void Mat::fill(double v) { std::fill(d_.begin(), d_.end(), v); }
+
+void Mat::resize(int rows, int cols) {
+  rows_ = rows;
+  cols_ = cols;
+  d_.resize(static_cast<std::size_t>(rows) * cols);
+}
 
 Mat Mat::xavier(int rows, int cols, util::Rng& rng) {
   Mat m(rows, cols);
@@ -28,52 +36,25 @@ double Mat::frobenius_norm() const {
   return std::sqrt(s);
 }
 
-Mat matmul(const Mat& a, const Mat& b) {
+void matmul(const Mat& a, const Mat& b, Mat& c) {
   if (a.cols() != b.rows()) throw std::invalid_argument("matmul shape mismatch");
-  Mat c(a.rows(), b.cols());
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    double* crow = c.row(i);
-    for (int k = 0; k < a.cols(); ++k) {
-      const double av = arow[k];
-      if (av == 0.0) continue;
-      const double* brow = b.row(k);
-      for (int j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
+  c.resize(a.rows(), b.cols());
+  kernels().dgemm(a.rows(), a.cols(), b.cols(), a.data().data(), a.cols(), b.data().data(),
+                  b.cols(), c.data().data(), c.cols());
 }
 
-Mat matmul_tn(const Mat& a, const Mat& b) {
+void matmul_tn(const Mat& a, const Mat& b, Mat& c) {
   if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn shape mismatch");
-  Mat c(a.cols(), b.cols());
-  for (int k = 0; k < a.rows(); ++k) {
-    const double* arow = a.row(k);
-    const double* brow = b.row(k);
-    for (int i = 0; i < a.cols(); ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* crow = c.row(i);
-      for (int j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
+  c.resize(a.cols(), b.cols());
+  kernels().dgemm_tn(a.cols(), a.rows(), b.cols(), a.data().data(), a.cols(), b.data().data(),
+                     b.cols(), c.data().data(), c.cols());
 }
 
-Mat matmul_nt(const Mat& a, const Mat& b) {
+void matmul_nt(const Mat& a, const Mat& b, Mat& c) {
   if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt shape mismatch");
-  Mat c(a.rows(), b.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    double* crow = c.row(i);
-    for (int j = 0; j < b.rows(); ++j) {
-      const double* brow = b.row(j);
-      double s = 0.0;
-      for (int k = 0; k < a.cols(); ++k) s += arow[k] * brow[k];
-      crow[j] = s;
-    }
-  }
-  return c;
+  c.resize(a.rows(), b.rows());
+  kernels().dgemm_nt(a.rows(), a.cols(), b.rows(), a.data().data(), a.cols(), b.data().data(),
+                     b.cols(), c.data().data(), c.cols());
 }
 
 namespace {
@@ -82,13 +63,6 @@ void check_same(const Mat& a, const Mat& b) {
     throw std::invalid_argument("elementwise shape mismatch");
 }
 }  // namespace
-
-Mat add(const Mat& a, const Mat& b) {
-  check_same(a, b);
-  Mat c = a;
-  c.axpy(1.0, b);
-  return c;
-}
 
 Mat sub(const Mat& a, const Mat& b) {
   check_same(a, b);
@@ -111,26 +85,23 @@ Mat transpose(const Mat& a) {
   return t;
 }
 
-Mat softmax_rows(const Mat& a) {
-  Mat s(a.rows(), a.cols());
+void softmax_rows_inplace(Mat& a) {
   for (int i = 0; i < a.rows(); ++i) {
-    const double* in = a.row(i);
-    double* out = s.row(i);
-    double mx = in[0];
-    for (int j = 1; j < a.cols(); ++j) mx = std::max(mx, in[j]);
+    double* row = a.row(i);
+    double mx = row[0];
+    for (int j = 1; j < a.cols(); ++j) mx = std::max(mx, row[j]);
     double sum = 0.0;
     for (int j = 0; j < a.cols(); ++j) {
-      out[j] = std::exp(in[j] - mx);
-      sum += out[j];
+      row[j] = std::exp(row[j] - mx);
+      sum += row[j];
     }
-    for (int j = 0; j < a.cols(); ++j) out[j] /= sum;
+    for (int j = 0; j < a.cols(); ++j) row[j] /= sum;
   }
-  return s;
 }
 
-Mat softmax_rows_backward(const Mat& s, const Mat& ds) {
+void softmax_rows_backward(const Mat& s, const Mat& ds, Mat& dz) {
   check_same(s, ds);
-  Mat dz(s.rows(), s.cols());
+  dz.resize(s.rows(), s.cols());
   for (int i = 0; i < s.rows(); ++i) {
     const double* srow = s.row(i);
     const double* dsrow = ds.row(i);
@@ -139,7 +110,6 @@ Mat softmax_rows_backward(const Mat& s, const Mat& ds) {
     double* dzrow = dz.row(i);
     for (int j = 0; j < s.cols(); ++j) dzrow[j] = srow[j] * (dsrow[j] - dot);
   }
-  return dz;
 }
 
 void add_row_bias(Mat& a, const Mat& bias) {

@@ -5,6 +5,12 @@
 // cache-friendly double-precision matrix plus hand-written gradients is both
 // simpler and faster here than an autograd graph — and it keeps the library
 // dependency-free.
+//
+// The three products run on the double entries of the ml/kernels.hpp
+// dispatch table, which are bit-equal across SIMD levels: training results
+// do not depend on the CPU or on GNNMLS_SIMD. Each product writes a
+// caller-owned output, reusing its storage, so a training step that keeps
+// its buffers allocates nothing per op.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +38,9 @@ class Mat {
 
   void zero();
   void fill(double v);
+  // Reshapes to rows x cols, reusing the storage's capacity. Element values
+  // are unspecified until written: callers that accumulate zero() first.
+  void resize(int rows, int cols);
 
   // Xavier/Glorot uniform init, deterministic via rng.
   static Mat xavier(int rows, int cols, util::Rng& rng);
@@ -46,22 +55,21 @@ class Mat {
   std::vector<double> d_;
 };
 
-// C = A * B
-Mat matmul(const Mat& a, const Mat& b);
+// C = A * B. Each product resizes c, which must not alias a or b.
+void matmul(const Mat& a, const Mat& b, Mat& c);
 // C = A^T * B
-Mat matmul_tn(const Mat& a, const Mat& b);
+void matmul_tn(const Mat& a, const Mat& b, Mat& c);
 // C = A * B^T
-Mat matmul_nt(const Mat& a, const Mat& b);
+void matmul_nt(const Mat& a, const Mat& b, Mat& c);
 
-Mat add(const Mat& a, const Mat& b);
 Mat sub(const Mat& a, const Mat& b);
 Mat hadamard(const Mat& a, const Mat& b);
 Mat transpose(const Mat& a);
 
-// Row-wise softmax (in a new matrix).
-Mat softmax_rows(const Mat& a);
-// Given S = softmax_rows(Z) and dL/dS, returns dL/dZ.
-Mat softmax_rows_backward(const Mat& s, const Mat& ds);
+// Row-wise softmax, in place.
+void softmax_rows_inplace(Mat& a);
+// Given S = softmax_rows_inplace(Z) and dL/dS, writes dL/dZ into dz.
+void softmax_rows_backward(const Mat& s, const Mat& ds, Mat& dz);
 
 // Adds `bias` (1 x cols) to every row.
 void add_row_bias(Mat& a, const Mat& bias);

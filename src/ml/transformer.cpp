@@ -22,37 +22,56 @@ GraphTransformer::GraphTransformer(const TransformerConfig& config, util::Rng& r
     b.ln1 = std::make_unique<LayerNorm>(config.dim);
     b.attn = std::make_unique<MultiHeadAttention>(config.dim, config.heads, rng);
     b.ln2 = std::make_unique<LayerNorm>(config.dim);
-    b.ffn = std::make_unique<FeedForward>(config.dim, config.ffn_hidden, rng);
+    b.ffn = std::make_unique<FeedForward>(config.dim, config.ffn_hidden, config.dim, rng);
     blocks_.push_back(std::move(b));
   }
   final_ln_ = std::make_unique<LayerNorm>(config.dim);
 }
 
-Mat GraphTransformer::forward(const Mat& x, const Mat& adj) {
+void GraphTransformer::forward(const Mat& x, const Mat& adj, Cache& c, Mat& out) const {
   if (x.rows() > config_.max_len)
     throw std::invalid_argument("path longer than positional table");
-  Mat h = input_proj_->forward(x);
+  Mat& h = c.h;
+  input_proj_->forward(x, c.input, h);
   for (int i = 0; i < h.rows(); ++i)
     for (int j = 0; j < h.cols(); ++j) h.at(i, j) += pos_table_.at(i, j);
-  for (Block& b : blocks_) {
+  c.blocks.resize(blocks_.size());
+  for (std::size_t l = 0; l < blocks_.size(); ++l) {
+    const Block& b = blocks_[l];
+    BlockCache& bc = c.blocks[l];
     // Pre-LN residual blocks: h += Attn(LN(h)); h += FFN(LN(h)).
-    h = add(h, b.attn->forward(b.ln1->forward(h), adj));
-    h = add(h, b.ffn->forward(b.ln2->forward(h)));
+    b.ln1->forward(h, bc.ln1, c.normed);
+    b.attn->forward(c.normed, adj, bc.attn, c.sub);
+    h.axpy(1.0, c.sub);
+    b.ln2->forward(h, bc.ln2, c.normed);
+    b.ffn->forward(c.normed, bc.ffn, c.sub);
+    h.axpy(1.0, c.sub);
   }
-  return final_ln_->forward(h);
+  final_ln_->forward(h, c.final_ln, out);
 }
 
-Mat GraphTransformer::backward(const Mat& dh_in) {
-  Mat dh = final_ln_->backward(dh_in);
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
+Mat GraphTransformer::forward(const Mat& x, const Mat& adj) const {
+  Cache cache;
+  Mat out;
+  forward(x, adj, cache, out);
+  return out;
+}
+
+void GraphTransformer::backward(const Mat& dh_in, const Cache& c, Mat& dx) {
+  final_ln_->backward(dh_in, c.final_ln, dh_);
+  for (std::size_t l = blocks_.size(); l-- > 0;) {
+    Block& b = blocks_[l];
+    const BlockCache& bc = c.blocks[l];
     // Residual: dh flows both straight through and into the sublayer.
-    Mat d_ffn = it->ln2->backward(it->ffn->backward(dh));
-    dh = add(dh, d_ffn);
-    Mat d_attn = it->ln1->backward(it->attn->backward(dh));
-    dh = add(dh, d_attn);
+    b.ffn->backward(dh_, bc.ffn, dnormed_);
+    b.ln2->backward(dnormed_, bc.ln2, dsub_);
+    dh_.axpy(1.0, dsub_);
+    b.attn->backward(dh_, bc.attn, dnormed_);
+    b.ln1->backward(dnormed_, bc.ln1, dsub_);
+    dh_.axpy(1.0, dsub_);
   }
   // Positional table is fixed (sinusoidal), no grads.
-  return input_proj_->backward(dh);
+  input_proj_->backward(dh_, c.input, dx);
 }
 
 std::vector<Param*> GraphTransformer::params() {

@@ -6,6 +6,10 @@
 // layers, each with three-head self-attention carrying an additive
 // adjacency bias (the "graph" part) and a feed-forward block, and a final
 // layer norm. Output is one embedding per path stage.
+//
+// forward() records its activations in a caller-owned Cache and backward()
+// replays one; a trainer keeps a cache per pass it backpropagates and reuses
+// them across graphs, so a training step allocates nothing per op.
 #pragma once
 
 #include <memory>
@@ -26,12 +30,28 @@ struct TransformerConfig {
 
 class GraphTransformer : public Layer {
  public:
+  struct BlockCache {
+    LayerNorm::Cache ln1;
+    MultiHeadAttention::Cache attn;
+    LayerNorm::Cache ln2;
+    FeedForward::Cache ffn;
+  };
+  struct Cache {
+    Linear::Cache input;
+    std::vector<BlockCache> blocks;
+    LayerNorm::Cache final_ln;
+    Mat h, normed, sub;  // residual stream; a sublayer's input and output
+  };
+
   GraphTransformer(const TransformerConfig& config, util::Rng& rng);
 
-  // x: [n x input_features], adj: [n x n] (or empty). Returns [n x dim].
-  Mat forward(const Mat& x, const Mat& adj);
-  // dh: [n x dim]; accumulates parameter grads, returns dL/dx (rarely used).
-  Mat backward(const Mat& dh);
+  // x: [n x input_features], adj: [n x n] (or empty); out: [n x dim].
+  void forward(const Mat& x, const Mat& adj, Cache& cache, Mat& out) const;
+  // One-off forward with a throwaway cache (inference, tests).
+  Mat forward(const Mat& x, const Mat& adj) const;
+  // dh: [n x dim] against the cache of the forward it differentiates;
+  // accumulates parameter grads and writes dL/dx (rarely used) into dx.
+  void backward(const Mat& dh, const Cache& cache, Mat& dx);
 
   std::vector<Param*> params() override;
   const TransformerConfig& config() const { return config_; }
@@ -68,6 +88,7 @@ class GraphTransformer : public Layer {
   Mat pos_table_;  // max_len x dim, sinusoidal
   std::vector<Block> blocks_;
   std::unique_ptr<LayerNorm> final_ln_;
+  Mat dh_, dnormed_, dsub_;  // backward scratch
 };
 
 }  // namespace gnnmls::ml

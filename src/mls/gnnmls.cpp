@@ -41,6 +41,7 @@ ml::PathGraph GnnMlsEngine::normalized(const ml::PathGraph& raw) const {
 }
 
 std::vector<double> GnnMlsEngine::pretrain(std::span<const ml::PathGraph> unlabeled) {
+  GNNMLS_SPAN("ml.dgi.pretrain");  // the scaler fit and normalization too
   scaler_.fit(unlabeled);
   std::vector<ml::PathGraph> normed;
   normed.reserve(unlabeled.size());
@@ -58,6 +59,7 @@ std::vector<double> GnnMlsEngine::pretrain(std::span<const ml::PathGraph> unlabe
 TrainReport GnnMlsEngine::fine_tune(std::span<const ml::PathGraph> labeled,
                                     double val_fraction) {
   const auto t0 = std::chrono::steady_clock::now();
+  GNNMLS_SPAN("ml.fine_tune");  // normalization and evaluation too
   TrainReport report;
   std::vector<ml::PathGraph> normed;
   normed.reserve(labeled.size());
@@ -70,7 +72,7 @@ TrainReport GnnMlsEngine::fine_tune(std::span<const ml::PathGraph> labeled,
   for (std::size_t i : val_idx) val_set.push_back(normed[i]);
 
   report.fine_tune_loss =
-      ml::fine_tune(*encoder_, *head_, train_set, config_.fine_tune, rng_);
+      ml::fine_tune(*encoder_, *head_, train_set, config_.fine_tune);
   infer_dirty_ = true;
   weights_version_ = next_weights_version();
   // Metrics at the canonical 0.5 threshold; the decision stage separately
@@ -88,8 +90,8 @@ std::vector<double> GnnMlsEngine::predict(const ml::PathGraph& raw_graph) {
   // Normalize into a reusable scratch matrix: the hot path used to copy the
   // whole PathGraph (features, adjacency, labels, net ids) per call.
   scaler_.apply_into(raw_graph.x, predict_scratch_);
-  ml::Mat h = encoder_->forward(predict_scratch_, raw_graph.adj);
-  return head_->predict(h);
+  encoder_->forward(predict_scratch_, raw_graph.adj, predict_cache_, predict_h_);
+  return head_->predict(predict_h_);
 }
 
 ml::InferenceEngine& GnnMlsEngine::inference() {

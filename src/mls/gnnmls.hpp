@@ -107,7 +107,11 @@ class GnnMlsEngine {
   ml::FeatureScaler scaler_;
   bool pretrained_ = false;
   std::uint64_t weights_version_ = 0;
-  ml::Mat predict_scratch_;  // scalar-path normalize buffer (no graph copies)
+  // Scalar-path buffers, reused across predict() calls: the normalized
+  // features, the encoder's activations and its embeddings.
+  ml::Mat predict_scratch_;
+  ml::GraphTransformer::Cache predict_cache_;
+  ml::Mat predict_h_;
   std::unique_ptr<ml::InferenceEngine> infer_;
   bool infer_dirty_ = false;  // training moved weights since the last sync
 };

@@ -1,7 +1,8 @@
 // Batched SIMD inference engine properties (ml/engine.hpp):
-//   * kernel parity — every AVX2 kernel matches its scalar reference on
-//     random inputs within float32 tolerance, including both GEMM
-//     accumulate modes and the fused attention kernel;
+//   * kernel parity — every float AVX2 kernel matches its scalar reference
+//     on random inputs within float32 tolerance, including both GEMM
+//     accumulate modes and the fused attention kernel; the double GEMMs and
+//     the Adam update are bit-equal to theirs;
 //   * ragged packing — pack() lays graphs back to back with exact offsets
 //     and scaler-normalized features, and graph_fingerprint() keys on
 //     content (features, adjacency, net ids, shape, tag);
@@ -15,8 +16,11 @@
 //     the cold twin's PPA row bit for bit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "ml/batcher.hpp"
@@ -141,6 +145,85 @@ TEST_F(KernelParity, FusedAttention) {
   vx.attention(kN, kD, kHeads, q, q + kD, q + 2 * kD, kStride, adj.data(), kN,
                edge_bias.data(), scale, ws.data(), o2.data(), kD);
   expect_close(o1, o2, 1e-4f);
+}
+
+// ---- double kernels: bit-equal, not just close ------------------------------
+
+// Uniform in [-1, 1] with zeros and negative zeros mixed in.
+std::vector<double> random_f64(std::size_t count, util::Rng& rng) {
+  std::vector<double> out(count);
+  for (double& v : out) {
+    const double r = rng.uniform(0.0, 1.0);
+    v = r < 0.15 ? 0.0 : r < 0.2 ? -0.0 : rng.uniform(-1.0, 1.0);
+  }
+  return out;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(KernelParity, DoubleGemmsAreBitEqual) {
+  // Ragged shapes, row strides wider than the rows, an all-zero row of A and
+  // (in every third case) an infinity in B, which the zero-skipping products
+  // must keep out of the rows whose A entry is zero.
+  std::vector<std::array<int, 3>> shapes = {{1, 1, 1},   {50, 50, 50}, {11, 16, 11}, {16, 48, 48},
+                                            {11, 48, 96}, {48, 11, 48}, {3, 17, 5},  {13, 50, 49}};
+  const auto dim = [&] { return 1 + static_cast<int>(rng.below(50)); };
+  for (int t = 0; t < 120; ++t) shapes.push_back({dim(), dim(), dim()});
+  int case_id = 0;
+  for (const auto& [m, k, n] : shapes) {
+    const int pad = case_id % 2 == 0 ? 0 : 3;
+    const bool with_inf = case_id % 3 == 0;
+    ++case_id;
+    // nn: A is m x k; tn: A is k x m; nt: B is n x k.
+    const int lda_nn = k + pad, lda_tn = m + pad, ldb = n + pad, ldb_nt = k + pad, ldc = n + pad;
+    std::vector<double> a_nn = random_f64(static_cast<std::size_t>(m) * lda_nn, rng);
+    std::vector<double> a_tn = random_f64(static_cast<std::size_t>(k) * lda_tn, rng);
+    std::vector<double> b = random_f64(static_cast<std::size_t>(k) * ldb, rng);
+    std::vector<double> b_nt = random_f64(static_cast<std::size_t>(n) * ldb_nt, rng);
+    for (int kk = 0; kk < k; ++kk) a_nn[static_cast<std::size_t>(m / 2) * lda_nn + kk] = 0.0;
+    for (int i = 0; i < m; ++i) a_tn[static_cast<std::size_t>(k / 2) * lda_tn + i] = 0.0;
+    if (with_inf) b[static_cast<std::size_t>(k / 2) * ldb] = std::numeric_limits<double>::infinity();
+    const std::size_t c_size = static_cast<std::size_t>(m) * ldc;
+
+    std::vector<double> c1(c_size, 7.0), c2(c_size, 7.0);
+    sc.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c1.data(), ldc);
+    vx.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c2.data(), ldc);
+    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm " << m << "x" << k << "x" << n;
+
+    c1.assign(c_size, 7.0);
+    c2.assign(c_size, 7.0);
+    sc.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c1.data(), ldc);
+    vx.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c2.data(), ldc);
+    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_tn " << m << "x" << k << "x" << n;
+
+    c1.assign(c_size, 7.0);
+    c2.assign(c_size, 7.0);
+    sc.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c1.data(), ldc);
+    vx.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c2.data(), ldc);
+    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_nt " << m << "x" << k << "x" << n;
+  }
+}
+
+TEST_F(KernelParity, AdamUpdateIsBitEqual) {
+  for (const std::size_t count : {1u, 3u, 4u, 5u, 17u, 48u, 50u, 1003u}) {
+    for (const long t : {1L, 7L}) {
+      const ml::AdamStep step{1e-3, 0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, t),
+                              1.0 - std::pow(0.999, t)};
+      const std::vector<double> g = random_f64(count, rng);
+      std::vector<double> m1 = random_f64(count, rng);
+      std::vector<double> v1 = random_f64(count, rng);
+      for (double& v : v1) v = v * v;
+      std::vector<double> w1 = random_f64(count, rng);
+      std::vector<double> m2 = m1, v2 = v1, w2 = w1;
+      sc.adam(count, step, g.data(), m1.data(), v1.data(), w1.data());
+      vx.adam(count, step, g.data(), m2.data(), v2.data(), w2.data());
+      EXPECT_TRUE(bits_equal(m1, m2)) << "m, count " << count;
+      EXPECT_TRUE(bits_equal(v1, v2)) << "v, count " << count;
+      EXPECT_TRUE(bits_equal(w1, w2)) << "w, count " << count;
+    }
+  }
 }
 
 // ---- packing + fingerprints -------------------------------------------------

@@ -42,7 +42,9 @@ TEST(Linear, ForwardMatchesManual) {
   Mat x(1, 2);
   x.at(0, 0) = 1.0;
   x.at(0, 1) = 2.0;
-  const Mat y = fc.forward(x);
+  Linear::Cache cache;
+  Mat y;
+  fc.forward(x, cache, y);
   Param* w = fc.params()[0];
   Param* b = fc.params()[1];
   EXPECT_NEAR(y.at(0, 0), w->value.at(0, 0) + 2.0 * w->value.at(1, 0) + b->value.at(0, 0), 1e-12);
@@ -54,9 +56,11 @@ TEST(Linear, GradCheck) {
   const Mat x = Mat::xavier(5, 4, rng);
   const Mat probe = Mat::xavier(5, 3, rng);
   fc.zero_grad();
-  fc.forward(x);
-  const Mat dx = fc.backward(probe);
-  check_input_grad([&](const Mat& xi) { return fc.forward(xi); }, x, dx, probe);
+  Linear::Cache cache;
+  Mat y, dx;
+  fc.forward(x, cache, y);
+  fc.backward(probe, cache, dx);
+  check_input_grad([&](const Mat& xi) { fc.forward(xi, cache, y); return y; }, x, dx, probe);
 }
 
 TEST(Linear, WeightGradCheck) {
@@ -65,17 +69,23 @@ TEST(Linear, WeightGradCheck) {
   const Mat x = Mat::xavier(4, 3, rng);
   const Mat probe = Mat::xavier(4, 2, rng);
   fc.zero_grad();
-  fc.forward(x);
-  fc.backward(probe);
+  Linear::Cache cache;
+  Mat y, dx;
+  fc.forward(x, cache, y);
+  fc.backward(probe, cache, dx);
+  const auto fwd = [&] {
+    fc.forward(x, cache, y);
+    return y;
+  };
   Param* w = fc.params()[0];
   const double eps = 1e-6;
   for (int i = 0; i < w->value.rows(); ++i) {
     for (int j = 0; j < w->value.cols(); ++j) {
       const double save = w->value.at(i, j);
       w->value.at(i, j) = save + eps;
-      const double lp = probe_loss(fc.forward(x), probe);
+      const double lp = probe_loss(fwd(), probe);
       w->value.at(i, j) = save - eps;
-      const double lm = probe_loss(fc.forward(x), probe);
+      const double lm = probe_loss(fwd(), probe);
       w->value.at(i, j) = save;
       EXPECT_NEAR(w->grad.at(i, j), (lp - lm) / (2.0 * eps), 2e-5);
     }
@@ -83,16 +93,17 @@ TEST(Linear, WeightGradCheck) {
 }
 
 TEST(ReLU, ForwardAndBackward) {
-  ReLU relu;
   Mat x(1, 4);
   double v[] = {-1.0, 0.0, 0.5, 2.0};
   x.data().assign(v, v + 4);
-  const Mat y = relu.forward(x);
+  Mat y;
+  ReLU::forward(x, y);
   EXPECT_DOUBLE_EQ(y.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y.at(0, 3), 2.0);
   Mat dy(1, 4);
   dy.fill(1.0);
-  const Mat dx = relu.backward(dy);
+  Mat dx;
+  ReLU::backward(dy, y, dx);
   EXPECT_DOUBLE_EQ(dx.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(dx.at(0, 2), 1.0);
 }
@@ -101,7 +112,9 @@ TEST(LayerNorm, NormalizesRows) {
   Rng rng(4);
   LayerNorm ln(8);
   const Mat x = Mat::xavier(3, 8, rng);
-  const Mat y = ln.forward(x);
+  LayerNorm::Cache cache;
+  Mat y;
+  ln.forward(x, cache, y);
   for (int i = 0; i < y.rows(); ++i) {
     double mean = 0.0, var = 0.0;
     for (int j = 0; j < 8; ++j) mean += y.at(i, j);
@@ -119,9 +132,12 @@ TEST(LayerNorm, GradCheck) {
   const Mat x = Mat::xavier(4, 6, rng);
   const Mat probe = Mat::xavier(4, 6, rng);
   ln.zero_grad();
-  ln.forward(x);
-  const Mat dx = ln.backward(probe);
-  check_input_grad([&](const Mat& xi) { return ln.forward(xi); }, x, dx, probe, 5e-5);
+  LayerNorm::Cache cache;
+  Mat y, dx;
+  ln.forward(x, cache, y);
+  ln.backward(probe, cache, dx);
+  check_input_grad([&](const Mat& xi) { ln.forward(xi, cache, y); return y; }, x, dx, probe,
+                   5e-5);
 }
 
 TEST(Attention, OutputShapeAndGradCheck) {
@@ -135,11 +151,14 @@ TEST(Attention, OutputShapeAndGradCheck) {
   }
   const Mat probe = Mat::xavier(5, 12, rng);
   attn.zero_grad();
-  const Mat y = attn.forward(x, adj);
+  MultiHeadAttention::Cache cache;
+  Mat y, dx;
+  attn.forward(x, adj, cache, y);
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 12);
-  const Mat dx = attn.backward(probe);
-  check_input_grad([&](const Mat& xi) { return attn.forward(xi, adj); }, x, dx, probe, 5e-5);
+  attn.backward(probe, cache, dx);
+  check_input_grad([&](const Mat& xi) { attn.forward(xi, adj, cache, y); return y; }, x, dx,
+                   probe, 5e-5);
 }
 
 TEST(Attention, AdjacencyBiasChangesOutput) {
@@ -149,8 +168,10 @@ TEST(Attention, AdjacencyBiasChangesOutput) {
   const Mat none;
   Mat chain(4, 4);
   for (int i = 0; i + 1 < 4; ++i) chain.at(i, i + 1) = chain.at(i + 1, i) = 1.0;
-  const Mat y0 = attn.forward(x, none);
-  const Mat y1 = attn.forward(x, chain);
+  MultiHeadAttention::Cache cache;
+  Mat y0, y1;
+  attn.forward(x, none, cache, y0);
+  attn.forward(x, chain, cache, y1);
   double diff = 0.0;
   for (std::size_t i = 0; i < y0.data().size(); ++i) diff += std::abs(y0.data()[i] - y1.data()[i]);
   EXPECT_GT(diff, 1e-6);
@@ -163,13 +184,16 @@ TEST(Attention, RejectsIndivisibleHeads) {
 
 TEST(FeedForward, GradCheck) {
   Rng rng(9);
-  FeedForward ffn(6, 12, rng);
+  FeedForward ffn(6, 12, 6, rng);
   const Mat x = Mat::xavier(3, 6, rng);
   const Mat probe = Mat::xavier(3, 6, rng);
   ffn.zero_grad();
-  ffn.forward(x);
-  const Mat dx = ffn.backward(probe);
-  check_input_grad([&](const Mat& xi) { return ffn.forward(xi); }, x, dx, probe, 5e-5);
+  FeedForward::Cache cache;
+  Mat y, dx;
+  ffn.forward(x, cache, y);
+  ffn.backward(probe, cache, dx);
+  check_input_grad([&](const Mat& xi) { ffn.forward(xi, cache, y); return y; }, x, dx, probe,
+                   5e-5);
 }
 
 TEST(Transformer, EndToEndGradCheck) {
@@ -186,8 +210,10 @@ TEST(Transformer, EndToEndGradCheck) {
   for (int i = 0; i + 1 < 4; ++i) adj.at(i, i + 1) = adj.at(i + 1, i) = 1.0;
   const Mat probe = Mat::xavier(4, 12, rng);
   enc.zero_grad();
-  enc.forward(x, adj);
-  const Mat dx = enc.backward(probe);
+  GraphTransformer::Cache cache;
+  Mat h, dx;
+  enc.forward(x, adj, cache, h);
+  enc.backward(probe, cache, dx);
   check_input_grad([&](const Mat& xi) { return enc.forward(xi, adj); }, x, dx, probe, 2e-4);
 }
 

@@ -25,7 +25,8 @@ TEST(Mat, Matmul) {
   double av[] = {1, 2, 3, 4, 5, 6}, bv[] = {7, 8, 9, 10, 11, 12};
   a.data().assign(av, av + 6);
   b.data().assign(bv, bv + 6);
-  const Mat c = matmul(a, b);
+  Mat c;
+  matmul(a, b, c);
   EXPECT_DOUBLE_EQ(c.at(0, 0), 58.0);
   EXPECT_DOUBLE_EQ(c.at(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c.at(1, 0), 139.0);
@@ -33,7 +34,8 @@ TEST(Mat, Matmul) {
 }
 
 TEST(Mat, MatmulShapeChecked) {
-  EXPECT_THROW(matmul(Mat(2, 3), Mat(2, 3)), std::invalid_argument);
+  Mat c;
+  EXPECT_THROW(matmul(Mat(2, 3), Mat(2, 3), c), std::invalid_argument);
 }
 
 TEST(Mat, TransposedVariantsAgree) {
@@ -41,14 +43,16 @@ TEST(Mat, TransposedVariantsAgree) {
   const Mat a = Mat::xavier(4, 5, rng);
   const Mat b = Mat::xavier(4, 6, rng);
   // A^T B via matmul_tn == transpose(A) * B.
-  const Mat tn = matmul_tn(a, b);
-  const Mat ref = matmul(transpose(a), b);
+  Mat tn, ref;
+  matmul_tn(a, b, tn);
+  matmul(transpose(a), b, ref);
   for (int i = 0; i < tn.rows(); ++i)
     for (int j = 0; j < tn.cols(); ++j) EXPECT_NEAR(tn.at(i, j), ref.at(i, j), 1e-12);
   // A B^T via matmul_nt.
   const Mat c = Mat::xavier(7, 5, rng);
-  const Mat nt = matmul_nt(a, c);
-  const Mat ref2 = matmul(a, transpose(c));
+  Mat nt, ref2;
+  matmul_nt(a, c, nt);
+  matmul(a, transpose(c), ref2);
   for (int i = 0; i < nt.rows(); ++i)
     for (int j = 0; j < nt.cols(); ++j) EXPECT_NEAR(nt.at(i, j), ref2.at(i, j), 1e-12);
 }
@@ -58,15 +62,16 @@ TEST(Mat, ElementwiseOps) {
   double av[] = {1, 2, 3}, bv[] = {4, 5, 6};
   a.data().assign(av, av + 3);
   b.data().assign(bv, bv + 3);
-  EXPECT_DOUBLE_EQ(add(a, b).at(0, 1), 7.0);
   EXPECT_DOUBLE_EQ(sub(b, a).at(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(hadamard(a, b).at(0, 0), 4.0);
+  a.axpy(1.0, b);
+  EXPECT_DOUBLE_EQ(a.at(0, 1), 7.0);
 }
 
 TEST(Mat, SoftmaxRowsSumToOne) {
   Rng rng(5);
-  const Mat z = Mat::xavier(6, 9, rng);
-  const Mat s = softmax_rows(z);
+  Mat s = Mat::xavier(6, 9, rng);
+  softmax_rows_inplace(s);
   for (int i = 0; i < s.rows(); ++i) {
     double sum = 0.0;
     for (int j = 0; j < s.cols(); ++j) {
@@ -78,11 +83,11 @@ TEST(Mat, SoftmaxRowsSumToOne) {
 }
 
 TEST(Mat, SoftmaxStableForLargeLogits) {
-  Mat z(1, 3);
-  z.at(0, 0) = 1000.0;
-  z.at(0, 1) = 999.0;
-  z.at(0, 2) = -1000.0;
-  const Mat s = softmax_rows(z);
+  Mat s(1, 3);
+  s.at(0, 0) = 1000.0;
+  s.at(0, 1) = 999.0;
+  s.at(0, 2) = -1000.0;
+  softmax_rows_inplace(s);
   EXPECT_TRUE(std::isfinite(s.at(0, 0)));
   EXPECT_GT(s.at(0, 0), s.at(0, 1));
   EXPECT_NEAR(s.at(0, 2), 0.0, 1e-12);
@@ -91,16 +96,18 @@ TEST(Mat, SoftmaxStableForLargeLogits) {
 // Finite-difference check of the softmax backward pass.
 TEST(Mat, SoftmaxBackwardMatchesFiniteDifference) {
   Rng rng(7);
-  Mat z = Mat::xavier(2, 5, rng);
+  const Mat z = Mat::xavier(2, 5, rng);
   const Mat ds = Mat::xavier(2, 5, rng);
-  const Mat s = softmax_rows(z);
-  const Mat dz = softmax_rows_backward(s, ds);
+  Mat s = z;
+  softmax_rows_inplace(s);
+  Mat dz;
+  softmax_rows_backward(s, ds, dz);
   const double eps = 1e-6;
   for (int i = 0; i < 2; ++i) {
     for (int j = 0; j < 5; ++j) {
-      Mat zp = z;
-      zp.at(i, j) += eps;
-      const Mat sp = softmax_rows(zp);
+      Mat sp = z;
+      sp.at(i, j) += eps;
+      softmax_rows_inplace(sp);
       double fd = 0.0;
       for (int k = 0; k < 5; ++k) fd += (sp.at(i, k) - s.at(i, k)) / eps * ds.at(i, k);
       EXPECT_NEAR(dz.at(i, j), fd, 1e-5);

@@ -1,10 +1,16 @@
 // Tests for the training machinery: DGI pretraining, MLP fine-tuning, and
-// the dataset utilities. These are learning tests — they check that the
+// the dataset utilities. Most are learning tests — they check that the
 // losses go down and that the model separates a learnable synthetic signal.
+// TrainingGolden pins one small real run to its exact bits.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "core/fingerprint.hpp"
 #include "ml/dgi.hpp"
 #include "ml/mlp.hpp"
+#include "mls/flow.hpp"
+#include "netlist/generators.hpp"
 
 namespace {
 
@@ -159,7 +165,7 @@ TEST(FineTune, LearnsSyntheticRule) {
   FineTuneConfig cfg;
   cfg.epochs = 60;
   cfg.lr = 5e-3;
-  const auto losses = fine_tune(enc, head, corpus, cfg, rng);
+  const auto losses = fine_tune(enc, head, corpus, cfg);
   EXPECT_LT(losses.back(), losses.front() * 0.8);
   const auto metrics = evaluate(enc, head, corpus);
   EXPECT_GT(metrics.accuracy, 0.85);
@@ -173,7 +179,7 @@ TEST(FineTune, SkipsUnlabeledGraphs) {
   auto corpus = synthetic_corpus(10, 6, rng, false);  // all unknown
   FineTuneConfig cfg;
   cfg.epochs = 3;
-  const auto losses = fine_tune(enc, head, corpus, cfg, rng);
+  const auto losses = fine_tune(enc, head, corpus, cfg);
   for (double l : losses) EXPECT_EQ(l, 0.0);
 }
 
@@ -203,6 +209,76 @@ TEST(MlpHead, PositiveWeightSkewsGradient) {
   EXPECT_GT(ln, 0.0);
   // Positive label with weight 3 produces a proportionally larger loss than
   // the same prediction error unweighted. (Sanity of the weighting path.)
+}
+
+// ---- Golden bit-exactness pin ------------------------------------------------
+//
+// The double-precision training stack is deterministic down to the bit: the
+// GEMM and Adam kernels give the same IEEE mul-then-add sequence at every
+// SIMD level. This test pins one small end-to-end run (the MAERI-16 labeled
+// corpus, 2 DGI epochs, 3 fine-tune epochs) to exact values. A change that
+// moves any of them changes what training computes; re-pin it on purpose and
+// say so in CHANGES.md.
+
+std::uint64_t hash_params(const std::vector<Param*>& params, std::uint64_t seed) {
+  gnnmls::core::Fnv1a f;
+  f.mix(seed);
+  for (const Param* p : params)
+    for (const double v : p->value.data()) f.mix_double(v);
+  return f.value();
+}
+
+TEST(TrainingGolden, Maeri16RunIsBitIdentical) {
+  gnnmls::mls::FlowConfig flow_cfg;
+  flow_cfg.heterogeneous = true;
+  flow_cfg.run_pdn = false;
+  gnnmls::mls::DesignFlow flow(gnnmls::netlist::make_maeri_16pe(), flow_cfg);
+  flow.evaluate_no_mls();
+  gnnmls::mls::CorpusOptions co;
+  co.max_paths = 60;
+  co.include_near_critical = true;
+  co.attach_labels = true;
+  std::vector<PathGraph> corpus = flow.corpus(co).graphs;
+  ASSERT_FALSE(corpus.empty());
+  FeatureScaler scaler;
+  scaler.fit(corpus);
+  for (PathGraph& g : corpus) scaler.apply(g);
+
+  Rng rng(42);
+  GraphTransformer enc(TransformerConfig{}, rng);
+  MlpHead head(enc.config().dim, 24, rng);
+  DgiTrainer dgi(enc, rng);
+  const std::vector<double> dgi_loss = dgi.pretrain(corpus, DgiConfig{2, 1e-3}, rng);
+
+  std::vector<std::size_t> train_idx, val_idx;
+  train_val_split(corpus.size(), 0.2, rng, train_idx, val_idx);
+  std::vector<PathGraph> train_set, val_set;
+  for (std::size_t i : train_idx) train_set.push_back(corpus[i]);
+  for (std::size_t i : val_idx) val_set.push_back(corpus[i]);
+  FineTuneConfig ft;
+  ft.epochs = 3;
+  fine_tune(enc, head, train_set, ft);
+  const gnnmls::util::BinaryMetrics val = evaluate(enc, head, val_set);
+
+  std::vector<Param*> all = enc.params();
+  all.push_back(&dgi.discriminator());
+  for (Param* p : head.params()) all.push_back(p);
+  const std::uint64_t weights = hash_params(all, corpus.size());
+
+  std::printf("golden: corpus=%zu dgi_loss=%.17g,%.17g weights=0x%016llx "
+              "val=%.17g,%.17g,%.17g,%.17g\n",
+              corpus.size(), dgi_loss[0], dgi_loss[1],
+              static_cast<unsigned long long>(weights), val.accuracy, val.precision, val.recall,
+              val.f1);
+  ASSERT_EQ(dgi_loss.size(), 2u);
+  EXPECT_EQ(corpus.size(), 60u);
+  EXPECT_EQ(dgi_loss[0], 1.7137832680114087);
+  EXPECT_EQ(dgi_loss[1], 1.4068654518497807);
+  EXPECT_EQ(weights, 0x276551e140c94a7fULL);
+  EXPECT_EQ(val.accuracy, 0.90566037735849059);
+  EXPECT_EQ(val.precision, 0.90000000000000002);
+  EXPECT_EQ(val.recall, 0.39130434782608697);
+  EXPECT_EQ(val.f1, 0.54545454545454541);
 }
 
 }  // namespace
