@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <string>
 
 #include "dft/faults.hpp"
 #include "ml/dgi.hpp"
@@ -53,13 +52,10 @@ void BM_RouteAll(benchmark::State& st) {
 }
 BENCHMARK(BM_RouteAll)->Unit(benchmark::kMillisecond);
 
-// The routing engine's thread sweep: ci.sh's perf-smoke reads these rows out
-// of BENCH_routing.json and gates (a) the 4-thread nets/s win over 1 thread
-// (hosts with >= 4 cores) and (b) identical final overflow at every thread
-// count.
+// The negotiated engine on a fresh router: ci.sh's perf-smoke keeps the row
+// in BENCH_routing.json for its nets/s and its final overflow (ROADMAP
+// item 2 gates the maeri16 overflow).
 void BM_RouteNegotiated(benchmark::State& st) {
-  const std::string threads = std::to_string(st.range(0));
-  ::setenv("GNNMLS_THREADS", threads.c_str(), 1);
   auto& f = *state().flow;
   route::Router router(f.design(), f.tech());
   std::size_t overflow = 0;
@@ -68,14 +64,12 @@ void BM_RouteNegotiated(benchmark::State& st) {
     overflow = rs.census.overflow_gcells + rs.census.f2f_overflow_gcells;
     benchmark::ClobberMemory();
   }
-  ::unsetenv("GNNMLS_THREADS");
   st.counters["nets/s"] = benchmark::Counter(
       static_cast<double>(f.design().nl.num_nets()) * static_cast<double>(st.iterations()),
       benchmark::Counter::kIsRate);
   st.counters["overflow"] = static_cast<double>(overflow);
-  st.counters["threads"] = static_cast<double>(st.range(0));
 }
-BENCHMARK(BM_RouteNegotiated)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteNegotiated)->Unit(benchmark::kMillisecond);
 
 void BM_StaFullRun(benchmark::State& st) {
   auto& f = *state().flow;
@@ -379,26 +373,6 @@ void BM_PassSkip(benchmark::State& st) {
 }
 BENCHMARK(BM_PassSkip)->Unit(benchmark::kMicrosecond);
 
-// Pre-bond fault simulation as a pass, to give the executor a second
-// compute-heavy unit that is independent of the PDN solve (reads
-// netlist+test, writes nothing — no stage conflict with pdn's
-// netlist+routes → pdn). The tick feeds the skip fingerprint so the
-// manager re-runs it every iteration instead of ledger-skipping a pure
-// reader whose inputs never change.
-struct FaultSimPass : flow::Pass {
-  std::uint64_t tick = 0;
-  const char* name() const override { return "faultsim"; }
-  std::vector<core::Stage> reads() const override {
-    return {core::Stage::kNetlist, core::Stage::kTest};
-  }
-  std::vector<core::Stage> writes() const override { return {}; }
-  std::uint64_t fingerprint() const override { return tick; }
-  void run(flow::PassContext& ctx) override {
-    dft::FaultSimulator sim(ctx.db.design().nl, *ctx.db.test_model(), dft::FaultSimOptions{});
-    benchmark::DoNotOptimize(sim.run());
-  }
-};
-
 // One IR-drop solve on the MAERI-128 memory tier's 88x88 PDN grid (7 um
 // pitch, U = 8%), fed the tier's routed power map: the per-tier cost of
 // synthesize_pdn, which solves once per tier and sizes U in closed form.
@@ -431,47 +405,6 @@ void BM_IrDropSolve(benchmark::State& st) {
   st.counters["max_drop_mv"] = r.max_drop_mv;
 }
 BENCHMARK(BM_IrDropSolve)->Unit(benchmark::kMillisecond);
-
-// One wave of independent passes (pdn ∥ dft fault sim, ~3ms and ~36ms on
-// the 128-PE design, so the fault sim bounds the wave) at 1 vs 4 executor
-// threads. The schedule and every result are bit-identical across thread
-// counts (test-enforced); this measures the wall-clock side of that bargain
-// — serial pays the sum, parallel pays the max (on a single-CPU host the
-// two time-slice and the Args read the same; the CPU-time column still
-// shows the split).
-void BM_FlowParallel(benchmark::State& st) {
-  static std::unique_ptr<mls::DesignFlow> flow = [] {
-    util::set_log_level(util::LogLevel::kError);
-    mls::FlowConfig cfg;
-    cfg.heterogeneous = true;
-    cfg.run_pdn = true;
-    auto f = std::make_unique<mls::DesignFlow>(netlist::make_maeri_128pe(), cfg);
-    // Routes + test model committed once; only pdn/faultsim re-run below.
-    f->evaluate_with_dft({}, mls::Strategy::kNone, dft::MlsDftStyle::kWireBased);
-    return f;
-  }();
-  pdn::PdnPass pdn_pass;
-  FaultSimPass faultsim;
-  flow::PassManager pm;
-  mls::FlowMetrics m;
-  flow::PassContext ctx{flow->db(), flow->config(), m};
-  const std::string threads = std::to_string(st.range(0));
-  ::setenv("GNNMLS_THREADS", threads.c_str(), 1);
-  double faultsim_s = 0.0;
-  for (auto _ : st) {
-    flow->db().invalidate(core::Stage::kPdn);
-    ++faultsim.tick;
-    m.pdn_s = 0.0;
-    const flow::RunReport& report = pm.run({&pdn_pass, &faultsim}, ctx);
-    faultsim_s = report.find("faultsim")->seconds;
-    benchmark::ClobberMemory();  // see BM_FlowStages: lvalue DoNotOptimize miscompiles
-  }
-  ::unsetenv("GNNMLS_THREADS");
-  st.counters["threads"] = static_cast<double>(st.range(0));
-  st.counters["pdn_s"] = m.pdn_s;
-  st.counters["faultsim_s"] = faultsim_s;
-}
-BENCHMARK(BM_FlowParallel)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_FlowDftStages(benchmark::State& st) {
   // The DFT flow mutates the netlist permanently, so each iteration gets a

@@ -50,7 +50,7 @@ int main() {
 
   // ECO: dirty a single net and re-evaluate. The pass manager sees only the
   // routes (and everything downstream of them) go stale, so the router takes
-  // the incremental path and the analysis passes re-run in one parallel wave
+  // the incremental path and the analysis passes re-run in one wave
   // — no full rebuild, identical code path to the cold run above.
   flow.db().touch_net(0);
   const mls::FlowMetrics eco = flow.evaluate_no_mls();

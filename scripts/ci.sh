@@ -149,30 +149,23 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
 # (Router::reroute_nets), the full STA run (TimingGraph::run), the
 # per-stage flow ledgers (BM_Flow*Stages/BM_DecideStage export
 # route_s/sta_s/... counters),
-# the scheduler's skip fast path (BM_PassSkip exports the skip rate),
-# the 1-vs-4-thread wave timings (BM_FlowParallel exports pdn_s/faultsim_s
-# per thread count) and one IR-drop solve on the MAERI-128 PDN grid
-# (BM_IrDropSolve), so BENCH_incremental.json carries stage times run over
+# the scheduler's skip fast path (BM_PassSkip exports the skip rate)
+# and one IR-drop solve on the MAERI-128 PDN grid (BM_IrDropSolve), so BENCH_incremental.json carries stage times run over
 # run; the gate is that the cases run to completion, the JSON is for trend
 # tracking.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_FlowParallel|BM_IrDropSolve|BM_AuditOverhead' \
+  --benchmark_filter='BM_RouteAll|BM_RerouteEco|BM_StaFullRun|BM_FlowStages|BM_FlowDftStages|BM_DecideStage|BM_PassSkip|BM_IrDropSolve|BM_AuditOverhead' \
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 
-echo "==> perf smoke: sharded negotiated routing thread sweep (BENCH_routing.json)"
-# BM_RouteNegotiated/{1,2,4} is the sharded three-phase engine under that
-# GNNMLS_THREADS count. It exports nets/s and the post-route overflow
-# census, so BENCH_routing.json carries quality next to throughput run over
-# run.
+echo "==> perf smoke: sharded negotiated routing (BENCH_routing.json)"
+# BM_RouteNegotiated is the sharded three-phase engine on a fresh router. It
+# exports nets/s and the post-route overflow census, so BENCH_routing.json
+# carries quality next to throughput run over run; no gate reads it.
 ./build/bench/bench_micro \
   --benchmark_filter='BM_RouteNegotiated' \
   --benchmark_out=BENCH_routing.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
-# Determinism + throughput gate, previously an inline python3 heredoc, now a
-# first-class subcommand (gnnmls_report check-routing) so the gate runs on
-# python-less runners and its logic is unit-testable C++.
-./build/tools/gnnmls_report check-routing BENCH_routing.json
 
 echo "==> perf smoke: ML engine and training (BENCH_ml.json)"
 # BM_DecideStage is the double-precision per-graph reference; Batched runs
@@ -245,26 +238,10 @@ fi
 rm -f LEDGER_base.jsonl LEDGER_regressed.jsonl
 echo "ledger gate OK"
 
-echo "==> determinism gate: state fingerprint identical across GNNMLS_THREADS=1/2/4"
-# End-to-end thread-sweep over the full flow (route -> STA -> power): the
-# sharded router speculates in parallel but commits serially in a fixed
-# order, so the DB fingerprint gnnmls_lint prints must not move with the
-# worker count. Any drift here is a scheduling leak into routing results.
-fp_sweep=""
-for t in 1 2 4; do
-  fp="$(GNNMLS_THREADS=${t} ./build/tools/gnnmls_lint --design maeri16 --strategy sota \
-        | grep '^state fingerprint: ')"
-  echo "GNNMLS_THREADS=${t}: ${fp}"
-  [[ -z "${fp_sweep}" ]] && fp_sweep="${fp}"
-  [[ "${fp}" == "${fp_sweep}" ]] \
-    || { echo "determinism gate FAILED: fingerprint moved at GNNMLS_THREADS=${t}"; exit 1; }
-done
-echo "determinism gate OK"
-
 echo "==> trace gate: traced lint run emits a loadable Chrome trace"
 GNNMLS_TRACE=trace_flow.json ./build/tools/gnnmls_lint --design maeri16 --profile
-# flow.wave is new in the span tree: every parallel pass span must nest under
-# it (cross-thread context propagation), so its presence is part of the gate.
+# flow.wave is the PassManager's per-wave span that every pass span nests
+# under (perfbench maps it), so its presence is part of the gate.
 ./build/tools/gnnmls_report check-trace trace_flow.json \
   --require flow.evaluate,flow.route,sta.run,flow.wave
 
@@ -287,26 +264,13 @@ if [[ "${FAST}" == "0" ]]; then
     echo "==> clang-tidy not installed; skipping the static-analysis sweep"
   fi
 
-  echo "==> tsan: -fsanitize=thread build + parallel-wave suites (build-tsan/)"
-  # Thread sanitizer over the code that actually runs multi-threaded: the
-  # pass-manager/executor suites, the fault-injection recovery loop, the
-  # access-audit recorder, and the sharded router's speculative edge tasks,
-  # each forced to 4 worker threads so waves really interleave, plus the
-  # chaos sweep end to end. (A full ctest run under TSan is ~10x wall
-  # clock; these binaries cover every concurrent path.)
+  echo "==> tsan: -fsanitize=thread build + the obs suite (build-tsan/)"
+  # The flow runs on one thread. The metrics registry, histograms, flight
+  # recorder and tracer stay thread-safe, and test_obs hammers them from
+  # concurrent writers: it is the only code run from several threads.
   cmake -B build-tsan -S . -DGNNMLS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan -j "${JOBS}" \
-    --target test_flow_passes test_ft test_audit test_route test_obs test_ml_engine \
-             gnnmls_lint
-  # test_obs carries the histogram/flight-recorder concurrent-writer hammers.
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_obs
-  # test_ml_engine drives the batched forward across Executor worker threads.
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_ml_engine
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_flow_passes
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_ft
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_audit
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 ./build-tsan/tests/test_route
-  TSAN_OPTIONS=halt_on_error=1 GNNMLS_THREADS=4 chaos_sweep ./build-tsan/tools/gnnmls_lint
+  cmake --build build-tsan -j "${JOBS}" --target test_obs
+  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 
   echo "==> sanitizers: ASan+UBSan build + full test suite (build-asan/)"
   cmake -B build-asan -S . -DGNNMLS_SANITIZE=address,undefined \

@@ -1,14 +1,15 @@
 // Contract audit (layer 2 of src/audit/): declared-vs-observed diffing.
 //
 // The PassManager, in GNNMLS_AUDIT=1 mode, binds one core::AccessRecorder
-// per pass execution; after the wave drains (success or failure — findings
+// per pass execution; after the wave ends (success or failure — findings
 // must survive a rolled-back wave) it calls diff_contract() to turn the
 // recorder's observation into structured ft::AuditViolation records.
 //
 // Rules:
 //   * undeclared write — observed write to a stage missing from writes().
-//     Breaks wave isolation AND rollback coverage: the stage is not in the
-//     wave's snapshot union, so a failed wave cannot restore it.
+//     Breaks scheduling AND rollback coverage: no reader is ordered after
+//     the write or re-run on it, and the stage is not in the wave's
+//     snapshot union, so a failed wave cannot restore it.
 //   * undeclared read — observed read of a stage missing from reads() and
 //     from writes(). A declared write subsumes the read (read-modify-write
 //     of your own stage is the normal commit pattern).

@@ -93,7 +93,7 @@ ScheduleAnalysis verify(const ScheduleModel& model,
         }
         report.add(rule("AU-001"), "wave " + std::to_string(w),
                    "passes " + pa.name + " and " + pb.name +
-                       " dispatch concurrently but conflict on {" + join(overlap) + "}");
+                       " share a wave but conflict on {" + join(overlap) + "}");
       }
   }
 

@@ -6,7 +6,7 @@
 // and, without running anything, proves or refutes the properties every
 // PassManager guarantee rests on:
 //
-//   AU-001 wave-conflict          two passes in one dispatch wave conflict
+//   AU-001 wave-conflict          two passes in one wave (snapshot unit) conflict
 //   AU-002 undriven-read          a read no earlier pass writes, no seed provides
 //   AU-003 unused-write           a written stage nothing downstream consumes
 //   AU-004 rollback-hole          a wave can modify a stage its snapshot misses

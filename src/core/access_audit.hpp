@@ -8,11 +8,10 @@
 // actual cost).
 //
 // In GNNMLS_AUDIT=1 mode the PassManager binds one AccessRecorder per pass
-// execution (AuditScope, on the executor thread running the pass) and, after
-// the wave drains, diffs what each pass actually touched against its
-// declared reads()/writes() sets. The recorder is deliberately per-thread
-// and lock-free: passes in a wave never share a recorder, so the audit
-// machinery cannot introduce the cross-thread coupling it exists to detect.
+// execution (AuditScope, around the pass body) and, after the wave ends,
+// diffs what each pass actually touched against its declared
+// reads()/writes() sets. Each pass execution has its own recorder, so one
+// pass's trace never mixes with another's.
 //
 // Netlist mutations are the one access the hooks cannot see (passes mutate
 // through the netlist reference returned by design(), not through DesignDB
@@ -60,9 +59,9 @@ class AccessRecorder {
 };
 
 namespace audit_detail {
-// The recorder the current thread feeds, or null (audit off / not a pass
-// thread). inline thread_local: one instance per thread across all TUs, and
-// the hooks below stay header-inline.
+// The recorder the hooks feed, or null (audit off / no pass running).
+// inline thread_local: one instance per thread across all TUs, and the hooks
+// below stay header-inline.
 inline thread_local AccessRecorder* tl_recorder = nullptr;
 }  // namespace audit_detail
 

@@ -40,7 +40,7 @@ std::uint64_t DesignDB::commit(Stage s) {
     throw std::logic_error("the netlist stage versions itself (mutation journal)");
   audit_note_write(s);
   StageTag& t = tags_[static_cast<std::size_t>(s)];
-  t.revision = counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+  t.revision = ++counter_;
   t.built_from = revision(upstream_of(s));
   if (s == Stage::kRoutes) {
     dirty_.clear();
@@ -48,50 +48,6 @@ std::uint64_t DesignDB::commit(Stage s) {
   }
   obs::FlightRecorder::instance().record(obs::EventKind::kCommit, to_string(s), t.revision);
   return t.revision;
-}
-
-void DesignDB::renumber_stages(std::span<const Stage> stages) {
-  // Stages from the wave that actually committed, in canonical enum order.
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    const Stage s = static_cast<Stage>(i);
-    if (s == Stage::kNetlist) continue;
-    if (tags_[i].revision == 0) continue;
-    if (std::find(stages.begin(), stages.end(), s) == stages.end()) continue;
-    idx.push_back(i);
-  }
-  if (idx.size() < 2) return;  // a single commit cannot permute
-
-  // The wave's revision values, detached from whichever completion order the
-  // executor threads happened to produce, reassigned ascending in stage
-  // order. The value *set* is unchanged, so the counter stays consistent.
-  std::vector<std::uint64_t> old_rev(kNumStages, 0);
-  std::vector<std::uint64_t> values;
-  values.reserve(idx.size());
-  for (const std::size_t i : idx) {
-    old_rev[i] = tags_[i].revision;
-    values.push_back(tags_[i].revision);
-  }
-  std::sort(values.begin(), values.end());
-  std::vector<std::uint64_t> new_rev(kNumStages, 0);
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    new_rev[idx[k]] = values[k];
-    tags_[idx[k]].revision = values[k];
-  }
-
-  // Patch built_from links that referenced a renumbered upstream by its old
-  // value — e.g. a pass committing placement then routes in the same wave.
-  // Revisions are globally unique (one counter), so an exact match on the
-  // old value is exactly an intra-wave dependency, never a coincidence.
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    const Stage s = static_cast<Stage>(i);
-    if (s == Stage::kNetlist || tags_[i].revision == 0) continue;
-    const Stage up = upstream_of(s);
-    if (up == s || up == Stage::kNetlist) continue;
-    const std::size_t u = static_cast<std::size_t>(up);
-    if (old_rev[u] != 0 && tags_[i].built_from == old_rev[u])
-      tags_[i].built_from = new_rev[u];
-  }
 }
 
 void DesignDB::invalidate(Stage s) {
@@ -283,25 +239,25 @@ void DesignDB::restore(const Snapshot& snap) {
   if (contains(stages, Stage::kPdn)) pdn_ = snap.pdn;
   if (contains(stages, Stage::kTest)) test_model_ = snap.test_model;
   // Any marker still set belongs to the rolled-back wave.
-  for (auto& open : write_open_) open.store(0, std::memory_order_relaxed);
+  write_open_.fill(0);
 }
 
 void DesignDB::begin_write(Stage s) {
-  write_open_[static_cast<std::size_t>(s)].store(1, std::memory_order_relaxed);
+  write_open_[static_cast<std::size_t>(s)] = 1;
 }
 
 void DesignDB::end_write(Stage s) {
-  write_open_[static_cast<std::size_t>(s)].store(0, std::memory_order_relaxed);
+  write_open_[static_cast<std::size_t>(s)] = 0;
 }
 
 bool DesignDB::write_open(Stage s) const {
-  return write_open_[static_cast<std::size_t>(s)].load(std::memory_order_relaxed) != 0;
+  return write_open_[static_cast<std::size_t>(s)] != 0;
 }
 
 std::vector<Stage> DesignDB::open_writes() const {
   std::vector<Stage> out;
   for (std::size_t i = 0; i < kNumStages; ++i)
-    if (write_open_[i].load(std::memory_order_relaxed) != 0)
+    if (write_open_[i] != 0)
       out.push_back(static_cast<Stage>(i));
   return out;
 }
@@ -338,9 +294,9 @@ std::uint64_t DesignDB::state_fingerprint() const {
     }
     // Edge-granular state: the net-level aggregates above cannot see two
     // routings that differ per edge but sum to the same totals, which is
-    // exactly what a thread-count-dependent negotiation bug would produce.
-    // Mix every edge's geometry/layer choice so the ci.sh thread-sweep gate
-    // (GNNMLS_THREADS in {1,2,4} -> identical fingerprint) is load-bearing.
+    // exactly what a change to the negotiation order would produce. Mix
+    // every edge's geometry/layer choice so the FlowGolden fingerprints
+    // see it.
     // All fields of one edge collapse into a single mixed word (fingerprint
     // runs on every transactional wave, so the per-edge cost matters).
     auto fbits = [](float v) {
@@ -390,7 +346,7 @@ std::uint64_t DesignDB::state_fingerprint() const {
     mix_f(pdn_->utilization[1]);
   }
   if (test_model_) mix(1);
-  for (const auto& open : write_open_) mix(open.load(std::memory_order_relaxed));
+  for (const std::uint8_t open : write_open_) mix(open);
   return fnv.value();
 }
 

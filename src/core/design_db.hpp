@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -208,18 +207,6 @@ class DesignDB {
   Snapshot snapshot(std::span<const Stage> stages) const;
   void restore(const Snapshot& snap);
 
-  // Deterministic revision assignment for stages committed concurrently in
-  // one scheduler wave: commit() draws from the shared counter in
-  // completion order, which is thread-timing dependent, so the same wave
-  // can assign the same set of revision values to its stages in a
-  // different permutation run to run. Called by the PassManager at the
-  // wave's serial success point, this reassigns those values in canonical
-  // stage order (patching intra-wave built_from links, e.g. the route
-  // pass's placement→routes chain) so the full DB state — fingerprint
-  // included — is invariant under GNNMLS_THREADS. No-op for waves that
-  // committed fewer than two of the listed stages.
-  void renumber_stages(std::span<const Stage> stages);
-
   // ---- mid-write markers (ft transactions, FT-001) -----------------------
   // The PassManager brackets each pass's declared write stages; restore()
   // clears every marker. A marker still set outside a running wave means a
@@ -240,10 +227,9 @@ class DesignDB {
   netlist::Design design_;
   const tech::Tech3D* tech_;
   std::array<StageTag, kNumStages> tags_{};
-  // Revision source for committed stages. Atomic because independent passes
-  // commit their disjoint stages concurrently from executor threads; the
-  // tags themselves are per-stage and each is written by exactly one pass.
-  std::atomic<std::uint64_t> counter_{0};
+  // Revision source for committed stages: one counter, so revisions are
+  // unique across stages and ordered by commit.
+  std::uint64_t counter_ = 0;
   std::vector<netlist::Id> dirty_;
   std::size_t journal_cursor_ = 0;  // consumed prefix of the mutation journal
   std::unique_ptr<route::Router> router_;
@@ -255,9 +241,8 @@ class DesignDB {
   std::vector<std::uint8_t> mls_flags_;
   std::optional<route::RouteSummary> route_summary_;
   std::optional<sta::StaResult> sta_result_;
-  // Mid-write markers, one per stage. Atomic because passes in the same wave
-  // bracket their disjoint write stages from different executor threads.
-  std::array<std::atomic<std::uint8_t>, kNumStages> write_open_{};
+  // Mid-write markers, one per stage.
+  std::array<std::uint8_t, kNumStages> write_open_{};
 };
 
 }  // namespace gnnmls::core

@@ -1,7 +1,7 @@
 // FNV-1a fingerprint accumulator.
 //
 // One hashing scheme serves every content key in the system: the DesignDB
-// state fingerprint (thread-sweep determinism gate), the ML engine's
+// state fingerprint (pinned by the FlowGolden tests), the ML engine's
 // graph-content cache keys (ml/batcher.cpp) and the decide pass's skip key.
 // Keeping the mixing in one place means a cache key and a state fingerprint
 // can never silently disagree on how a double is folded in.

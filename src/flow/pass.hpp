@@ -2,10 +2,10 @@
 //
 // A Pass declares which DesignDB stages it reads and writes; the PassManager
 // derives ordering edges from those sets (writer before reader, conflicting
-// writers in pipeline order), skips passes whose outputs are already fresh
-// under the DB's revision tags, and runs independent passes concurrently on
-// the Executor. Pass bodies therefore contain only the stage work itself —
-// no hand-threaded ordering, timing, or staleness logic.
+// writers in pipeline order), groups the passes into waves (the snapshot
+// and rollback unit), and skips passes whose outputs are already fresh
+// under the DB's revision tags. Pass bodies therefore contain only the
+// stage work itself — no hand-written ordering, timing, or staleness logic.
 //
 // Contract for run():
 //   * read flow state only through ctx.db (plus ctx.config);
@@ -14,8 +14,9 @@
 //     assemble FlowMetrics from cache;
 //   * time yourself with one obs::Span and add its seconds to your
 //     FlowMetrics stage field (ctx.metrics);
-//   * touch only your own DB artifacts and metrics fields — passes in the
-//     same wave run on different threads with no locks between them.
+//   * touch only your own DB artifacts and metrics fields — a stage the
+//     contract does not declare escapes the wave's snapshot, so a rollback
+//     could not undo it.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +33,7 @@ namespace gnnmls::flow {
 class Pass;
 
 // Everything a pass may look at while running. The referenced objects
-// outlive the run; metrics fields are disjoint per pass, so concurrent
-// passes never write the same member.
+// outlive the run.
 struct PassContext {
   core::DesignDB& db;
   const FlowConfig& config;
@@ -53,7 +53,7 @@ class Pass {
 
   virtual const char* name() const = 0;
   // DesignDB stages this pass consumes / produces. The sets are the whole
-  // scheduling interface: ordering, skipping, and parallelism all derive
+  // scheduling interface: ordering, waves, and skipping all derive
   // from them (plus needs_run / fingerprint below).
   virtual std::vector<core::Stage> reads() const = 0;
   virtual std::vector<core::Stage> writes() const = 0;

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "audit/contract_audit.hpp"
 #include "core/access_audit.hpp"
-#include "flow/executor.hpp"
 #include "ft/blackbox.hpp"
 #include "ft/error.hpp"
 #include "ft/policy.hpp"
@@ -67,8 +67,7 @@ std::uint64_t PassManager::fingerprint_of(const Pass& pass, const core::DesignDB
 }
 
 bool PassManager::audit_enabled(const FlowConfig& config) {
-  // Read once per run() on the dispatch thread, same discipline as
-  // Executor::threads_from_env.
+  // Read once per run().
   const char* env = std::getenv("GNNMLS_AUDIT");  // NOLINT(concurrency-mt-unsafe)
   if (env == nullptr || *env == '\0') return config.audit;
   return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0;
@@ -89,7 +88,6 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
   std::vector<Contract> contracts;
   contracts.reserve(n);
   for (const Pass* pass : pipeline) contracts.push_back(contract_of(*pass));
-  const Executor exec(Executor::threads_from_env());
   const ft::FtOptions& ft = ctx.config.ft;
   const bool audit = audit_enabled(ctx.config);
 
@@ -103,9 +101,8 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     const std::vector<std::size_t> wave = next_wave(contracts, wants);
     if (wave.empty()) break;
 
-    // One aggregation node per wave: pass spans — on the dispatch thread and
-    // (via the Executor's ContextGuard) on pool threads alike — nest under
-    // it instead of under flow.evaluate directly or as orphan roots.
+    // One aggregation node per wave: pass spans nest under it instead of
+    // under flow.evaluate directly.
     obs::Span wave_span("flow.wave");
 
     // Transaction scope: the union of the wave's write stages. Snapshotting
@@ -120,13 +117,6 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
         for (const core::Stage w : wave_writes) seen = seen || w == s;
         if (!seen) wave_writes.push_back(s);
       }
-    // Pre-wave revisions of the declared write stages, so the success path
-    // below can renumber exactly the stages this wave re-committed (a
-    // declared-but-skipped write keeps its old tag and must not be touched).
-    std::vector<std::uint64_t> pre_revs;
-    pre_revs.reserve(wave_writes.size());
-    for (const core::Stage s : wave_writes)
-      pre_revs.push_back(ctx.db.tag(s).revision);
     // Charged to tx_s (and the flow.tx span): this is manager overhead, not
     // any pass's work, but it is real wall-clock the stage breakdown must
     // account for — the snapshot scales with the routing state.
@@ -141,20 +131,21 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
     std::size_t attempt = 0;
     for (;;) {
       std::vector<double> seconds(wave.size(), 0.0);
-      // One recorder per pass execution, indexed like `seconds`: distinct
-      // slots, so concurrent passes never share recorder state. The netlist
-      // revision is captured on the dispatch thread, OUTSIDE any scope
-      // (design() must not charge the manager's own peek to a pass), and
-      // re-captured per attempt — a rollback restores the pre-wave netlist.
+      // One recorder per pass execution, indexed like `seconds`. The netlist
+      // revision is captured OUTSIDE any scope (design() must not charge the
+      // manager's own peek to a pass), and re-captured per attempt — a
+      // rollback restores the pre-wave netlist.
       std::vector<core::AccessRecorder> recorders(audit ? wave.size() : 0);
       const std::uint64_t nl_rev_before =
           audit ? ctx.db.design().nl.revision() : 0;
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(wave.size());
+      // The wave's passes run in pipeline order. A failing pass never
+      // abandons the rest: every failure of the wave is collected, not just
+      // the first, and the recovery below rolls the wave back whole.
+      std::vector<std::exception_ptr> errors(wave.size());
       const std::size_t wave_no = report_.waves;
       for (std::size_t k = 0; k < wave.size(); ++k) {
         Pass* pass = pipeline[wave[k]];
-        tasks.push_back([pass, &ctx, &seconds, k, audit, &recorders, wave_no, attempt] {
+        try {
           obs::FlightRecorder::instance().record(obs::EventKind::kPassBegin, pass->name(),
                                                  wave_no, attempt);
           const auto t0 = std::chrono::steady_clock::now();
@@ -172,10 +163,10 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
           obs::FlightRecorder::instance().record(
               obs::EventKind::kPassEnd, pass->name(), wave_no,
               static_cast<std::uint64_t>(seconds[k] * 1e9));
-        });
+        } catch (...) {
+          errors[k] = std::current_exception();
+        }
       }
-
-      const std::vector<std::exception_ptr> errors = exec.run_collect(tasks);
 
       if (audit) {
         // Diff BEFORE the success/failure fork so findings from a wave that
@@ -207,17 +198,6 @@ const RunReport& PassManager::run(const std::vector<Pass*>& pipeline, PassContex
       }
 
       if (failures.empty()) {
-        // Passes that ran concurrently drew their stage revisions from the
-        // shared counter in completion order, which permutes with thread
-        // timing. Renormalize the stages this wave actually re-committed
-        // here, at the wave's serial success point and before the ledger
-        // fingerprints below hash them, so the DB state is invariant under
-        // GNNMLS_THREADS.
-        std::vector<core::Stage> committed;
-        for (std::size_t w = 0; w < wave_writes.size(); ++w)
-          if (ctx.db.tag(wave_writes[w]).revision != pre_revs[w])
-            committed.push_back(wave_writes[w]);
-        ctx.db.renumber_stages(committed);
         for (std::size_t k = 0; k < wave.size(); ++k) {
           const std::size_t i = wave[k];
           done[i] = 1;

@@ -4,9 +4,9 @@
 // repeatedly dispatches "waves" by flow::next_wave: every pass that
 // currently wants to run and has no wanting predecessor it conflicts with
 // (flow::conflicts over the declared read/write sets) goes into the wave,
-// the wave runs concurrently on the Executor, and freshness is re-evaluated.
-// Conflicting passes therefore serialize in pipeline order and independent
-// ones parallelize. A pass wants to run when its written stages are stale
+// the wave's passes run in pipeline order under one snapshot, and freshness
+// is re-evaluated. Conflicting passes therefore land in successive waves,
+// and a failed wave rolls back whole. A pass wants to run when its written stages are stale
 // under the DesignDB's revision tags (Pass::needs_run); pure-read passes are
 // skipped when the revisions of everything they read match the ledger entry
 // from their last execution. A re-run on an unmutated DB therefore schedules

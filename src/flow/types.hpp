@@ -39,7 +39,7 @@ struct FlowConfig {
   // recovery.
   ft::FtOptions ft;
   // Contract audit (src/audit/ layer 2): record each pass's actual DesignDB
-  // stage accesses on a per-thread recorder and diff them against the
+  // stage accesses on a per-pass recorder and diff them against the
   // declared reads()/writes() after every wave. Violations land on the
   // RunReport and the ft.audit.* counters; results stay bit-identical
   // (test-enforced). GNNMLS_AUDIT=1/off overrides at run() time. Off by

@@ -40,7 +40,7 @@ namespace {
 // variable was present. Bad specs abort with a clear message (a typo'd chaos
 // run silently testing nothing is worse than a crash).
 bool arm_from_env(FaultPlan& plan) {
-  const char* env = std::getenv("GNNMLS_FAULT");  // NOLINT(concurrency-mt-unsafe): first touch, pre-threads
+  const char* env = std::getenv("GNNMLS_FAULT");  // NOLINT(concurrency-mt-unsafe): read once, on first touch
   if (env == nullptr || *env == '\0') return false;
   std::string_view specs(env);
   while (!specs.empty()) {

@@ -10,8 +10,8 @@
 // Arming is by "site:n" spec (n-th hit trips; n defaults to 1), from code
 // (tests), from the GNNMLS_FAULT env var (comma-separated specs, armed on
 // the first instance() touch so chaos works in any binary), or from
-// gnnmls_lint --inject-flow. Hit counting is atomic: sites fire from
-// executor threads.
+// gnnmls_lint --inject-flow. Hit counts are relaxed atomics, so the
+// process-wide plan stays safe to visit from any thread.
 //
 // A tripped site throws ft::FlowError{kInjectedFault, retryable}.
 #pragma once

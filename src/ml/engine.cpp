@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "core/fingerprint.hpp"
-#include "flow/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -138,10 +136,10 @@ std::vector<std::vector<float>> InferenceEngine::forward_batch(const PackedBatch
   const int d = w_.dim;
   const float scale = 1.0f / std::sqrt(static_cast<float>(w_.head_dim));
 
-  // Workspaces (per call: forward_batch runs concurrently on the Executor).
-  // Uninitialized on purpose — every buffer is fully written before it is
-  // read (fill_bias_rows, overwrite-mode GEMMs, layernorm, attention), and a
-  // value-initializing vector would memset ~1MB per call for nothing.
+  // Workspaces, allocated per call. Uninitialized on purpose — every buffer
+  // is fully written before it is read (fill_bias_rows, overwrite-mode
+  // GEMMs, layernorm, attention), and a value-initializing vector would
+  // memset ~1MB per call for nothing.
   const auto uninit = [](std::size_t count) {
     return std::unique_ptr<float[]>(new float[count]);  // NOLINT(modernize-avoid-c-arrays)
   };
@@ -250,9 +248,7 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
   // Length-sorted fixed-size chunks: graphs of similar node count share a
   // batch, which keeps each batch's attention-score workspace (max_nodes^2)
   // tight. The sort key (node count, original index) is a total order that
-  // depends only on the miss list — never on thread count — and each task
-  // writes disjoint result slots, so results stay bit-identical across
-  // GNNMLS_THREADS.
+  // depends only on the miss list, so the batches are too.
   if (miss_idx.size() > 1) {
     std::vector<std::size_t> perm(miss_idx.size());
     for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
@@ -271,29 +267,22 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
     }
   }
   const std::size_t chunk = static_cast<std::size_t>(opts_.batch_paths);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t begin = 0; begin < miss_idx.size(); begin += chunk) {
+  std::size_t batches = 0;
+  for (std::size_t begin = 0; begin < miss_idx.size(); begin += chunk, ++batches) {
     const std::size_t end = std::min(begin + chunk, miss_idx.size());
-    tasks.push_back([this, &graphs, &results, &miss_idx, begin, end] {
-      std::vector<const PathGraph*> ptrs;
-      ptrs.reserve(end - begin);
-      for (std::size_t m = begin; m < end; ++m) ptrs.push_back(&graphs[miss_idx[m]]);
-      const auto t0 = std::chrono::steady_clock::now();
-      const PackedBatch batch = pack(ptrs, scaler_);
-      std::vector<std::vector<float>> probs = forward_batch(batch);
-      const double dt =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      infer_s.observe(dt);
-      infer_graph_s.observe(dt / static_cast<double>(end - begin));
-      batch_size.observe(static_cast<double>(end - begin));
-      for (std::size_t m = begin; m < end; ++m)
-        results[miss_idx[m]] = std::move(probs[m - begin]);
-    });
-  }
-  if (tasks.size() > 1) {
-    flow::Executor(flow::Executor::threads_from_env()).run(tasks);
-  } else {
-    for (const auto& task : tasks) task();
+    std::vector<const PathGraph*> ptrs;
+    ptrs.reserve(end - begin);
+    for (std::size_t m = begin; m < end; ++m) ptrs.push_back(&graphs[miss_idx[m]]);
+    const auto t0 = std::chrono::steady_clock::now();
+    const PackedBatch batch = pack(ptrs, scaler_);
+    std::vector<std::vector<float>> probs = forward_batch(batch);
+    const double dt =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    infer_s.observe(dt);
+    infer_graph_s.observe(dt / static_cast<double>(end - begin));
+    batch_size.observe(static_cast<double>(end - begin));
+    for (std::size_t m = begin; m < end; ++m)
+      results[miss_idx[m]] = std::move(probs[m - begin]);
   }
 
   if (opts_.cache_enabled && !miss_idx.empty()) {
@@ -304,7 +293,7 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
 
   stats_.cache_hits += hits;
   stats_.cache_misses += miss_idx.size();
-  stats_.batches += tasks.size();
+  stats_.batches += batches;
   stats_.paths += miss_idx.size();
   metrics.counter("ml.cache_hits").add(hits);
   metrics.counter("ml.cache_misses").add(miss_idx.size());

@@ -11,11 +11,10 @@
 //   2. Batching — graphs are packed [batch x max_nodes x features] so the
 //      projections, feed-forward and head amortize one GEMM across the whole
 //      corpus (attention stays per-graph inside the batch: path graphs must
-//      not attend across each other). Multiple batches run concurrently on
-//      flow::Executor; batch formation is fixed-size chunking of the miss
-//      list sorted by (node count, original index) — a total order that never
-//      depends on thread count — and every batch writes disjoint result
-//      slots, so results are bit-identical across GNNMLS_THREADS.
+//      not attend across each other). Batch formation is fixed-size
+//      chunking of the miss list sorted by (node count, original index) — a
+//      total order — and the batches run one after another, each writing
+//      its own result slots.
 //   3. Embedding cache — per-graph probabilities keyed by (graph content
 //      fingerprint, scaler epoch, weights epoch). The fingerprint hashes
 //      every feature and net id, so after an ECO exactly the graphs whose
@@ -40,8 +39,8 @@
 namespace gnnmls::ml {
 
 struct EngineOptions {
-  // Graphs per packed batch: the determinism unit. Batches are fixed-size
-  // chunks of the length-sorted miss list regardless of thread count.
+  // Graphs per packed batch. Batches are fixed-size chunks of the
+  // length-sorted miss list.
   int batch_paths = 32;
   // Cached graphs before the cache is wholesale-evicted (bounds memory for
   // long-running flows; one entry is ~path_len floats).
@@ -80,7 +79,7 @@ class InferenceEngine {
   std::uint64_t scaler_epoch() const { return scaler_epoch_; }
   const EngineOptions& options() const { return opts_; }
 
-  // One packed batch through the float32 forward (no cache, no executor):
+  // One packed batch through the float32 forward (no cache):
   // the micro-bench / parity-test entry point. Returns per-graph node probs.
   std::vector<std::vector<float>> forward_batch(const PackedBatch& batch) const;
 

@@ -11,8 +11,7 @@
 // passes whose DesignDB stages are still fresh are skipped outright (a
 // re-run on an unmutated design schedules zero passes and reports from the
 // stage caches), only stale stages re-run (a flag flip re-routes and
-// re-times with one full STA run; netlist ECOs rip up only the dirty nets),
-// and independent passes run concurrently under GNNMLS_THREADS.
+// re-times with one full STA run; netlist ECOs rip up only the dirty nets).
 // Strategies still see identical starting conditions because routing is a
 // pure function of the netlist and the flags.
 #pragma once

@@ -187,7 +187,7 @@ std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
     candidates.push_back(c);
   }
   // Net id breaks score ties so admission order — and therefore the flag
-  // vector — is deterministic regardless of engine path or thread count.
+  // vector — is deterministic regardless of engine path.
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
     return a.score != b.score ? a.score > b.score : a.net < b.net;
   });

@@ -77,8 +77,8 @@ FlightRecorder::Registry& FlightRecorder::registry() const {
 
 namespace {
 
-// Releases the thread's ring back to the pool at thread exit so the
-// Executor's per-wave threads recycle rings instead of leaking one each.
+// Releases the thread's ring back to the pool at thread exit so short-lived
+// threads recycle rings instead of leaking one each.
 struct ThreadClaim {
   std::atomic<std::uint32_t>* claimed = nullptr;
   void* ring = nullptr;

@@ -12,14 +12,13 @@
 //   * record() touches only the calling thread's ring: a global relaxed
 //     atomic ordinal (total order across threads), then per-slot seqlock
 //     (stamp odd while writing) with relaxed atomic field stores. No locks,
-//     no allocation — safe from executor workers mid-wave.
+//     no allocation — safe from any thread.
 //   * Rings are claimed from a registry on first use per thread and released
-//     at thread exit for reuse, so the Executor's per-wave short-lived
-//     threads recycle a bounded pool instead of growing one ring per thread
-//     ever created.
+//     at thread exit for reuse, so short-lived threads recycle a bounded
+//     pool instead of growing one ring per thread ever created.
 //   * drain() runs under the registry mutex, reads slots through the seqlock
-//     (a torn slot mid-write is skipped), and merges by ordinal. Dumps
-//     happen on the dispatch thread after the wave's workers joined, so in
+//     (a torn slot mid-write is skipped), and merges by ordinal. The flow
+//     records from one thread and dumps after the failed wave ended, so in
 //     practice every event is quiesced and none are torn.
 //
 // Capacity is kRingEvents per thread; older events are overwritten. That is

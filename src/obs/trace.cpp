@@ -127,43 +127,6 @@ void Tracer::end_span(std::uint64_t token, std::chrono::steady_clock::time_point
   }
 }
 
-SpanContext Tracer::current_context() const {
-  if (!enabled_) return {};
-  std::lock_guard<std::mutex> lock(tracer_mutex());
-  if (!enabled_) return {};
-  ThreadState& ts = thread_state();
-  if (ts.epoch != epoch_ || ts.stack.empty()) return {};
-  return {(epoch_ << 32) | static_cast<std::uint64_t>(ts.stack.back() + 1)};
-}
-
-bool Tracer::adopt_context(SpanContext ctx) {
-  if (ctx.token == 0) return false;
-  std::lock_guard<std::mutex> lock(tracer_mutex());
-  const std::uint64_t ctx_epoch = ctx.token >> 32;
-  const int node = static_cast<int>(ctx.token & 0xffffffffu) - 1;
-  if (!enabled_ || ctx_epoch != epoch_ || static_cast<std::size_t>(node) >= nodes_.size())
-    return false;
-  ThreadState& ts = thread_state();
-  if (ts.epoch != epoch_) {
-    ts.stack.clear();
-    ts.epoch = epoch_;
-  }
-  // Adopting onto a non-empty stack would silently reparent whatever is
-  // already open; that is a caller bug, so refuse instead.
-  if (!ts.stack.empty()) return false;
-  ts.stack.push_back(node);
-  return true;
-}
-
-void Tracer::release_context(SpanContext ctx) {
-  std::lock_guard<std::mutex> lock(tracer_mutex());
-  const std::uint64_t ctx_epoch = ctx.token >> 32;
-  const int node = static_cast<int>(ctx.token & 0xffffffffu) - 1;
-  if (ctx_epoch != epoch_) return;
-  ThreadState& ts = thread_state();
-  if (ts.epoch == epoch_ && !ts.stack.empty() && ts.stack.back() == node) ts.stack.pop_back();
-}
-
 std::vector<SpanStat> Tracer::snapshot() const {
   std::lock_guard<std::mutex> lock(tracer_mutex());
   std::vector<SpanStat> out;

@@ -39,14 +39,6 @@ struct SpanStat {
   double self_s = 0.0;   // total_s minus the children's total_s
 };
 
-// Opaque handle to a thread's innermost open span, used to parent spans
-// opened on Executor worker threads under the span that dispatched the wave
-// (instead of surfacing as orphan roots). Epoch-tagged like span tokens, so
-// a context captured before a reset() is silently ignored after it.
-struct SpanContext {
-  std::uint64_t token = 0;  // 0 = no open span / tracing disabled
-};
-
 class Tracer {
  public:
   static Tracer& instance();
@@ -67,14 +59,6 @@ class Tracer {
   std::uint64_t begin_span(const char* name);
   void end_span(std::uint64_t token, std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point end);
-
-  // --- cross-thread parenting (flow::Executor) ----------------------------
-  // The calling thread's innermost open span, to hand to ContextGuard on a
-  // worker thread. Zero when tracing is off or no span is open.
-  SpanContext current_context() const;
-  // ContextGuard protocol; not for direct callers.
-  bool adopt_context(SpanContext ctx);
-  void release_context(SpanContext ctx);
 
   // --- reporting ----------------------------------------------------------
   std::vector<SpanStat> snapshot() const;
@@ -138,27 +122,6 @@ class Span {
   std::chrono::steady_clock::time_point start_;
   double final_s_ = -1.0;
   std::uint64_t token_ = 0;
-};
-
-// RAII adoption of another thread's span context: spans opened on this
-// thread while the guard lives nest under the captured span. Intended for
-// worker-thread bodies — capture Tracer::current_context() on the
-// dispatching thread, construct the guard first thing in the worker. A dead
-// context (tracing off, no open span, reset() in between) makes the guard a
-// no-op.
-class ContextGuard {
- public:
-  explicit ContextGuard(SpanContext ctx)
-      : ctx_(ctx), adopted_(Tracer::instance().adopt_context(ctx)) {}
-  ContextGuard(const ContextGuard&) = delete;
-  ContextGuard& operator=(const ContextGuard&) = delete;
-  ~ContextGuard() {
-    if (adopted_) Tracer::instance().release_context(ctx_);
-  }
-
- private:
-  SpanContext ctx_;
-  bool adopted_ = false;
 };
 
 // If GNNMLS_TRACE=<path> is set: enable tracing now and register an atexit

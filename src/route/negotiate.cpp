@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <utility>
 
-#include "flow/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -31,8 +29,9 @@ struct NegCounters {
 // commit loop uses a slightly lower fraction so speculative picks that land
 // on NEAR-full cells also get a fresh live decision — the congestion
 // penalty in the cost model only spreads load if the router sees the live
-// usage, and parallel workers all see the same frozen snapshot. Without
-// this check every edge in a shard piles onto the same cheapest layer pair.
+// usage, and every speculative pick of a bucket saw the same frozen grid.
+// Without this check every edge in a shard piles onto the same cheapest
+// layer pair.
 bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
   if (!er.routed) return false;
   const int tier = er.route_tier;
@@ -54,8 +53,7 @@ bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
 // an edge whose speculative choice no longer fits the live grid is rerouted
 // right here against the live congestion (the Gauss-Seidel feedback that
 // edge-by-edge routing gets for free). Commit order is the deterministic
-// bucket order and the live grid evolves deterministically with it, so the outcome
-// is independent of how the speculative routing was threaded.
+// bucket order, and the live grid evolves with it.
 // Speculative picks touching cells above this fraction of capacity are
 // rerouted live at commit. 1.0 would repair only outright overflow;
 // repairing a little early keeps edge-by-edge packing quality
@@ -72,9 +70,9 @@ void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> i
     // Repair when the live grid disagrees with the speculation: the pick
     // crowds a (near-)full live cell, or it was already squeezing through
     // overfull cells at snapshot time (then the live state deserves a fresh
-    // decision — this is what keeps congested regions at serial-engine
-    // quality while uncontended regions keep their parallel speculative
-    // result untouched).
+    // decision — this is what keeps congested regions at edge-by-edge
+    // quality while uncontended regions keep their speculative result
+    // untouched).
     if (would_stress(in.grid, er, kRepairFraction) || er.overflow >= 1.0f) {
       static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
       const auto t0 = std::chrono::steady_clock::now();
@@ -89,41 +87,22 @@ void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> i
 }
 
 // Routes edges[idx] for every idx in `idxs` into result slots parallel to
-// `idxs`. Workers only read the frozen grid/history and write disjoint
-// slots, so the results are independent of the thread count and chunking.
-void route_tasks(const flow::Executor& ex, const NegotiationInput& in,
-                 std::span<const std::uint32_t> idxs, std::vector<EdgeRoute>& results) {
+// `idxs`, each against the grid and history frozen at the call: no result
+// is committed until commit_results runs over the whole bucket.
+void route_tasks(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
+                 std::vector<EdgeRoute>& results) {
   results.resize(idxs.size());
   const EdgeCostModel model{in.grid, in.tech, in.options, in.history.data()};
-  auto route_range = [&](std::size_t lo, std::size_t hi) {
-    // The distribution the mean hides: a handful of long congested edges
-    // dominate the tail while most route in sub-µs. Always-on (relaxed
-    // atomics), concurrent-writer safe.
-    static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
-    for (std::size_t k = lo; k < hi; ++k) {
-      const EdgeTask& t = in.edges[idxs[k]];
-      const auto t0 = std::chrono::steady_clock::now();
-      results[k] = route_edge(model, t.a, t.b, t.mls);
-      edge_s.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-    }
-  };
-  if (ex.threads() <= 1 || idxs.size() <= 1) {
-    route_range(0, idxs.size());
-    return;
+  // The distribution the mean hides: a handful of long congested edges
+  // dominate the tail while most route in sub-µs.
+  static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
+  for (std::size_t k = 0; k < idxs.size(); ++k) {
+    const EdgeTask& t = in.edges[idxs[k]];
+    const auto t0 = std::chrono::steady_clock::now();
+    results[k] = route_edge(model, t.a, t.b, t.mls);
+    edge_s.observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
-  // A few chunks per thread so the executor's work-stealing evens out
-  // uneven edge sizes without paying a task dispatch per edge.
-  const std::size_t nchunks =
-      std::min(idxs.size(), static_cast<std::size_t>(ex.threads()) * 4);
-  const std::size_t chunk = (idxs.size() + nchunks - 1) / nchunks;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(nchunks);
-  for (std::size_t lo = 0; lo < idxs.size(); lo += chunk) {
-    const std::size_t hi = std::min(idxs.size(), lo + chunk);
-    tasks.emplace_back([&route_range, lo, hi] { route_range(lo, hi); });
-  }
-  ex.run(tasks);
 }
 
 // Total overflow cells (tracks + F2F pads): the quantity negotiation
@@ -138,7 +117,6 @@ std::pair<std::size_t, double> census_key(const RoutingGrid::Census& c) {
 NegotiationStats route_negotiated(const NegotiationInput& in) {
   NegotiationStats stats;
   const RouterOptions& opt = in.options;
-  const flow::Executor ex(flow::Executor::threads_from_env());
 
   // ---- phase 1: sharded initial routing -----------------------------------
   {
@@ -151,7 +129,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       if (bucket.empty()) continue;
       GNNMLS_SPAN("route.shard");
       ++shards_routed;
-      route_tasks(ex, in, bucket, results);
+      route_tasks(in, bucket, results);
       commit_results(in, bucket, results, &repairs);
     }
     NegCounters::get().shards.add(shards_routed);
@@ -168,8 +146,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     GNNMLS_SPAN("route.negotiate.iter");
 
     // History bump: every overflowed track cell gets more expensive for the
-    // rest of the run. The updates are commutative sums applied serially, so
-    // the surface is identical no matter how the routing work was threaded.
+    // rest of the run.
     for (int tier = 0; tier < 2; ++tier)
       for (int layer = 0; layer < in.grid.num_layers(tier); ++layer)
         for (int y = 0; y < in.grid.ny(); ++y)
@@ -217,9 +194,9 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     }
 
     // Reroute all victims Jacobi-style against the frozen post-rip-up grid
-    // and the updated history, then commit serially in edge order with the
-    // same reroute-on-conflict rule as the initial phase.
-    route_tasks(ex, in, victims, results);
+    // and the updated history, then commit in edge order with the same
+    // reroute-on-conflict rule as the initial phase.
+    route_tasks(in, victims, results);
     std::uint64_t repairs = 0;
     commit_results(in, victims, results, &repairs);
     NegCounters::get().repairs.add(repairs);

@@ -4,23 +4,21 @@
 // route/topology.hpp, sharded by route/shard.hpp:
 //
 //   1. Initial routing — shards in fixed row-major order; the edges of one
-//      shard are routed concurrently against the grid frozen at shard start
-//      and committed serially in deterministic order.
+//      shard are routed speculatively against the grid frozen at shard
+//      start, then committed in deterministic order, with a live reroute
+//      for any pick the committed edges before it made stressful.
 //   2. Negotiation — while track or F2F overflow remains: bump a per-cell
 //      history cost on every overflowed cell, rip up every committed edge
 //      whose footprint intersects the halo-dilated overflow mask, reroute
-//      all victims concurrently against the frozen post-rip-up grid + the
-//      updated history surface, and commit serially in edge order. An
+//      all victims against the frozen post-rip-up grid + the updated
+//      history surface, and commit in edge order the same way. An
 //      iteration that makes the overflow census worse is reverted exactly
 //      (per-edge footprints make rip-up/recommit lossless) and ends the
 //      loop, so the final state is never worse than the initial routing.
 //
-// Determinism: every grid write happens on the calling thread in an order
-// derived only from the deterministic edge list; worker threads compute
-// EdgeRoutes into disjoint slots from read-only state. History bumps are
-// commutative sums applied serially. The result is therefore a pure
-// function of (netlist, flags, options) — bit-identical at any
-// GNNMLS_THREADS, which the thread-sweep tests and ci.sh gate enforce.
+// The frozen-grid speculation and the commit repair define today's routes;
+// routing runs on the calling thread, and the result is a pure function of
+// (netlist, flags, options).
 //
 // The loop is bounded by RouterOptions::max_negotiation_iters and
 // stagnation_limit; it has no wall-clock deadline.

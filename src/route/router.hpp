@@ -6,18 +6,16 @@
 //   1. decompose — every net becomes a driver-rooted spanning tree of 2-pin
 //      edges (route/topology.hpp), the atomic routing unit;
 //   2. shard — the gcell plane is tessellated into regions with halo
-//      overlap and each shard's edges are routed as independent tasks on
-//      flow::Executor under the GNNMLS_THREADS discipline
-//      (route/shard.hpp);
+//      overlap, and each shard's edges are routed speculatively against the
+//      grid frozen at shard start (route/shard.hpp);
 //   3. negotiate — a deterministic PathFinder-style loop rips up the edges
 //      crossing congested ranges and reroutes them with history-based
 //      congestion costs until overflow converges or an iteration cap hits
 //      (route/negotiate.hpp).
 //
-// Results are bit-identical at any thread count: workers only compute edge
-// routes from frozen snapshots into disjoint slots, and every grid commit
-// happens serially in an order derived from the deterministic route order.
-// route_all() is the only full-route entry point; reroute_nets() is the
+// Every grid commit happens in an order derived from the deterministic
+// route order, so the result is a pure function of (netlist, flags,
+// options). route_all() is the only full-route entry point; reroute_nets() is the
 // minimal rip-up repair after a netlist ECO.
 //
 // Layer-pair selection per edge is cost-driven: wire RC delay + via-stack
@@ -71,7 +69,7 @@ struct RouterOptions {
   int shared_layers = 2;
 
   // ---- sharded negotiated engine (route/negotiate.hpp) --------------------
-  // Shard side length in gcells for the initial parallel routing phase.
+  // Shard side length in gcells for the initial sharded routing phase.
   int shard_gcells = 16;
   // Overflow-mask dilation: edges within this many gcells of a congested
   // range are negotiation rip-up victims (the shard halo overlap).

@@ -3,11 +3,11 @@
 // The gcell plane is tessellated into square shards. Every 2-pin edge is
 // assigned to exactly one shard by the midpoint of its bounding box; the
 // engine routes shards in a fixed row-major sequence, with the edges inside
-// a shard routed concurrently against the grid state frozen at shard start.
+// a shard routed speculatively against the grid state frozen at shard start.
 // That makes the schedule Gauss-Seidel ACROSS shards (later shards see
 // earlier shards' committed congestion) and Jacobi WITHIN a shard — and,
-// because every commit happens serially in the deterministic bucket order,
-// the result is a pure function of the input, independent of thread count.
+// because every commit happens in the deterministic bucket order, the
+// result is a pure function of the input.
 //
 // Shards also scope the negotiation loop's rip-up: overflow masks are
 // dilated by a halo of gcells so edges that merely neighbor a congested

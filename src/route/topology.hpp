@@ -16,9 +16,9 @@
 //                        the routed edges
 //
 // route_edge() is deliberately pure with respect to the grid (reads only):
-// the sharded engine (route/shard.hpp, route/negotiate.hpp) routes many
-// edges concurrently against a frozen congestion snapshot, and purity here
-// is what makes the parallel result bit-identical at any thread count.
+// the sharded engine (route/shard.hpp, route/negotiate.hpp) routes a whole
+// bucket of edges against one frozen congestion snapshot before it commits
+// any of them.
 #pragma once
 
 #include <cstdint>

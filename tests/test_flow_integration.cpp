@@ -3,6 +3,8 @@
 // qualitative claims end to end on the small benchmark.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "mls/flow.hpp"
 #include "util/log.hpp"
 
@@ -136,6 +138,65 @@ TEST(FlowIntegration, HomoFlowRuns) {
   const FlowMetrics sota = flow.evaluate_sota();
   EXPECT_GT(base.endpoints, 0u);
   EXPECT_GE(sota.mls_nets, 0u);
+}
+
+// FlowGolden pins one SOTA evaluate and one DFT evaluate of MAERI-16 to their
+// exact bits: the PPA row, the test coverage and the DesignDB state
+// fingerprint. Every stage is a pure function of the netlist, the flags and
+// the options, so any change that moves one of these values changes what
+// the flow computes; re-pin it on purpose and say so in CHANGES.md. The
+// clock is tightened to 0.75x (as in OracleMlsImprovesTiming) so that WNS,
+// TNS and the violation count are nonzero.
+
+void print_golden(const char* tag, const FlowMetrics& m, double coverage, std::uint64_t fp) {
+  std::printf("golden %s: wl=%.17g wns=%.17g tns=%.17g vio=%zu mls=%zu overflow=%zu "
+              "power=%.17g coverage=%.17g fp=0x%016llx\n",
+              tag, m.wl_m, m.wns_ps, m.tns_ns, m.violating, m.mls_nets, m.overflow_gcells,
+              m.power_mw, coverage, static_cast<unsigned long long>(fp));
+}
+
+netlist::Design tight_maeri16() {
+  netlist::Design d = netlist::make_maeri_16pe();
+  d.info.clock_ps *= 0.75;
+  return d;
+}
+
+TEST(FlowGolden, Maeri16SotaEvaluateIsBitIdentical) {
+  util::set_log_level(util::LogLevel::kWarn);
+  DesignFlow flow(tight_maeri16(), FlowConfig{});
+  const FlowMetrics m = flow.evaluate_sota();
+  const std::uint64_t fp = flow.db().state_fingerprint();
+  print_golden("sota", m, 0.0, fp);
+  EXPECT_EQ(m.wl_m, 0.10302847118949876);
+  EXPECT_EQ(m.wns_ps, -90.54544951468705);
+  EXPECT_EQ(m.tns_ns, -5.8646905786513708);
+  EXPECT_EQ(m.violating, 155u);
+  EXPECT_EQ(m.mls_nets, 92u);
+  EXPECT_EQ(m.overflow_gcells, 94u);
+  EXPECT_EQ(m.power_mw, 24.395549799785393);
+  EXPECT_EQ(fp, 0x93cab9a7e1fd60cbULL);
+}
+
+TEST(FlowGolden, Maeri16DftEvaluateIsBitIdentical) {
+  util::set_log_level(util::LogLevel::kWarn);
+  DesignFlow flow(tight_maeri16(), FlowConfig{});
+  const std::vector<std::uint8_t> flags = sota_select(flow.design(), flow.config().sota);
+  const DesignFlow::DftMetrics dft =
+      flow.evaluate_with_dft(flags, Strategy::kSota, dft::MlsDftStyle::kWireBased);
+  const FlowMetrics& m = dft.flow;
+  const std::uint64_t fp = flow.db().state_fingerprint();
+  print_golden("dft", m, dft.coverage, fp);
+  EXPECT_EQ(m.wl_m, 0.1146160304074373);
+  EXPECT_EQ(m.wns_ps, -100.36184489905838);
+  EXPECT_EQ(m.tns_ns, -7.7236383859550983);
+  EXPECT_EQ(m.violating, 180u);
+  EXPECT_EQ(m.mls_nets, 93u);
+  EXPECT_EQ(m.overflow_gcells, 136u);
+  EXPECT_EQ(m.power_mw, 27.411362412818786);
+  EXPECT_EQ(dft.coverage, 0.90382800916565575);
+  // Stage revisions follow commit order: the DFT wave commits placement,
+  // test, then routes.
+  EXPECT_EQ(fp, 0x64bb8289f16456a0ULL);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 // Pass-manager flow architecture tests: declarative scheduling from
 // read/write sets, revision-aware skipping, incremental re-runs that stay
-// bit-identical to cold runs, and serial-vs-parallel determinism.
+// bit-identical to cold runs.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "flow/executor.hpp"
 #include "flow/pass_manager.hpp"
 #include "mls/flow.hpp"
 #include "netlist/generators.hpp"
@@ -81,7 +78,7 @@ TEST(FlowPasses, DeclaredSetsMatchTheDependencyDiagram) {
   EXPECT_TRUE(flow::conflicts(route, sta));
   EXPECT_TRUE(flow::conflicts(route, dft));   // WAW on routes
   EXPECT_TRUE(flow::conflicts(dft, sta));
-  EXPECT_FALSE(flow::conflicts(sta, power));  // the parallel wave
+  EXPECT_FALSE(flow::conflicts(sta, power));  // may share a wave
   EXPECT_FALSE(flow::conflicts(sta, pdn));
   EXPECT_FALSE(flow::conflicts(power, pdn));
 }
@@ -215,70 +212,6 @@ TEST(PassScheduling, RunPassesHonorsCanonicalOrder) {
   ASSERT_TRUE(report.ran("route"));
   ASSERT_TRUE(report.ran("sta"));
   EXPECT_LT(report.find("route")->wave, report.find("sta")->wave);
-}
-
-// ---- parallel determinism ---------------------------------------------------
-
-TEST(PassParallelism, FourThreadsBitIdenticalToSerial) {
-  mls::DesignFlow serial = make_flow(/*run_pdn=*/true);
-  const mls::FlowMetrics serial_m = serial.evaluate_no_mls();
-  const std::vector<std::string> serial_order = executed_names(serial.last_run_report());
-
-  ::setenv("GNNMLS_THREADS", "4", 1);
-  mls::DesignFlow parallel = make_flow(/*run_pdn=*/true);
-  const mls::FlowMetrics parallel_m = parallel.evaluate_no_mls();
-  ::unsetenv("GNNMLS_THREADS");
-
-  // Wave membership is derived from revisions and read/write sets alone, so
-  // the schedule (and every PPA number) is thread-count-independent.
-  EXPECT_EQ(executed_names(parallel.last_run_report()), serial_order);
-  EXPECT_EQ(parallel.last_run_report().waves, serial.last_run_report().waves);
-  expect_same_ppa(serial_m, parallel_m);
-
-  // And the skip behavior survives the parallel run.
-  ::setenv("GNNMLS_THREADS", "4", 1);
-  parallel.evaluate_no_mls();
-  ::unsetenv("GNNMLS_THREADS");
-  EXPECT_TRUE(parallel.last_run_report().executed.empty());
-}
-
-// ---- executor ---------------------------------------------------------------
-
-TEST(Executor, RunsEveryTaskAcrossThreads) {
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) tasks.push_back([&count] { ++count; });
-  flow::Executor(4).run(tasks);
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(Executor, SerialPreservesOrder) {
-  std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) tasks.push_back([&order, i] { order.push_back(i); });
-  flow::Executor(1).run(tasks);
-  const std::vector<int> want = {0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(order, want);
-}
-
-TEST(Executor, PropagatesTaskExceptions) {
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([] {});
-  tasks.push_back([] { throw std::runtime_error("boom"); });
-  tasks.push_back([] {});
-  EXPECT_THROW(flow::Executor(3).run(tasks), std::runtime_error);
-  EXPECT_THROW(flow::Executor(1).run(tasks), std::runtime_error);
-}
-
-TEST(Executor, ClampsThreadCountFromEnv) {
-  ::setenv("GNNMLS_THREADS", "0", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 1);
-  ::setenv("GNNMLS_THREADS", "7", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 7);
-  ::setenv("GNNMLS_THREADS", "4096", 1);
-  EXPECT_EQ(flow::Executor::threads_from_env(), 64);
-  ::unsetenv("GNNMLS_THREADS");
-  EXPECT_EQ(flow::Executor::threads_from_env(), 1);
 }
 
 }  // namespace

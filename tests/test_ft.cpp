@@ -6,14 +6,12 @@
 // the contract).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/design_db.hpp"
-#include "flow/executor.hpp"
 #include "flow/pass_manager.hpp"
 #include "ft/error.hpp"
 #include "ft/fault_plan.hpp"
@@ -179,46 +177,6 @@ TEST_F(Ft, UnknownSiteErrorListsEveryValidSite) {
     EXPECT_NE(msg.find("check.run"), std::string::npos) << msg;
     EXPECT_NE(msg.find("decide.infer"), std::string::npos) << msg;
   }
-}
-
-// ---- executor: collect-all semantics ----------------------------------------
-
-std::vector<std::function<void()>> mixed_tasks(std::atomic<int>& ran) {
-  return {
-      [&ran] { ran.fetch_add(1); },
-      [] { throw std::runtime_error("task-1"); },
-      [&ran] { ran.fetch_add(1); },
-      [] { throw std::logic_error("task-3"); },
-  };
-}
-
-void expect_all_failures_collected(const flow::Executor& exec) {
-  std::atomic<int> ran{0};
-  const std::vector<std::exception_ptr> errors = exec.run_collect(mixed_tasks(ran));
-  ASSERT_EQ(errors.size(), 4u);
-  EXPECT_EQ(errors[0], nullptr);
-  EXPECT_NE(errors[1], nullptr);
-  EXPECT_EQ(errors[2], nullptr);
-  EXPECT_NE(errors[3], nullptr);
-  // A failing task never abandons the rest of the wave.
-  EXPECT_EQ(ran.load(), 2);
-
-  // run() keeps the legacy contract: lowest-indexed failure rethrown.
-  std::atomic<int> again{0};
-  try {
-    exec.run(mixed_tasks(again));
-    FAIL() << "run() must rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task-1");
-  }
-}
-
-TEST(ExecutorCollect, SerialCollectsEveryFailure) {
-  expect_all_failures_collected(flow::Executor(1));
-}
-
-TEST(ExecutorCollect, ParallelCollectsEveryFailure) {
-  expect_all_failures_collected(flow::Executor(4));
 }
 
 // ---- transactional recovery -------------------------------------------------

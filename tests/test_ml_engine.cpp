@@ -9,8 +9,7 @@
 //   * numeric parity — batched float32 probabilities track the
 //     double-precision scalar stack within the pinned tolerance;
 //   * determinism — decide() flags are bit-identical between the scalar and
-//     batched paths, across GNNMLS_THREADS in {1,2,4}, and under
-//     GNNMLS_SIMD=scalar;
+//     batched paths, and under GNNMLS_SIMD=scalar;
 //   * embedding cache — warm predicts hit, a graph whose content an ECO
 //     changed misses (and only that graph), and a warm re-decide reproduces
 //     the cold twin's PPA row bit for bit.
@@ -18,7 +17,6 @@
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -396,15 +394,6 @@ TEST(DecideDeterminism, FlagsBitIdenticalAcrossPathsThreadsAndSimd) {
   const std::vector<std::uint8_t> ref = fx.decide(scalar);
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(fx.decide(batched), ref);
-
-  // Thread-count sweep: batch formation is a pure function of the miss list,
-  // so the decision vector cannot move with GNNMLS_THREADS.
-  for (const char* threads : {"1", "2", "4"}) {
-    ::setenv("GNNMLS_THREADS", threads, 1);
-    batched.clear_inference_cache();
-    EXPECT_EQ(fx.decide(batched), ref) << "GNNMLS_THREADS=" << threads;
-  }
-  ::unsetenv("GNNMLS_THREADS");
 
   // SIMD-level sweep: the scalar float32 kernels land on the same decisions.
   const ml::SimdLevel prev = ml::set_simd_for_test(ml::SimdLevel::kScalar);

@@ -1,7 +1,6 @@
 // Tests for the routing grid and the MLS-aware router.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <utility>
 
 #include "netlist/buffering.hpp"
@@ -186,48 +185,6 @@ TEST(Router, RouteAllIsRepeatable) {
   const RouteSummary b = router.route_all({});
   EXPECT_DOUBLE_EQ(a.total_wl_m, b.total_wl_m);
   EXPECT_EQ(a.census.overflow_gcells, b.census.overflow_gcells);
-}
-
-// Exact value equality of two routers' full routing state: every net's
-// electrical result and every 2-pin edge's routed choice.
-void expect_identical_routing(const Router& a, const Router& b, Id num_nets) {
-  for (Id n = 0; n < num_nets; ++n) {
-    const NetRoute& ra = a.net_route(n);
-    const NetRoute& rb = b.net_route(n);
-    ASSERT_EQ(ra.wl_um, rb.wl_um) << "net " << n;
-    ASSERT_EQ(ra.res_ohm, rb.res_ohm) << "net " << n;
-    ASSERT_EQ(ra.cap_ff, rb.cap_ff) << "net " << n;
-    ASSERT_EQ(ra.load_ff, rb.load_ff) << "net " << n;
-    ASSERT_EQ(ra.sink_elmore_ps, rb.sink_elmore_ps) << "net " << n;
-    ASSERT_TRUE(a.net_edges(n) == b.net_edges(n)) << "net " << n;
-  }
-}
-
-// The tentpole determinism contract: the negotiated engine's result is a
-// pure function of (netlist, flags, options) — GNNMLS_THREADS must not be
-// observable in any routed value. ci.sh re-checks this end to end via the
-// DB state fingerprint; this test pins it at the router level.
-TEST(RouterThreads, BitIdenticalAcrossThreadCounts) {
-  tech::Tech3D tech3d;
-  Design d = placed_16pe(true, tech3d);
-  std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
-  for (Id n = 0; n < d.nl.num_nets(); ++n)
-    if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 100.0) flags[n] = 1;
-
-  ::setenv("GNNMLS_THREADS", "1", 1);
-  Router ref(d, tech3d);
-  const RouteSummary rs1 = ref.route_all(flags);
-  for (const char* threads : {"2", "4"}) {
-    ::setenv("GNNMLS_THREADS", threads, 1);
-    Router router(d, tech3d);
-    const RouteSummary rs = router.route_all(flags);
-    EXPECT_EQ(rs.total_wl_m, rs1.total_wl_m) << "threads=" << threads;
-    EXPECT_EQ(rs.census.overflow_gcells, rs1.census.overflow_gcells);
-    EXPECT_EQ(rs.mls_nets, rs1.mls_nets);
-    EXPECT_EQ(rs.f2f_pairs, rs1.f2f_pairs);
-    expect_identical_routing(ref, router, d.nl.num_nets());
-  }
-  ::unsetenv("GNNMLS_THREADS");
 }
 
 // A re-route on the same netlist replaces the routing in place: a flag flip

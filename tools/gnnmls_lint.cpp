@@ -411,9 +411,10 @@ int main(int argc, char** argv) {
                 flow.last_run_report().executed.size());
   }
 
-  // One greppable line for the ci.sh thread-sweep gate: runs under
-  // GNNMLS_THREADS=1/2/4 must print the same fingerprint (the sharded
-  // router's determinism contract, enforced end-to-end over the full flow).
+  // One greppable digest of the whole DB state (routes, tags, stage
+  // results): two runs of the same design, strategy and options print the
+  // same value, so comparing it across revisions shows whether a change
+  // moved what the flow computes.
   std::printf("state fingerprint: 0x%016llx\n",
               static_cast<unsigned long long>(flow.db().state_fingerprint()));
 

@@ -13,7 +13,6 @@
 //   gnnmls_report ingest BENCH.json --ledger FILE [--label L]
 //       Appends one "bench" ledger record built from the benchmark JSON.
 //
-//   gnnmls_report check-routing BENCH_routing.json
 //   gnnmls_report check-ml BENCH_ml.json
 //       The ML inference gate: batched decide >= 5x over the scalar stack
 //       on a cold cache, warm decide no slower than cold, and >= 90% cache
@@ -29,7 +28,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/ledger.hpp"
@@ -187,64 +185,6 @@ int cmd_ingest(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_check_routing(const std::vector<std::string>& args) {
-  if (args.size() != 1) {
-    std::fprintf(stderr, "usage: gnnmls_report check-routing BENCH_routing.json\n");
-    return 2;
-  }
-  std::string text;
-  Json root;
-  if (!read_file(args[0], text) || !gnnmls::util::parse_json(text, root)) {
-    std::fprintf(stderr, "gnnmls_report: cannot parse %s\n", args[0].c_str());
-    return 2;
-  }
-  const Json* benches = root.find("benchmarks");
-  if (!benches || benches->kind != Json::kArray) {
-    std::fprintf(stderr, "gnnmls_report: %s has no benchmarks\n", args[0].c_str());
-    return 2;
-  }
-  std::map<std::string, const Json*> rows;
-  for (const Json& b : benches->items)
-    if (b.kind == Json::kObject) rows[std::string(b.str_or("name", ""))] = &b;
-  const Json* neg1 = rows.count("BM_RouteNegotiated/1") ? rows["BM_RouteNegotiated/1"] : nullptr;
-  const Json* neg4 = rows.count("BM_RouteNegotiated/4") ? rows["BM_RouteNegotiated/4"] : nullptr;
-  if (!neg1 || !neg4) {
-    std::fprintf(stderr, "gnnmls_report: missing BM_RouteNegotiated/{1,4}\n");
-    return 2;
-  }
-  // Determinism gate (unconditional): the routed result, and so its
-  // overflow, may not depend on the thread count.
-  const double n1_ovf = neg1->num_or("overflow", -1.0);
-  const double n4_ovf = neg4->num_or("overflow", -1.0);
-  if (n1_ovf != n4_ovf) {
-    std::fprintf(stderr,
-                 "routing gate FAILED: overflow differs across thread counts "
-                 "(determinism bug): %.0f vs %.0f\n",
-                 n1_ovf, n4_ovf);
-    return 1;
-  }
-  // Throughput gate (multi-core hosts only): 4 worker threads must buy at
-  // least 2x nets/s; single-core runners keep the numbers ledger-only.
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 4) {
-    const double rate1 = neg1->num_or("nets/s", 0.0);
-    const double rate4 = neg4->num_or("nets/s", 0.0);
-    const double speedup = rate1 > 0.0 ? rate4 / rate1 : 0.0;
-    if (speedup < 2.0) {
-      std::fprintf(stderr, "routing gate FAILED: nets/s speedup at 4 threads only %.2fx (< 2x)\n",
-                   speedup);
-      return 1;
-    }
-    std::printf("routing perf gate OK: %.2fx at 4 threads, overflow %.0f at 1 and 4 threads\n",
-                speedup, n4_ovf);
-  } else {
-    std::printf("routing perf gate OK (ledger-only on %u-core host): overflow %.0f at 1 and 4 "
-                "threads\n",
-                cores, n4_ovf);
-  }
-  return 0;
-}
-
 int cmd_check_ml(const std::vector<std::string>& args) {
   if (args.size() != 1) {
     std::fprintf(stderr, "usage: gnnmls_report check-ml BENCH_ml.json\n");
@@ -357,7 +297,7 @@ int cmd_check_trace(const std::vector<std::string>& args) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: gnnmls_report diff|ingest|check-routing|check-ml|check-trace ... "
+                 "usage: gnnmls_report diff|ingest|check-ml|check-trace ... "
                  "(see the header comment)\n");
     return 2;
   }
@@ -365,7 +305,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 2, argv + argc);
   if (cmd == "diff") return cmd_diff(args);
   if (cmd == "ingest") return cmd_ingest(args);
-  if (cmd == "check-routing") return cmd_check_routing(args);
   if (cmd == "check-ml") return cmd_check_ml(args);
   if (cmd == "check-trace") return cmd_check_trace(args);
   std::fprintf(stderr, "gnnmls_report: unknown command '%s'\n", cmd.c_str());
