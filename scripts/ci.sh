@@ -35,6 +35,22 @@ rm -f PERF_LEDGER.jsonl
   --metrics-out=LINT_metrics.json --ledger=PERF_LEDGER.jsonl | tee LINT_sota.txt
 ./build/tools/gnnmls_lint --design maeri16 --strategy sota --with-dft
 
+echo "==> fingerprint gate: paper-scale lint state fingerprints are pinned"
+# The DesignDB state fingerprint folds in every per-edge route value, so a
+# router change that is not bit-identical on a paper-scale design fails here,
+# not only in MAERI-16's FlowGolden. A change that moves these on purpose
+# re-pins them and says so in CHANGES.md.
+lint_fingerprint() {
+  local design="$1" strategy="$2" want="$3" got
+  got="$(./build/tools/gnnmls_lint --design "${design}" --strategy "${strategy}" \
+         | sed -n 's/^state fingerprint: //p')"
+  [[ "${got}" == "${want}" ]] \
+    || { echo "fingerprint gate FAILED: ${design} ${strategy}: ${got} != ${want}"; exit 1; }
+  echo "fingerprint OK: ${design} ${strategy} ${got}"
+}
+lint_fingerprint maeri128 sota 0x603f7148e3663941
+lint_fingerprint maeri128 gnn 0xde583f6a621d4b27
+
 echo "==> metrics-snapshot gate: the JSON dump must carry the flow's histograms"
 grep -q '"route.edge_route_s"' LINT_metrics.json
 grep -q '"flow.snapshot_bytes"' LINT_metrics.json

@@ -174,9 +174,7 @@ std::size_t DesignDB::Snapshot::approx_bytes() const {
     const route::Router::Checkpoint& cp = *router;
     b += cp.routes.size() * sizeof(route::NetRoute) + cp.terms.size() * sizeof(route::Terminal) +
          cp.parents.size() * sizeof(int) + cp.edge_routes.size() * sizeof(route::EdgeRoute);
-    b += (cp.term_count.size() + cp.edge_count.size() + cp.commit_edge_count.size() +
-          cp.track_count.size() + cp.f2f_count.size() + cp.tracks.size() + cp.f2f.size()) *
-         sizeof(std::uint32_t);
+    b += (cp.term_count.size() + cp.edge_count.size()) * sizeof(std::uint32_t);
     b += cp.history.size() * sizeof(float) + cp.mls_flags.size();
     b += (cp.grid.use.size() + cp.grid.f2f_use.size()) * sizeof(float);
   }

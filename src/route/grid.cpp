@@ -36,19 +36,6 @@ RoutingGrid::RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& t
   }
 }
 
-int RoutingGrid::gx(double x_um) const {
-  return std::clamp(static_cast<int>(x_um / gcell_um_), 0, nx_ - 1);
-}
-
-int RoutingGrid::gy(double y_um) const {
-  return std::clamp(static_cast<int>(y_um / gcell_um_), 0, ny_ - 1);
-}
-
-double RoutingGrid::congestion(int tier, int layer, int x, int y) const {
-  const float cap = std::max(cap_[idx(tier, layer, x, y)], 0.25f);
-  return use_[idx(tier, layer, x, y)] / cap;
-}
-
 double RoutingGrid::f2f_congestion(int x, int y) const {
   return f2f_use_[idx2(x, y)] / std::max(f2f_cap_, 0.25f);
 }

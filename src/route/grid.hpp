@@ -11,6 +11,7 @@
 // resource coupling that makes indiscriminate MLS self-defeating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -33,8 +34,8 @@ class RoutingGrid {
   int num_layers(int tier) const { return layers_[tier]; }
 
   // Gcell coordinates of a point (clamped to the die).
-  int gx(double x_um) const;
-  int gy(double y_um) const;
+  int gx(double x_um) const { return std::clamp(static_cast<int>(x_um / gcell_um_), 0, nx_ - 1); }
+  int gy(double y_um) const { return std::clamp(static_cast<int>(y_um / gcell_um_), 0, ny_ - 1); }
 
   // Track capacity/usage of one gcell on one layer.
   float capacity(int tier, int layer, int x, int y) const { return cap_[idx(tier, layer, x, y)]; }
@@ -42,8 +43,12 @@ class RoutingGrid {
   void add_usage(int tier, int layer, int x, int y, float amount) {
     use_[idx(tier, layer, x, y)] += amount;
   }
-  // usage / capacity (capacity floor keeps this finite for PDN-blocked cells).
-  double congestion(int tier, int layer, int x, int y) const;
+  // usage / capacity (capacity floor keeps this finite for PDN-blocked cells),
+  // divided in float and widened to double.
+  double congestion(int tier, int layer, int x, int y) const {
+    return congestion_at(idx(tier, layer, x, y));
+  }
+  double congestion_at(std::size_t i) const { return use_[i] / std::max(cap_[i], 0.25f); }
 
   // F2F pad resource.
   float f2f_capacity() const { return f2f_cap_; }
@@ -55,13 +60,17 @@ class RoutingGrid {
   // (PDN straps). Call before routing.
   void reserve_layer_fraction(int tier, int layer, double fraction);
 
-  // Flat-index access, used by the router's per-net commit footprints so a
-  // rip-up can subtract exactly the usage a commit added. Usage counts are
-  // whole-number sums of 1.0f, so add/subtract round-trips are exact.
+  // Flat-index access for the edge footprint walk (route/topology.hpp).
+  // Within one tier/layer plane a gcell's x neighbour is at +1 and its y
+  // neighbour at +nx. Usage counts are whole-number sums of 1.0f, so a
+  // rip-up that subtracts an edge's footprint restores usage exactly.
   std::size_t track_index(int tier, int layer, int x, int y) const {
     return idx(tier, layer, x, y);
   }
   std::size_t f2f_index(int x, int y) const { return idx2(x, y); }
+  float capacity_at(std::size_t i) const { return cap_[i]; }
+  float usage_at(std::size_t i) const { return use_[i]; }
+  float f2f_usage_at(std::size_t i) const { return f2f_use_[i]; }
   void add_usage_at(std::size_t i, float amount) { use_[i] += amount; }
   void add_f2f_at(std::size_t i, float amount) { f2f_use_[i] += amount; }
   // Flat cell counts, sizing the negotiation history surface and the

@@ -33,20 +33,10 @@ struct NegCounters {
 // Without this check every edge in a shard piles onto the same cheapest
 // layer pair.
 bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
-  if (!er.routed) return false;
-  const int tier = er.route_tier;
-  auto full = [&](int layer, int x, int y) {
-    return grid.usage(tier, layer, x, y) + 1.0f > frac * grid.capacity(tier, layer, x, y);
-  };
-  const int xs = std::min(er.gx1, er.gx2), xe = std::max(er.gx1, er.gx2);
-  for (int x = xs; x <= xe; ++x)
-    if (full(er.hlayer, x, er.gy1)) return true;
-  const int ys = std::min(er.gy1, er.gy2), ye = std::max(er.gy1, er.gy2);
-  for (int y = ys; y <= ye; ++y)
-    if (full(er.vlayer, er.gx2, y)) return true;
-  if (er.f2f > 0 && grid.f2f_usage(er.gx1, er.gy1) + 1.0f > grid.f2f_capacity()) return true;
-  if (er.f2f > 1 && grid.f2f_usage(er.gx2, er.gy2) + 1.0f > grid.f2f_capacity()) return true;
-  return false;
+  return for_each_cell(
+      grid, er,
+      [&](std::size_t i) { return grid.usage_at(i) + 1.0f > frac * grid.capacity_at(i); },
+      [&](std::size_t i) { return grid.f2f_usage_at(i) + 1.0f > grid.f2f_capacity(); });
 }
 
 // Serially commits the speculative results for `idxs`, reroute-on-conflict:
@@ -82,7 +72,7 @@ void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> i
       ++*repairs;
     }
     in.edge_routes[t.net][t.edge] = er;
-    commit_edge(in.grid, er, &in.commits[t.net].edges[t.edge]);
+    commit_edge(in.grid, er, 1.0f);
   }
 }
 
@@ -147,15 +137,15 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
 
     // History bump: every overflowed track cell gets more expensive for the
     // rest of the run.
+    const std::size_t plane = static_cast<std::size_t>(in.grid.nx()) * in.grid.ny();
     for (int tier = 0; tier < 2; ++tier)
-      for (int layer = 0; layer < in.grid.num_layers(tier); ++layer)
-        for (int y = 0; y < in.grid.ny(); ++y)
-          for (int x = 0; x < in.grid.nx(); ++x) {
-            const double cong = in.grid.congestion(tier, layer, x, y);
-            if (cong > 1.0)
-              in.history[in.grid.track_index(tier, layer, x, y)] +=
-                  static_cast<float>(opt.history_gain_ps * (cong - 1.0));
-          }
+      for (int layer = 0; layer < in.grid.num_layers(tier); ++layer) {
+        const std::size_t base = in.grid.track_index(tier, layer, 0, 0);
+        for (std::size_t i = base; i < base + plane; ++i) {
+          const double cong = in.grid.congestion_at(i);
+          if (cong > 1.0) in.history[i] += static_cast<float>(opt.history_gain_ps * (cong - 1.0));
+        }
+      }
 
     // Victims: every committed edge whose footprint intersects the
     // halo-dilated overflow masks, in deterministic global edge order.
@@ -164,33 +154,20 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     std::vector<std::uint32_t> victims;
     for (std::uint32_t i = 0; i < in.edges.size(); ++i) {
       const EdgeTask& t = in.edges[i];
-      const EdgeCommit& c = in.commits[t.net].edges[t.edge];
-      bool hit = false;
-      for (const std::uint32_t cell : c.tracks)
-        if (mask[cell] != 0) {
-          hit = true;
-          break;
-        }
-      if (!hit)
-        for (const std::uint32_t cell : c.f2f)
-          if (fmask[cell] != 0) {
-            hit = true;
-            break;
-          }
-      if (hit) victims.push_back(i);
+      if (for_each_cell(
+              in.grid, in.edge_routes[t.net][t.edge],
+              [&](std::size_t cell) { return mask[cell] != 0; },
+              [&](std::size_t cell) { return fmask[cell] != 0; }))
+        victims.push_back(i);
     }
     if (victims.empty()) break;  // overflow without a committed offender (reservations)
 
-    // Rip up, keeping the previous routes/footprints for an exact revert.
+    // Rip up, keeping the previous routes for an exact revert.
     std::vector<EdgeRoute> old_routes(victims.size());
-    std::vector<EdgeCommit> old_commits(victims.size());
     for (std::size_t k = 0; k < victims.size(); ++k) {
       const EdgeTask& t = in.edges[victims[k]];
       old_routes[k] = in.edge_routes[t.net][t.edge];
-      old_commits[k] = std::move(in.commits[t.net].edges[t.edge]);
-      in.commits[t.net].edges[t.edge] = EdgeCommit{};
-      for (const std::uint32_t cell : old_commits[k].tracks) in.grid.add_usage_at(cell, -1.0f);
-      for (const std::uint32_t cell : old_commits[k].f2f) in.grid.add_f2f_at(cell, -1.0f);
+      commit_edge(in.grid, old_routes[k], -1.0f);
     }
 
     // Reroute all victims Jacobi-style against the frozen post-rip-up grid
@@ -212,13 +189,10 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       // loop still terminates.
       for (std::size_t k = 0; k < victims.size(); ++k) {
         const EdgeTask& t = in.edges[victims[k]];
-        uncommit_edge(in.grid, in.commits[t.net].edges[t.edge]);
-        in.edge_routes[t.net][t.edge] = old_routes[k];
-        in.commits[t.net].edges[t.edge] = std::move(old_commits[k]);
-        for (const std::uint32_t cell : in.commits[t.net].edges[t.edge].tracks)
-          in.grid.add_usage_at(cell, 1.0f);
-        for (const std::uint32_t cell : in.commits[t.net].edges[t.edge].f2f)
-          in.grid.add_f2f_at(cell, 1.0f);
+        EdgeRoute& er = in.edge_routes[t.net][t.edge];
+        commit_edge(in.grid, er, -1.0f);
+        er = old_routes[k];
+        commit_edge(in.grid, er, 1.0f);
       }
       NegCounters::get().reverts.add(1);
       ++stagnant;

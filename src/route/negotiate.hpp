@@ -13,8 +13,10 @@
 //      all victims against the frozen post-rip-up grid + the updated
 //      history surface, and commit in edge order the same way. An
 //      iteration that makes the overflow census worse is reverted exactly
-//      (per-edge footprints make rip-up/recommit lossless) and ends the
-//      loop, so the final state is never worse than the initial routing.
+//      (an edge's footprint is derived from its EdgeRoute, so rip-up and
+//      recommit are lossless) and the loop goes on with the bumped history;
+//      a revert counts toward stagnation_limit. The final state is never
+//      worse than the initial routing.
 //
 // The frozen-grid speculation and the commit repair define today's routes;
 // routing runs on the calling thread, and the result is a pure function of
@@ -42,9 +44,10 @@ struct NegotiationStats {
 };
 
 // Everything route_negotiated() works on. `edges` is the deterministic
-// global edge order; `edge_routes`/`commits` are per-net outputs sized by
-// the caller (one slot per topology edge). `history` must be sized to the
-// grid's track cells and is both consumed and updated.
+// global edge order; `edge_routes` is the per-net output sized by the caller
+// (one slot per topology edge), and each slot's footprint is what the grid
+// holds for that edge. `history` must be sized to the grid's track cells and
+// is both consumed and updated.
 struct NegotiationInput {
   RoutingGrid& grid;
   const tech::Tech3D& tech;
@@ -52,7 +55,6 @@ struct NegotiationInput {
   std::span<const EdgeTask> edges;
   std::vector<float>& history;
   std::vector<std::vector<EdgeRoute>>& edge_routes;
-  std::vector<NetCommit>& commits;
 };
 
 NegotiationStats route_negotiated(const NegotiationInput& in);

@@ -79,10 +79,6 @@ void Router::reset_state(const std::vector<std::uint8_t>& mls_flags) {
   routes_.assign(n, NetRoute{});
   topo_.assign(n, NetTopology{});
   edge_routes_.assign(n, {});
-  // clear(), not assign: keeps the outer vector's slots alive so repeat
-  // route_all calls (every evaluate) reuse the per-net allocations.
-  commits_.resize(n);
-  for (NetCommit& c : commits_) c.edges.clear();
   history_.clear();
   mls_flags_ = mls_flags;
 }
@@ -92,7 +88,6 @@ NetRoute Router::route_net(Id net, bool mls) {
   const std::size_t ne = topo.num_edges();
   std::vector<EdgeRoute> edges(ne);
   const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
-  commits_[net].edges.assign(ne, EdgeCommit{});
   EdgeTally tally;
   for (std::size_t e = 0; e < ne; ++e) {
     const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
@@ -101,7 +96,7 @@ NetRoute Router::route_net(Id net, bool mls) {
     tally.add(edges[e]);
     // Immediate commit: the next edge of this net (and every later net)
     // sees this edge's congestion.
-    commit_edge(grid_, edges[e], &commits_[net].edges[e]);
+    commit_edge(grid_, edges[e], 1.0f);
   }
   NetRoute out = assemble_net_route(design_.nl, net, topo, edges);
   tally.flush(/*committed=*/true);
@@ -139,8 +134,7 @@ RouteSummary Router::summarize() const {
 }
 
 void Router::rip_up(Id net) {
-  for (EdgeCommit& c : commits_[net].edges) uncommit_edge(grid_, c);
-  commits_[net].edges.clear();
+  for (const EdgeRoute& er : edge_routes_[net]) commit_edge(grid_, er, -1.0f);
   edge_routes_[net].clear();
   topo_[net] = NetTopology{};
   routes_[net] = NetRoute{};
@@ -179,7 +173,6 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
       NetTopology topo = build_net_topology(design_, tech_, net);
       const std::size_t ne = topo.num_edges();
       edge_routes_[net].assign(ne, EdgeRoute{});
-      commits_[net].edges.assign(ne, EdgeCommit{});
       const bool mls = flag_of(mls_flags_, net);
       for (std::uint32_t e = 0; e < ne; ++e) {
         tasks.push_back(EdgeTask{net, e,
@@ -192,7 +185,7 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
 
   // ---- phases 1+2: sharded routing + negotiation --------------------------
   const NegotiationStats stats = route_negotiated(
-      NegotiationInput{grid_, tech_, options_, tasks, history_, edge_routes_, commits_});
+      NegotiationInput{grid_, tech_, options_, tasks, history_, edge_routes_});
 
   // ---- assemble per-net electrical models ---------------------------------
   EdgeTally tally;
@@ -218,7 +211,6 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   routes_.resize(n);
   topo_.resize(n);
   edge_routes_.resize(n);
-  commits_.resize(n);
 
   // Dirty set: the caller's nets plus everything added since the last route.
   std::vector<std::uint8_t> is_dirty(n, 0);
@@ -263,26 +255,16 @@ Router::Checkpoint Router::checkpoint() const {
   Checkpoint cp;
   cp.routes = routes_;
   const std::size_t n = routes_.size();
-  std::size_t n_terms = 0, n_edges = 0, n_commit_edges = 0, n_tracks = 0, n_f2f = 0;
+  std::size_t n_terms = 0, n_edges = 0;
   for (std::size_t i = 0; i < n; ++i) {
     n_terms += topo_[i].terms.size();
     n_edges += edge_routes_[i].size();
-    n_commit_edges += commits_[i].edges.size();
-    for (const EdgeCommit& ec : commits_[i].edges) {
-      n_tracks += ec.tracks.size();
-      n_f2f += ec.f2f.size();
-    }
   }
   cp.term_count.reserve(n);
   cp.terms.reserve(n_terms);
   cp.parents.reserve(n_terms);
   cp.edge_count.reserve(n);
   cp.edge_routes.reserve(n_edges);
-  cp.commit_edge_count.reserve(n);
-  cp.track_count.reserve(n_commit_edges);
-  cp.f2f_count.reserve(n_commit_edges);
-  cp.tracks.reserve(n_tracks);
-  cp.f2f.reserve(n_f2f);
   for (std::size_t i = 0; i < n; ++i) {
     const NetTopology& t = topo_[i];
     cp.term_count.push_back(static_cast<std::uint32_t>(t.terms.size()));
@@ -290,13 +272,6 @@ Router::Checkpoint Router::checkpoint() const {
     cp.parents.insert(cp.parents.end(), t.parent.begin(), t.parent.end());
     cp.edge_count.push_back(static_cast<std::uint32_t>(edge_routes_[i].size()));
     cp.edge_routes.insert(cp.edge_routes.end(), edge_routes_[i].begin(), edge_routes_[i].end());
-    cp.commit_edge_count.push_back(static_cast<std::uint32_t>(commits_[i].edges.size()));
-    for (const EdgeCommit& ec : commits_[i].edges) {
-      cp.track_count.push_back(static_cast<std::uint32_t>(ec.tracks.size()));
-      cp.f2f_count.push_back(static_cast<std::uint32_t>(ec.f2f.size()));
-      cp.tracks.insert(cp.tracks.end(), ec.tracks.begin(), ec.tracks.end());
-      cp.f2f.insert(cp.f2f.end(), ec.f2f.begin(), ec.f2f.end());
-    }
   }
   cp.history = history_;
   cp.mls_flags = mls_flags_;
@@ -310,8 +285,7 @@ void Router::restore(const Checkpoint& cp) {
   const std::size_t n = cp.routes.size();
   topo_.assign(n, NetTopology{});
   edge_routes_.assign(n, {});
-  commits_.assign(n, NetCommit{});
-  std::size_t term_at = 0, edge_at = 0, commit_at = 0, track_at = 0, f2f_at = 0;
+  std::size_t term_at = 0, edge_at = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t nt = cp.term_count[i];
     topo_[i].terms.assign(cp.terms.begin() + static_cast<std::ptrdiff_t>(term_at),
@@ -323,20 +297,6 @@ void Router::restore(const Checkpoint& cp) {
     edge_routes_[i].assign(cp.edge_routes.begin() + static_cast<std::ptrdiff_t>(edge_at),
                            cp.edge_routes.begin() + static_cast<std::ptrdiff_t>(edge_at + ne));
     edge_at += ne;
-    const std::size_t nc = cp.commit_edge_count[i];
-    commits_[i].edges.resize(nc);
-    for (std::size_t e = 0; e < nc; ++e) {
-      const std::size_t ntr = cp.track_count[commit_at];
-      const std::size_t nf = cp.f2f_count[commit_at];
-      ++commit_at;
-      commits_[i].edges[e].tracks.assign(
-          cp.tracks.begin() + static_cast<std::ptrdiff_t>(track_at),
-          cp.tracks.begin() + static_cast<std::ptrdiff_t>(track_at + ntr));
-      track_at += ntr;
-      commits_[i].edges[e].f2f.assign(cp.f2f.begin() + static_cast<std::ptrdiff_t>(f2f_at),
-                                      cp.f2f.begin() + static_cast<std::ptrdiff_t>(f2f_at + nf));
-      f2f_at += nf;
-    }
   }
   history_ = cp.history;
   mls_flags_ = cp.mls_flags;

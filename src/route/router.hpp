@@ -154,14 +154,15 @@ class Router {
   // "M1-4(bot)+M6(top)" style rendering for Table I.
   static std::string describe_layers(const NetRoute& r);
 
-  // Deep copy of every mutable routing artifact (routes, per-edge results
-  // and commit footprints, topologies, negotiation history, decision
-  // vector, grid usage, routed revision). checkpoint()/restore() bracket
-  // transactional pass execution: a pass that dies mid-route leaves partial
-  // grid usage and a prefix of committed edges, and restoring the
-  // checkpoint makes the router bit-identical to its pre-dispatch state.
-  // The per-net nested containers (topologies, per-edge results, commit
-  // footprints) are serialized into a handful of contiguous arrays:
+  // Deep copy of every mutable routing artifact (routes, per-edge results,
+  // topologies, negotiation history, decision vector, grid usage, routed
+  // revision). An edge's grid footprint is derived from its EdgeRoute, so
+  // the per-edge results are all a later rip-up needs. checkpoint()/
+  // restore() bracket transactional pass execution: a pass that dies
+  // mid-route leaves partial grid usage and a prefix of committed edges, and
+  // restoring the checkpoint makes the router bit-identical to its
+  // pre-dispatch state. The per-net nested containers (topologies, per-edge
+  // results) are serialized into a handful of contiguous arrays:
   // checkpoint() runs on the hot path of every transactional wave, and flat
   // packing makes it a few bulk copies instead of O(nets x edges) small
   // allocations. restore() — the rare rollback path — pays the unpack.
@@ -172,11 +173,6 @@ class Router {
     std::vector<int> parents;                // concatenated topology parents
     std::vector<std::uint32_t> edge_count;   // per net
     std::vector<EdgeRoute> edge_routes;      // concatenated per-edge results
-    std::vector<std::uint32_t> commit_edge_count;  // per net
-    std::vector<std::uint32_t> track_count;  // per concatenated commit edge
-    std::vector<std::uint32_t> f2f_count;    // per concatenated commit edge
-    std::vector<std::uint32_t> tracks;       // concatenated commit track cells
-    std::vector<std::uint32_t> f2f;          // concatenated commit F2F pads
     std::vector<float> history;
     std::vector<std::uint8_t> mls_flags;
     std::uint64_t routed_revision = 0;
@@ -191,7 +187,7 @@ class Router {
   void reset_state(const std::vector<std::uint8_t>& mls_flags);
   // Re-decomposes and routes one net edge-by-edge against the current grid
   // state (ECO repairs). Each edge's usage lands before the next edge is
-  // chosen, and the footprints/topology are stored on the router.
+  // chosen, and the per-edge results/topology are stored on the router.
   NetRoute route_net(netlist::Id net, bool mls);
   void rip_up(netlist::Id net);
   void finish_route_all(RouteSummary& summary);
@@ -215,7 +211,6 @@ class Router {
   std::vector<NetRoute> routes_;
   std::vector<NetTopology> topo_;                  // parallel to routes_
   std::vector<std::vector<EdgeRoute>> edge_routes_;  // parallel to routes_
-  std::vector<NetCommit> commits_;                 // parallel to routes_
   std::vector<float> history_;  // negotiated congestion history (may be empty)
   std::vector<std::uint8_t> mls_flags_;   // decisions of the last (re)route
   std::uint64_t routed_revision_ = 0;

@@ -85,9 +85,13 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
   EdgeRoute out;
   const RoutingGrid& grid = m.grid;
   const RouterOptions& opt = m.options;
+  const tech::Tech3D& tech = m.tech;
   const double g = grid.gcell_um();
   const double penalty_w = opt.congestion_penalty_ps;
   const double len = std::abs(a.x - b.x) + std::abs(a.y - b.y) + 0.5 * g;
+  // Length split across a layer pair by orientation.
+  const double len_h = std::abs(a.x - b.x) + 0.25 * g;
+  const double len_v = std::abs(a.y - b.y) + 0.25 * g;
   const int gx1 = grid.gx(a.x), gy1 = grid.gy(a.y);
   const int gx2 = grid.gx(b.x), gy2 = grid.gy(b.y);
   out.gx1 = static_cast<std::uint16_t>(gx1);
@@ -97,28 +101,44 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
 
   const bool cross_tier = a.tier != b.tier;
   const bool force_shared = mls && !cross_tier && len >= opt.min_mls_edge_um;
+  // Bond-pad congestion at both ends, charged to every candidate with F2F
+  // vias.
+  double f2f_penalty = 0.0;
+  if (force_shared || cross_tier) {
+    const double fc = grid.f2f_congestion(gx1, gy1) + grid.f2f_congestion(gx2, gy2);
+    f2f_penalty = penalty_w * 2.0 * fc * fc;
+  }
 
-  // Walks the two segments of the L-route read-only and returns the summed
-  // congestion (+ negotiated history) penalty and the max overflow seen.
+  // Prices a candidate's L over the footprint walk that commits it, read-only:
+  // the summed congestion (+ negotiated history) penalty and the max
+  // overflow seen. The probe has no F2F pads; their cost is f2f_penalty.
+  EdgeRoute probe = out;
+  probe.routed = true;
   auto walk_cost = [&](int tier, int hlayer, int vlayer, double* max_over) -> double {
+    probe.route_tier = static_cast<std::uint8_t>(tier);
+    probe.hlayer = static_cast<std::uint8_t>(hlayer);
+    probe.vlayer = static_cast<std::uint8_t>(vlayer);
     double penalty = 0.0;
     *max_over = 0.0;
-    auto visit = [&](int layer, int x, int y) {
-      const double cong = grid.congestion(tier, layer, x, y);
-      penalty += penalty_w * cong * cong;
-      if (m.history != nullptr) penalty += m.history[grid.track_index(tier, layer, x, y)];
-      *max_over = std::max(*max_over, cong);
-    };
-    const int xs = std::min(gx1, gx2), xe = std::max(gx1, gx2);
-    for (int x = xs; x <= xe; ++x) visit(hlayer, x, gy1);
-    const int ys = std::min(gy1, gy2), ye = std::max(gy1, gy2);
-    for (int y = ys; y <= ye; ++y) visit(vlayer, gx2, y);
+    for_each_cell(
+        grid, probe,
+        [&](std::size_t i) {
+          const double cong = grid.congestion_at(i);
+          penalty += penalty_w * cong * cong;
+          if (m.history != nullptr) penalty += m.history[i];
+          *max_over = std::max(*max_over, cong);
+          return false;
+        },
+        [](std::size_t) { return false; });
     return penalty;
   };
 
-  std::vector<EdgeChoice> candidates;
+  // Running minimum over the candidates in enumeration order; a later
+  // candidate replaces it only when strictly cheaper, so ties keep the first.
+  EdgeChoice pick;
+  std::uint32_t count = 0;
+  bool shared_fits = false;
   auto consider = [&](int route_tier, int layer_lo, int f2f, bool shared) {
-    const tech::Tech3D& tech = m.tech;
     const tech::BeolStack& stack = (route_tier == 0) ? tech.beol_bottom : tech.beol_top;
     if (layer_lo + 1 >= stack.num_layers()) return;
     EdgeChoice c;
@@ -126,9 +146,6 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
     c.layer_lo = layer_lo;
     c.f2f = f2f;
     c.shared = shared;
-    // Split length across the pair by orientation.
-    const double len_h = std::abs(a.x - b.x) + 0.25 * g;
-    const double len_v = std::abs(a.y - b.y) + 0.25 * g;
     const tech::MetalLayer& l0 = stack.layer(layer_lo);
     const tech::MetalLayer& l1 = stack.layer(layer_lo + 1);
     const tech::MetalLayer& lh = (l0.dir == tech::LayerDir::kHorizontal) ? l0 : l1;
@@ -168,17 +185,14 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
     c.vlayer = (l0.dir == tech::LayerDir::kHorizontal) ? layer_lo + 1 : layer_lo;
     double max_over = 0.0;
     const double penalty = walk_cost(route_tier, c.hlayer, c.vlayer, &max_over);
-    double f2f_penalty = 0.0;
-    if (f2f > 0) {
-      const double fc = grid.f2f_congestion(gx1, gy1) + grid.f2f_congestion(gx2, gy2);
-      f2f_penalty = penalty_w * 2.0 * fc * fc;
-    }
     c.overflow = max_over;
     // Cost: Elmore-ish delay estimate + congestion penalties. kOhm*fF = ps.
     const double drive_r_kohm = 1.5;  // nominal comparator driver
     c.cost_ps = 1e-3 * (drive_r_kohm * 1e3 * c.cap_ff + c.res_ohm * (c.cap_ff * 0.5 + 2.0)) +
-                penalty + f2f_penalty;
-    candidates.push_back(c);
+                penalty + (f2f > 0 ? f2f_penalty : 0.0);
+    if (c.overflow < 1.0) shared_fits = true;
+    if (count == 0 || c.cost_ps < pick.cost_ps) pick = c;
+    ++count;
   };
 
   if (force_shared) {
@@ -191,12 +205,9 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
       const int lo = top - 1 - k;
       if (lo >= 1) consider(other, lo, 2, true);
     }
-    bool shared_fits = false;
-    for (const EdgeChoice& c : candidates)
-      if (c.overflow < 1.0) shared_fits = true;
     if (!shared_fits) {
       out.fallback = true;
-      candidates.clear();
+      count = 0;
       const int nl_t = grid.num_layers(a.tier);
       for (int lo = 1; lo + 1 < nl_t; ++lo) consider(a.tier, lo, 0, false);
     }
@@ -210,12 +221,8 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
     const int nl_t = grid.num_layers(a.tier);
     for (int lo = 1; lo + 1 < nl_t; ++lo) consider(a.tier, lo, 0, false);
   }
-  out.candidates = static_cast<std::uint32_t>(candidates.size());
-  if (candidates.empty()) return out;
-
-  const EdgeChoice& pick = *std::min_element(
-      candidates.begin(), candidates.end(),
-      [](const EdgeChoice& x, const EdgeChoice& y) { return x.cost_ps < y.cost_ps; });
+  out.candidates = count;
+  if (count == 0) return out;
 
   // Detour inflation when the chosen route is through overfull regions.
   const double over = std::max(0.0, pick.overflow - 1.0);
@@ -236,35 +243,17 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
   return out;
 }
 
-void commit_edge(RoutingGrid& grid, const EdgeRoute& er, EdgeCommit* rec) {
-  if (!er.routed) return;
-  const int tier = er.route_tier;
-  const int gx1 = er.gx1, gy1 = er.gy1, gx2 = er.gx2, gy2 = er.gy2;
-  auto take = [&](int layer, int x, int y) {
-    const std::size_t i = grid.track_index(tier, layer, x, y);
-    grid.add_usage_at(i, 1.0f);
-    if (rec != nullptr) rec->tracks.push_back(static_cast<std::uint32_t>(i));
-  };
-  const int xs = std::min(gx1, gx2), xe = std::max(gx1, gx2);
-  for (int x = xs; x <= xe; ++x) take(er.hlayer, x, gy1);
-  const int ys = std::min(gy1, gy2), ye = std::max(gy1, gy2);
-  for (int y = ys; y <= ye; ++y) take(er.vlayer, gx2, y);
-  if (er.f2f > 0) {
-    grid.add_f2f(gx1, gy1, 1.0f);
-    if (rec != nullptr) rec->f2f.push_back(static_cast<std::uint32_t>(grid.f2f_index(gx1, gy1)));
-    if (er.f2f > 1) {
-      grid.add_f2f(gx2, gy2, 1.0f);
-      if (rec != nullptr)
-        rec->f2f.push_back(static_cast<std::uint32_t>(grid.f2f_index(gx2, gy2)));
-    }
-  }
-}
-
-void uncommit_edge(RoutingGrid& grid, EdgeCommit& rec) {
-  for (const std::uint32_t i : rec.tracks) grid.add_usage_at(i, -1.0f);
-  for (const std::uint32_t i : rec.f2f) grid.add_f2f_at(i, -1.0f);
-  rec.tracks.clear();
-  rec.f2f.clear();
+void commit_edge(RoutingGrid& grid, const EdgeRoute& er, float amount) {
+  for_each_cell(
+      grid, er,
+      [&](std::size_t i) {
+        grid.add_usage_at(i, amount);
+        return false;
+      },
+      [&](std::size_t i) {
+        grid.add_f2f_at(i, amount);
+        return false;
+      });
 }
 
 NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id, const NetTopology& topo,

@@ -10,8 +10,9 @@
 //   * route_edge()     — cost-driven layer-pair/tier selection for one edge
 //                        against a read-only grid view, with an optional
 //                        negotiated-congestion history term
-//   * EdgeCommit       — the exact grid resources one committed edge holds,
-//                        so a negotiation rip-up can subtract a single edge
+//   * for_each_cell()  — the grid footprint of a routed edge, derived from
+//                        its EdgeRoute; commit_edge() adds or subtracts it,
+//                        so a rip-up removes exactly what a commit added
 //   * assemble_net_route() — per-net electrical model (load + Elmore) from
 //                        the routed edges
 //
@@ -21,6 +22,7 @@
 // any of them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -74,24 +76,6 @@ struct EdgeRoute {
   friend bool operator==(const EdgeRoute&, const EdgeRoute&) = default;
 };
 
-// Grid resources one committed edge holds: flat track-cell indices plus F2F
-// pad cells, recorded at commit time so a per-edge rip-up can subtract them
-// exactly (usage counts are whole-number sums of 1.0f, so add/subtract
-// round-trips are exact).
-struct EdgeCommit {
-  std::vector<std::uint32_t> tracks;
-  std::vector<std::uint32_t> f2f;
-  bool empty() const { return tracks.empty() && f2f.empty(); }
-  friend bool operator==(const EdgeCommit&, const EdgeCommit&) = default;
-};
-
-// Grid resources one committed net holds: one footprint per topology edge,
-// so both a whole-net ECO rip-up and a single-edge negotiation rip-up
-// subtract exactly what was added.
-struct NetCommit {
-  std::vector<EdgeCommit> edges;
-};
-
 // Read-only context for routing one edge. `history` is the negotiated-
 // congestion cost surface (ps per track-cell visit), indexed like the
 // grid's flat track cells; null disables the history term (trials before
@@ -110,12 +94,34 @@ struct EdgeCostModel {
 EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& b,
                      bool mls);
 
-// Adds the edge's usage (L-walk tracks + F2F pads) to the grid, recording
-// every touched cell into `rec` when non-null.
-void commit_edge(RoutingGrid& grid, const EdgeRoute& er, EdgeCommit* rec);
+// Walks the grid footprint of a routed edge as flat indices: the track
+// cells of its L (the horizontal leg on hlayer along row gy1, then the
+// vertical leg on vlayer along column gx2), then its F2F pad cells (gx1,gy1
+// for a tier change, plus gx2,gy2 for an MLS round trip). The footprint is a
+// pure function of the EdgeRoute. `track(i)` and `f2f(i)` return true to
+// stop the walk; for_each_cell returns true iff one did. An unrouted edge
+// has no footprint.
+template <class TrackFn, class F2fFn>
+bool for_each_cell(const RoutingGrid& grid, const EdgeRoute& er, TrackFn&& track,
+                   F2fFn&& f2f) {
+  if (!er.routed) return false;
+  const int xs = std::min(er.gx1, er.gx2), xe = std::max(er.gx1, er.gx2);
+  std::size_t i = grid.track_index(er.route_tier, er.hlayer, xs, er.gy1);
+  for (int x = xs; x <= xe; ++x, ++i)
+    if (track(i)) return true;
+  const int ys = std::min(er.gy1, er.gy2), ye = std::max(er.gy1, er.gy2);
+  const auto nx = static_cast<std::size_t>(grid.nx());
+  i = grid.track_index(er.route_tier, er.vlayer, er.gx2, ys);
+  for (int y = ys; y <= ye; ++y, i += nx)
+    if (track(i)) return true;
+  if (er.f2f > 0 && f2f(grid.f2f_index(er.gx1, er.gy1))) return true;
+  if (er.f2f > 1 && f2f(grid.f2f_index(er.gx2, er.gy2))) return true;
+  return false;
+}
 
-// Subtracts a committed edge's usage and clears the record.
-void uncommit_edge(RoutingGrid& grid, EdgeCommit& rec);
+// Adds `amount` (+1.0f to commit, -1.0f to rip up) to every cell of the
+// edge's footprint.
+void commit_edge(RoutingGrid& grid, const EdgeRoute& er, float amount);
 
 // Aggregates the routed edges of one net into its NetRoute: wirelength,
 // RC totals, layer masks, driver load, and per-sink Elmore delays.

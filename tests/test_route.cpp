@@ -1,6 +1,8 @@
 // Tests for the routing grid and the MLS-aware router.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <utility>
 
 #include "netlist/buffering.hpp"
@@ -22,6 +24,15 @@ Design placed_16pe(bool hetero, tech::Tech3D& tech3d) {
   insert_buffer_trees(d.nl);
   place::place(d, tech3d);
   return d;
+}
+
+// MLS on every 2D net longer than 60 um: on the heterogeneous MAERI-16 this
+// negotiates for several iterations and reverts at least one of them.
+std::vector<std::uint8_t> long_2d_net_flags(const Design& d) {
+  std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
+  for (Id n = 0; n < d.nl.num_nets(); ++n)
+    if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 60.0) flags[n] = 1;
+  return flags;
 }
 
 TEST(Grid, CapacityReflectsPitch) {
@@ -247,9 +258,7 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
 TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
-  std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
-  for (Id n = 0; n < d.nl.num_nets(); ++n)
-    if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > 60.0) flags[n] = 1;
+  const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
 
   Router negotiated(d, tech3d);
   const RouteSummary neg = negotiated.route_all(flags);
@@ -261,6 +270,146 @@ TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
   EXPECT_GT(neg.negotiation_iters, 0u);
   EXPECT_LE(neg.census.overflow_gcells + neg.census.f2f_overflow_gcells,
             ini.census.overflow_gcells + ini.census.f2f_overflow_gcells);
+}
+
+// RouteGolden pins one negotiated MAERI-16 route and one ECO repair of it to
+// their exact bits: a hash over every EdgeRoute, the negotiation statistics,
+// the commit-repair count and the final census. The router is a pure
+// function of (netlist, flags, options), so a change that moves any of these
+// values changes the routes every table is built on; re-pin on purpose and
+// say so in CHANGES.md. The configuration is long_2d_net_flags on the
+// heterogeneous stack.
+
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Hash of every net's per-edge routing results, in net and edge order.
+std::uint64_t edge_route_hash(const Router& router) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (Id n = 0; n < router.routes().size(); ++n) {
+    const std::vector<EdgeRoute>& edges = router.net_edges(n);
+    h = fnv(h, edges.size());
+    for (const EdgeRoute& er : edges) {
+      h = fnv(h, er.routed | (er.shared << 1) | (er.fallback << 2));
+      h = fnv(h, er.route_tier | (er.layer_lo << 8) | (er.hlayer << 16) | (er.vlayer << 24) |
+                     (std::uint64_t{er.f2f} << 32));
+      h = fnv(h, er.gx1 | (er.gy1 << 16) | (std::uint64_t{er.gx2} << 32) |
+                     (std::uint64_t{er.gy2} << 48));
+      h = fnv(h, std::bit_cast<std::uint32_t>(er.wl_um) |
+                     (std::uint64_t{std::bit_cast<std::uint32_t>(er.res_ohm)} << 32));
+      h = fnv(h, std::bit_cast<std::uint32_t>(er.cap_ff) |
+                     (std::uint64_t{std::bit_cast<std::uint32_t>(er.detour)} << 32));
+      h = fnv(h, std::bit_cast<std::uint32_t>(er.overflow) |
+                     (std::uint64_t{er.candidates} << 32));
+    }
+  }
+  return h;
+}
+
+// Splices a buffer pair behind the first driven net: one touched old net
+// plus one new net. Returns the dirty list for reroute_nets.
+std::vector<Id> splice_buffer_pair(Netlist& nl) {
+  const std::size_t old_nets = nl.num_nets();
+  const std::size_t mark = nl.journal_size();
+  Id tapped = kNullId;
+  for (Id n = 0; n < nl.num_nets(); ++n)
+    if (nl.net(n).driver != kNullId) {
+      tapped = n;
+      break;
+    }
+  const Id b1 = nl.add_cell(tech::CellKind::kBuf, 0, 80.0f, 90.0f);
+  const Id b2 = nl.add_cell(tech::CellKind::kBuf, 0, 200.0f, 150.0f);
+  nl.add_sink(tapped, nl.input_pin(b1, 0));
+  nl.connect(b1, 0, b2, 0);
+  std::vector<Id> dirty;
+  for (const Id n : nl.journal().subspan(mark))
+    if (n < old_nets) dirty.push_back(n);
+  return dirty;
+}
+
+void print_route_golden(const char* tag, const Router& router, const RouteSummary& s,
+                        std::uint64_t repairs) {
+  std::printf("golden %s: hash=0x%016llx iters=%zu ripups=%zu repairs=%llu overflow=%zu "
+              "f2f_overflow=%zu max=%.17g mean=%.17g\n",
+              tag, static_cast<unsigned long long>(edge_route_hash(router)),
+              s.negotiation_iters, s.negotiation_ripups,
+              static_cast<unsigned long long>(repairs), s.census.overflow_gcells,
+              s.census.f2f_overflow_gcells, s.census.max_congestion, s.census.mean_congestion);
+}
+
+TEST(RouteGolden, Maeri16NegotiatedRoutesAreBitIdentical) {
+  tech::Tech3D tech3d;
+  Design d = placed_16pe(true, tech3d);
+  obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
+  Router router(d, tech3d);
+
+  std::uint64_t before = repairs.value();
+  const RouteSummary s = router.route_all(long_2d_net_flags(d));
+  print_route_golden("route_all", router, s, repairs.value() - before);
+  EXPECT_EQ(edge_route_hash(router), 0x0dc2be5d82bd740dULL);
+  EXPECT_EQ(s.negotiation_iters, 6u);
+  EXPECT_EQ(s.negotiation_ripups, 11239u);
+  EXPECT_EQ(repairs.value() - before, 6462u);
+  EXPECT_EQ(s.census.overflow_gcells, 127u);
+  EXPECT_EQ(s.census.f2f_overflow_gcells, 0u);
+  EXPECT_EQ(s.census.max_congestion, 1.2794272899627686);
+  EXPECT_EQ(s.census.mean_congestion, 0.31565775660198359);
+
+  const std::vector<Id> dirty = splice_buffer_pair(d.nl);
+  before = repairs.value();
+  const RouteSummary e = router.reroute_nets(dirty);
+  print_route_golden("eco", router, e, repairs.value() - before);
+  EXPECT_EQ(edge_route_hash(router), 0x74acc13ed7f3302dULL);
+  EXPECT_EQ(e.census.overflow_gcells, 125u);
+  EXPECT_EQ(e.census.f2f_overflow_gcells, 0u);
+  EXPECT_EQ(e.census.max_congestion, 1.2794272899627686);
+  EXPECT_EQ(e.census.mean_congestion, 0.31517798633525274);
+}
+
+// The router keeps no record of what it committed besides the per-edge
+// results: the grid's usage must equal, exactly, the sum of the footprints
+// of the edges in net_edges(). Every path that adds or removes usage keeps
+// it so: negotiation rip-up and revert, checkpoint/restore and the ECO
+// rip-up of reroute_nets.
+void expect_usage_is_footprint_sum(const Router& router, const Design& d,
+                                   const tech::Tech3D& tech3d) {
+  RoutingGrid fresh(d.info.die_w_um, d.info.die_h_um, tech3d, router.options().grid);
+  for (Id n = 0; n < router.routes().size(); ++n)
+    for (const EdgeRoute& er : router.net_edges(n)) commit_edge(fresh, er, 1.0f);
+  const RoutingGrid::UsageState want = fresh.usage_state();
+  const RoutingGrid::UsageState got = router.grid().usage_state();
+  EXPECT_TRUE(want.use == got.use);
+  EXPECT_TRUE(want.f2f_use == got.f2f_use);
+}
+
+TEST(RouterFootprint, GridUsageIsTheSumOfEdgeFootprints) {
+  tech::Tech3D tech3d;
+  Design d = placed_16pe(true, tech3d);
+  obs::Counter& reverts = obs::Metrics::instance().counter("route.negotiation_reverts");
+  Router router(d, tech3d);
+
+  const std::uint64_t before = reverts.value();
+  const RouteSummary s = router.route_all(long_2d_net_flags(d));
+  EXPECT_GT(s.negotiation_iters, 0u);
+  EXPECT_GT(reverts.value() - before, 0u);
+  EXPECT_GT(s.f2f_pairs, 0u);
+  expect_usage_is_footprint_sum(router, d, tech3d);
+
+  const Router::Checkpoint cp = router.checkpoint();
+  router.route_all({});
+  expect_usage_is_footprint_sum(router, d, tech3d);
+  router.restore(cp);
+  EXPECT_TRUE(router.grid().usage_state().use == cp.grid.use);
+  expect_usage_is_footprint_sum(router, d, tech3d);
+
+  router.reroute_nets(splice_buffer_pair(d.nl));
+  ASSERT_EQ(router.routes().size(), d.nl.num_nets());
+  expect_usage_is_footprint_sum(router, d, tech3d);
 }
 
 TEST(Router, DescribeLayers) {
