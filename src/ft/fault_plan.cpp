@@ -2,12 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include "ft/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace gnnmls::ft {
 
@@ -114,12 +116,9 @@ void FaultPlan::arm_spec(std::string_view spec) {
     arm(spec, 1);
     return;
   }
-  const std::string count(spec.substr(colon + 1));
-  char* end = nullptr;
-  const unsigned long long nth = std::strtoull(count.c_str(), &end, 10);
-  if (end == count.c_str() || *end != '\0')
-    throw std::invalid_argument("bad fault spec (want site[:n]): " + std::string(spec));
-  arm(spec.substr(0, colon), nth);
+  const std::optional<std::uint64_t> nth = util::parse_u64(spec.substr(colon + 1));
+  if (!nth) throw std::invalid_argument("bad fault spec (want site[:n]): " + std::string(spec));
+  arm(spec.substr(0, colon), *nth);
 }
 
 void FaultPlan::reset() {

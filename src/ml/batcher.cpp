@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/fingerprint.hpp"
-
 namespace gnnmls::ml {
 
 PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& scaler) {
@@ -21,7 +19,6 @@ PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& 
   batch.nodes.reserve(graphs.size());
   batch.row_offset.reserve(graphs.size());
   batch.adj_offset.reserve(graphs.size());
-  batch.sources.assign(graphs.begin(), graphs.end());
   std::size_t adj_total = 0;
   for (const PathGraph* g : graphs) {
     const int n = g->x.rows();
@@ -65,30 +62,6 @@ PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& 
     }
   }
   return batch;
-}
-
-std::uint64_t graph_fingerprint(const PathGraph& g) {
-  // Word-wise mixing (not the byte loop DesignDB uses for its stable state
-  // fingerprints): this hash is recomputed for every graph on every decide,
-  // so it has to be cheap. Adjacency is hashed as (position, value) pairs of
-  // its nonzeros — path graphs are chains, so that is O(n), not O(n^2).
-  core::Fnv1a fnv;
-  fnv.mix_word(static_cast<std::uint64_t>(g.x.rows()));
-  fnv.mix_word(static_cast<std::uint64_t>(g.x.cols()));
-  for (const double v : g.x.data()) fnv.mix_double_word(v);
-  fnv.mix_word(static_cast<std::uint64_t>(g.adj.rows()));
-  const std::size_t adj_count = g.adj.data().size();
-  for (std::size_t i = 0; i < adj_count; ++i) {
-    const double v = g.adj.data()[i];
-    if (v != 0.0) {
-      fnv.mix_word(static_cast<std::uint64_t>(i));
-      fnv.mix_double_word(v);
-    }
-  }
-  fnv.mix_word(g.net_ids.size());
-  for (const std::uint32_t n : g.net_ids) fnv.mix_word(n);
-  fnv.mix_word(static_cast<std::uint64_t>(g.design_tag));
-  return fnv.value();
 }
 
 }  // namespace gnnmls::ml

@@ -13,7 +13,6 @@
 // through its offset, so graphs can never leak into each other.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,15 +32,8 @@ struct PackedBatch {
   std::vector<float> x;
   // Concatenated per-graph n x n row-major adjacency blocks.
   std::vector<float> adj;
-  std::vector<const PathGraph*> sources;  // borrowed, aligned with `nodes`
 };
 
 PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& scaler);
-
-// Content fingerprint of one raw graph (feature bits, adjacency, net ids,
-// shape, design tag) via the shared FNV-1a mixing (core/fingerprint.hpp).
-// Combined with the engine's weight/scaler epochs it forms the
-// embedding-cache key.
-std::uint64_t graph_fingerprint(const PathGraph& g);
 
 }  // namespace gnnmls::ml

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -32,15 +31,13 @@ void fill_bias_rows(int rows, int cols, const std::vector<float>& bias, float* o
 }  // namespace
 
 InferenceEngine::InferenceEngine(const GraphTransformer& encoder, const MlpHead& head,
-                                 const FeatureScaler& scaler, const EngineOptions& options)
-    : opts_(options), scaler_(scaler) {
-  if (opts_.batch_paths < 1) opts_.batch_paths = 1;
+                                 const FeatureScaler& scaler)
+    : scaler_(scaler) {
   snapshot(encoder, head);
 }
 
 void InferenceEngine::snapshot(const GraphTransformer& encoder, const MlpHead& head) {
   const TransformerConfig& cfg = encoder.config();
-  w_ = WeightsF{};
   w_.features = cfg.input_features;
   w_.dim = cfg.dim;
   w_.heads = cfg.heads;
@@ -100,26 +97,6 @@ void InferenceEngine::snapshot(const GraphTransformer& encoder, const MlpHead& h
   w_.final_ln = norm(encoder.final_ln());
   w_.h1 = dense(head.fc1(), true);
   w_.h2 = dense(head.fc2(), true);
-}
-
-void InferenceEngine::sync(const GraphTransformer& encoder, const MlpHead& head,
-                           const FeatureScaler& scaler) {
-  const bool scaler_changed =
-      scaler.mean() != scaler_.mean() || scaler.stddev() != scaler_.stddev();
-  scaler_ = scaler;
-  snapshot(encoder, head);
-  ++weights_epoch_;
-  if (scaler_changed) ++scaler_epoch_;
-  clear_cache();
-}
-
-std::uint64_t InferenceEngine::cache_key(std::uint64_t graph_fp) const {
-  return core::Fnv1a::combine(core::Fnv1a::combine(graph_fp, weights_epoch_), scaler_epoch_);
-}
-
-void InferenceEngine::clear_cache() {
-  stats_.evictions += cache_.size();
-  cache_.clear();
 }
 
 std::vector<std::vector<float>> InferenceEngine::forward_batch(const PackedBatch& batch) const {
@@ -224,80 +201,39 @@ std::vector<std::vector<float>> InferenceEngine::predict(std::span<const PathGra
   GNNMLS_SPAN("ml.engine.predict");
   obs::Metrics& metrics = obs::Metrics::instance();
   static obs::Histogram& infer_s = metrics.histogram("ml.infer_s");
-  static obs::Histogram& infer_graph_s = metrics.histogram("ml.infer_graph_s");
   static obs::Histogram& batch_size = metrics.histogram("ml.engine.batch_size");
-
-  std::vector<std::vector<float>> results(graphs.size());
-  std::vector<std::size_t> miss_idx;
-  std::vector<std::uint64_t> miss_keys;
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    if (opts_.cache_enabled) {
-      const std::uint64_t key = cache_key(graph_fingerprint(graphs[i]));
-      const auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        results[i] = it->second;
-        ++hits;
-        continue;
-      }
-      miss_keys.push_back(key);
-    }
-    miss_idx.push_back(i);
-  }
+  static obs::Counter& batch_paths = metrics.counter("ml.batch_paths");
 
   // Length-sorted fixed-size chunks: graphs of similar node count share a
   // batch, which keeps each batch's attention-score workspace (max_nodes^2)
   // tight. The sort key (node count, original index) is a total order that
-  // depends only on the miss list, so the batches are too.
-  if (miss_idx.size() > 1) {
-    std::vector<std::size_t> perm(miss_idx.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-      const int na = graphs[miss_idx[a]].x.rows();
-      const int nb = graphs[miss_idx[b]].x.rows();
-      return na != nb ? na < nb : miss_idx[a] < miss_idx[b];
-    });
-    std::vector<std::size_t> idx_sorted(perm.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) idx_sorted[i] = miss_idx[perm[i]];
-    miss_idx = std::move(idx_sorted);
-    if (!miss_keys.empty()) {
-      std::vector<std::uint64_t> keys_sorted(perm.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) keys_sorted[i] = miss_keys[perm[i]];
-      miss_keys = std::move(keys_sorted);
-    }
-  }
-  const std::size_t chunk = static_cast<std::size_t>(opts_.batch_paths);
+  // depends only on the input, so the batches are too.
+  std::vector<std::size_t> order(graphs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int na = graphs[a].x.rows();
+    const int nb = graphs[b].x.rows();
+    return na != nb ? na < nb : a < b;
+  });
+  std::vector<std::vector<float>> results(graphs.size());
   std::size_t batches = 0;
-  for (std::size_t begin = 0; begin < miss_idx.size(); begin += chunk, ++batches) {
-    const std::size_t end = std::min(begin + chunk, miss_idx.size());
+  for (std::size_t begin = 0; begin < order.size(); begin += kBatchPaths, ++batches) {
+    const std::size_t end = std::min(begin + kBatchPaths, order.size());
     std::vector<const PathGraph*> ptrs;
     ptrs.reserve(end - begin);
-    for (std::size_t m = begin; m < end; ++m) ptrs.push_back(&graphs[miss_idx[m]]);
+    for (std::size_t m = begin; m < end; ++m) ptrs.push_back(&graphs[order[m]]);
     const auto t0 = std::chrono::steady_clock::now();
     const PackedBatch batch = pack(ptrs, scaler_);
     std::vector<std::vector<float>> probs = forward_batch(batch);
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    infer_s.observe(dt);
-    infer_graph_s.observe(dt / static_cast<double>(end - begin));
+    infer_s.observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
     batch_size.observe(static_cast<double>(end - begin));
-    for (std::size_t m = begin; m < end; ++m)
-      results[miss_idx[m]] = std::move(probs[m - begin]);
+    for (std::size_t m = begin; m < end; ++m) results[order[m]] = std::move(probs[m - begin]);
   }
 
-  if (opts_.cache_enabled && !miss_idx.empty()) {
-    if (cache_.size() + miss_idx.size() > opts_.cache_capacity) clear_cache();
-    for (std::size_t m = 0; m < miss_idx.size(); ++m)
-      cache_[miss_keys[m]] = results[miss_idx[m]];
-  }
-
-  stats_.cache_hits += hits;
-  stats_.cache_misses += miss_idx.size();
   stats_.batches += batches;
-  stats_.paths += miss_idx.size();
-  metrics.counter("ml.cache_hits").add(hits);
-  metrics.counter("ml.cache_misses").add(miss_idx.size());
-  metrics.counter("ml.batch_paths").add(miss_idx.size());
+  stats_.paths += graphs.size();
+  batch_paths.add(graphs.size());
   return results;
 }
 

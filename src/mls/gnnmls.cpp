@@ -28,10 +28,16 @@ std::uint64_t next_weights_version() {
 }  // namespace
 
 GnnMlsEngine::GnnMlsEngine(const GnnMlsConfig& config)
-    : config_(config), rng_(config.seed), weights_version_(next_weights_version()) {
+    : config_(config), rng_(config.seed) {
   encoder_ = std::make_unique<ml::GraphTransformer>(config_.transformer, rng_);
   head_ = std::make_unique<ml::MlpHead>(config_.transformer.dim, config_.mlp_hidden, rng_);
   dgi_ = std::make_unique<ml::DgiTrainer>(*encoder_, rng_);
+  weights_moved();
+}
+
+void GnnMlsEngine::weights_moved() {
+  weights_version_ = next_weights_version();
+  infer_ = std::make_unique<ml::InferenceEngine>(*encoder_, *head_, scaler_);
 }
 
 ml::PathGraph GnnMlsEngine::normalized(const ml::PathGraph& raw) const {
@@ -48,8 +54,7 @@ std::vector<double> GnnMlsEngine::pretrain(std::span<const ml::PathGraph> unlabe
   for (const ml::PathGraph& g : unlabeled) normed.push_back(normalized(g));
   const std::vector<double> loss = dgi_->pretrain(normed, config_.dgi, rng_);
   pretrained_ = true;
-  infer_dirty_ = true;  // scaler refit + encoder weights moved
-  weights_version_ = next_weights_version();
+  weights_moved();  // scaler refit + encoder weights moved
   if (!loss.empty())
     util::log_info("gnn-mls: DGI pretrained on ", normed.size(), " paths, loss ",
                    loss.front(), " -> ", loss.back());
@@ -73,8 +78,7 @@ TrainReport GnnMlsEngine::fine_tune(std::span<const ml::PathGraph> labeled,
 
   report.fine_tune_loss =
       ml::fine_tune(*encoder_, *head_, train_set, config_.fine_tune);
-  infer_dirty_ = true;
-  weights_version_ = next_weights_version();
+  weights_moved();
   // Metrics at the canonical 0.5 threshold; the decision stage separately
   // applies its own (more aggressive) threshold plus the trial guard.
   report.train_metrics = ml::evaluate(*encoder_, *head_, train_set, 0.5);
@@ -94,17 +98,6 @@ std::vector<double> GnnMlsEngine::predict(const ml::PathGraph& raw_graph) {
   return head_->predict(predict_h_);
 }
 
-ml::InferenceEngine& GnnMlsEngine::inference() {
-  if (!infer_) {
-    infer_ = std::make_unique<ml::InferenceEngine>(*encoder_, *head_, scaler_, config_.engine);
-    infer_dirty_ = false;
-  } else if (infer_dirty_) {
-    infer_->sync(*encoder_, *head_, scaler_);
-    infer_dirty_ = false;
-  }
-  return *infer_;
-}
-
 std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
                                                const tech::Tech3D& tech,
                                                const route::Router& router,
@@ -119,8 +112,8 @@ std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
   {
     GNNMLS_SPAN("mls.decide.inference");
     if (config_.ml_engine == MlEnginePath::kBatched) {
-      // Batched float32 path: pack/forward/cache inside the engine, which
-      // also owns the ml.infer_s / ml.infer_graph_s / cache-hit metrics.
+      // Batched float32 path: pack/forward inside the engine, which also
+      // owns the ml.infer_s / ml.batch_paths metrics.
       const std::vector<std::vector<float>> probs = inference().predict(corpus.graphs);
       for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
         const ml::PathGraph& g = corpus.graphs[gi];
@@ -132,20 +125,15 @@ std::vector<std::uint8_t> GnnMlsEngine::decide(const netlist::Design& design,
         }
       }
     } else {
-      // Reference scalar path (the A/B baseline). ml.infer_s is per batch —
-      // one graph is a batch of one here — and ml.infer_graph_s keeps the
-      // per-graph-equivalent quantile comparable across engines and with
-      // pre-batching ledger records.
+      // Reference double path (the A/B baseline). ml.infer_s is per batch,
+      // and one graph is a batch of one here.
       static obs::Histogram& infer_s = obs::Metrics::instance().histogram("ml.infer_s");
-      static obs::Histogram& infer_graph_s =
-          obs::Metrics::instance().histogram("ml.infer_graph_s");
       for (const ml::PathGraph& g : corpus.graphs) {
         const auto t0 = std::chrono::steady_clock::now();
         const std::vector<double> probs = predict(g);
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         infer_s.observe(dt);
-        infer_graph_s.observe(dt);
         for (std::size_t i = 0; i < probs.size(); ++i) {
           const std::uint32_t net = g.net_ids[i];
           if (net == netlist::kNullId) continue;

@@ -40,7 +40,6 @@ struct GnnMlsConfig {
   int mlp_hidden = 24;
   std::uint64_t seed = 42;
   MlEnginePath ml_engine = MlEnginePath::kBatched;
-  ml::EngineOptions engine;  // batching / embedding-cache knobs
 };
 
 struct TrainReport {
@@ -85,19 +84,18 @@ class GnnMlsEngine {
   // not even two engines at one address. The decide pass keys its skip on it.
   std::uint64_t weights_version() const { return weights_version_; }
 
-  // The batched float32 engine, created on first use and re-synced (weight
-  // re-snapshot + cache drop) after any pretrain/fine_tune.
-  ml::InferenceEngine& inference();
-  // Engine stats when the engine exists (nullptr before first batched use).
-  const ml::EngineStats* inference_stats() const {
-    return infer_ ? &infer_->stats() : nullptr;
-  }
-  void clear_inference_cache() {
-    if (infer_) infer_->clear_cache();
-  }
+  // The batched float32 engine: a snapshot of the current weights, retaken
+  // whenever weights_version() moves, so it is never stale.
+  ml::InferenceEngine& inference() { return *infer_; }
+  // No-op: the engine keeps nothing between predicts. Its one caller is
+  // perfbench's PaperFlow::iterate, which still asks for a cold start.
+  void clear_inference_cache() {}
 
  private:
   ml::PathGraph normalized(const ml::PathGraph& raw) const;
+
+  // Stamps a new weights_version() and re-snapshots the float32 engine.
+  void weights_moved();
 
   GnnMlsConfig config_;
   util::Rng rng_;
@@ -106,14 +104,13 @@ class GnnMlsEngine {
   std::unique_ptr<ml::DgiTrainer> dgi_;
   ml::FeatureScaler scaler_;
   bool pretrained_ = false;
-  std::uint64_t weights_version_ = 0;
+  std::uint64_t weights_version_ = 0;  // set by weights_moved()
   // Scalar-path buffers, reused across predict() calls: the normalized
   // features, the encoder's activations and its embeddings.
   ml::Mat predict_scratch_;
   ml::GraphTransformer::Cache predict_cache_;
   ml::Mat predict_h_;
   std::unique_ptr<ml::InferenceEngine> infer_;
-  bool infer_dirty_ = false;  // training moved weights since the last sync
 };
 
 }  // namespace gnnmls::mls

@@ -1,10 +1,12 @@
-// Unit tests for util: deterministic RNG, statistics, table rendering.
+// Unit tests for util: deterministic RNG, statistics, table rendering,
+// strict numeric parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -171,6 +173,24 @@ TEST(TableFormat, Helpers) {
   EXPECT_EQ(fmt_pct(0.945, 1), "94.5%");
   EXPECT_EQ(fmt_si(12300.0, 1), "12.3K");
   EXPECT_EQ(fmt_si(2.5e6, 1), "2.5M");
+}
+
+TEST(Parse, U64AcceptsOnlyWholeUnsignedDecimals) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "7x", "0x10", "1.5",
+                          "18446744073709551616"})
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(Parse, NonNegDoubleRejectsSignsGarbageAndNonFinite) {
+  EXPECT_EQ(parse_nonneg_double("10"), 10.0);
+  EXPECT_EQ(parse_nonneg_double("0.5"), 0.5);
+  EXPECT_EQ(parse_nonneg_double("1e-3"), 1e-3);
+  EXPECT_EQ(parse_nonneg_double("0"), 0.0);
+  for (const char* bad : {"", "ten", "-5", "+5", "5%", " 5", "inf", "nan", "1e999"})
+    EXPECT_FALSE(parse_nonneg_double(bad).has_value()) << "'" << bad << "'";
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 using namespace gnnmls;
 
@@ -209,7 +211,16 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--design") design_name = value();
-    else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (arg == "--seed") {
+      const std::string text = value();
+      const std::optional<std::uint64_t> parsed = util::parse_u64(text);
+      if (!parsed) {
+        std::fprintf(stderr, "gnnmls_lint: --seed wants a non-negative integer, got '%s'\n",
+                     text.c_str());
+        return 2;
+      }
+      seed = *parsed;
+    }
     else if (arg == "--strategy") strategy = value();
     else if (arg.rfind("--ml-engine=", 0) == 0) ml_engine = arg.substr(12);
     else if (arg == "--ml-engine") ml_engine = value();
@@ -315,8 +326,8 @@ int main(int argc, char** argv) {
                                                   : mls::Strategy::kNone;
   // --strategy gnn stages a deliberately small engine (1-epoch DGI pretrain
   // on the baseline corpus): enough to exercise the full inference path —
-  // batched SIMD engine, embedding cache, GNN→SOTA degradation — without
-  // turning a lint run into a training run.
+  // batched SIMD engine, decide pass, GNN→SOTA degradation — without turning
+  // a lint run into a training run.
   std::unique_ptr<mls::GnnMlsEngine> gnn_engine;
   mls::CorpusOptions gnn_corpus;
   gnn_corpus.max_paths = 120;
@@ -387,16 +398,12 @@ int main(int argc, char** argv) {
 
   if (gnn_engine) {
     // One greppable line for the ci.sh ml-engine gate: which inference path
-    // and kernel dispatch served decide, plus the embedding-cache traffic.
-    const ml::EngineStats* st = gnn_engine->inference_stats();
-    std::printf(
-        "ml-engine: path=%s simd=%s batches=%llu batch_paths=%llu cache_hits=%llu "
-        "cache_misses=%llu\n",
-        mls::to_string(gnn_engine->config().ml_engine), ml::to_string(ml::active_simd()),
-        static_cast<unsigned long long>(st ? st->batches : 0),
-        static_cast<unsigned long long>(st ? st->paths : 0),
-        static_cast<unsigned long long>(st ? st->cache_hits : 0),
-        static_cast<unsigned long long>(st ? st->cache_misses : 0));
+    // and kernel dispatch served decide, and how much it batched.
+    const ml::EngineStats& st = gnn_engine->inference().stats();
+    std::printf("ml-engine: path=%s simd=%s batches=%llu batch_paths=%llu\n",
+                mls::to_string(gnn_engine->config().ml_engine), ml::to_string(ml::active_simd()),
+                static_cast<unsigned long long>(st.batches),
+                static_cast<unsigned long long>(st.paths));
   }
 
   // Scheduling probe: a second evaluate on the now-unmutated DB must find
