@@ -95,7 +95,7 @@ void BM_RerouteEco(benchmark::State& st) {
   const std::vector<netlist::Id> dirty =
       pick_dirty_nets(f.design().nl, static_cast<std::size_t>(st.range(0)));
   for (auto _ : st)
-    benchmark::DoNotOptimize(f.router().reroute_nets(dirty));
+    benchmark::DoNotOptimize(f.router().reroute_nets(dirty, {}));
   st.counters["nets/s"] = benchmark::Counter(
       static_cast<double>(dirty.size()) * static_cast<double>(st.iterations()),
       benchmark::Counter::kIsRate);

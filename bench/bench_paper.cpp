@@ -241,7 +241,7 @@ void fig9_design(const char* name, DesignFlow& flow) {
               pdn::render_drop_map(pdn->ir[1], 48).c_str());
 
   // (b/c): top-layer budget split between PDN and signal/MLS usage. The
-  // router reserves fixed RouterOptions fractions; the PDN picks its strap
+  // router reserves fixed fractions (route/router.hpp); the PDN picks its strap
   // utilization U afterwards, so the two are printed side by side.
   const auto& grid = flow.router().grid();
   for (int tier = 0; tier < 2; ++tier) {
@@ -256,8 +256,7 @@ void fig9_design(const char* name, DesignFlow& flow) {
         "  tier %d top metal: router's fixed PDN+CTS reservation %.0f%% (PDN chose U=%.0f%%), "
         "signal usage %.0f%% of leftover\n",
         tier,
-        100.0 * flow.config().router.pdn_top_fraction[tier] +
-            100.0 * flow.config().router.cts_top_fraction,
+        100.0 * route::kPdnTopFraction + 100.0 * route::kCtsTopFraction,
         pdn->utilization[tier] * 100.0, cap > 0 ? 100.0 * used / cap : 0.0);
   }
 }

@@ -42,14 +42,18 @@ echo "==> fingerprint gate: paper-scale lint state fingerprints are pinned"
 # re-pins them and says so in CHANGES.md.
 lint_fingerprint() {
   local design="$1" strategy="$2" want="$3" got
-  got="$(./build/tools/gnnmls_lint --design "${design}" --strategy "${strategy}" \
+  shift 3  # the rest: extra gnnmls_lint arguments
+  got="$(./build/tools/gnnmls_lint --design "${design}" --strategy "${strategy}" "$@" \
          | sed -n 's/^state fingerprint: //p')"
   [[ "${got}" == "${want}" ]] \
-    || { echo "fingerprint gate FAILED: ${design} ${strategy}: ${got} != ${want}"; exit 1; }
-  echo "fingerprint OK: ${design} ${strategy} ${got}"
+    || { echo "fingerprint gate FAILED: ${design} ${strategy}${*:+ $*}: ${got} != ${want}"; exit 1; }
+  echo "fingerprint OK: ${design} ${strategy}${*:+ $*} ${got}"
 }
 lint_fingerprint maeri128 sota 0x603f7148e3663941
 lint_fingerprint maeri128 gnn 0xde583f6a621d4b27
+# The DFT path: scan insertion is a netlist wave (checkpointed with the
+# routes) followed by a reroute_nets ECO repair.
+lint_fingerprint maeri128 gnn 0x3cee6d791b79ec3a --with-dft
 
 echo "==> metrics-snapshot gate: the JSON dump must carry the flow's histograms"
 grep -q '"route.edge_route_s"' LINT_metrics.json

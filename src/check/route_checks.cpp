@@ -67,7 +67,6 @@ void check_routes(const netlist::Design& design, const route::Router& router, Re
     return;  // indices below would be meaningless
   }
 
-  const int shared_layers = router.options().shared_layers;
   for (Id n = 0; n < nl.num_nets(); ++n) {
     const netlist::Net& net = nl.net(n);
     const route::NetRoute& r = routes[n];
@@ -81,12 +80,16 @@ void check_routes(const netlist::Design& design, const route::Router& router, Re
     if (!r.mls_applied) continue;
 
     // Shared routing is restricted to the top pairs of the tier opposite the
-    // edge's own terminals (pair lows top-1..top-shared_layers). Judged per
+    // edge's own terminals (pair lows top-1..top-kSharedLayers). Judged per
     // shared edge, not by the net's layer masks: a multi-tier net's native
     // and cross-tier edges may use any metal of either tier, and its shared
     // edges may sit on the driver's own tier.
-    const route::NetTopology& topo = router.net_topology(n);
+    // The tree is derived from the current netlist; it is the routed one
+    // unless an ECO went unrouted (RT-005 above), which may leave it with
+    // another edge count.
+    const route::NetTopology topo = router.net_topology(n);
     const std::vector<route::EdgeRoute>& edges = router.net_edges(n);
+    if (topo.num_edges() != edges.size()) continue;
     bool any_shared = false;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       const route::EdgeRoute& er = edges[e];
@@ -94,7 +97,7 @@ void check_routes(const netlist::Design& design, const route::Router& router, Re
       any_shared = true;
       const int edge_home = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])].tier;
       const int top = router.grid().num_layers(er.route_tier) - 1;
-      const int lowest_legal = std::max(0, top - shared_layers);
+      const int lowest_legal = std::max(0, top - route::kSharedLayers);
       if (er.route_tier != edge_home && er.layer_lo >= lowest_legal && er.layer_lo < top) continue;
       report.add(shared_rule, "net " + nl.net_name(n),
                  "shared edge " + std::to_string(e) + " uses M" +

@@ -119,9 +119,9 @@ std::vector<netlist::Id> DesignDB::take_dirty_nets() {
   return out;
 }
 
-route::Router& DesignDB::router(const route::RouterOptions& options) {
+route::Router& DesignDB::router() {
   audit_note_read(Stage::kRoutes);
-  if (!router_) router_ = std::make_unique<route::Router>(design_, *tech_, options);
+  if (!router_) router_ = std::make_unique<route::Router>(design_, *tech_);
   return *router_;
 }
 
@@ -172,11 +172,9 @@ std::size_t DesignDB::Snapshot::approx_bytes() const {
   }
   if (router) {
     const route::Router::Checkpoint& cp = *router;
-    b += cp.routes.size() * sizeof(route::NetRoute) + cp.terms.size() * sizeof(route::Terminal) +
-         cp.parents.size() * sizeof(int) + cp.edge_routes.size() * sizeof(route::EdgeRoute);
-    b += (cp.term_count.size() + cp.edge_count.size()) * sizeof(std::uint32_t);
-    b += cp.history.size() * sizeof(float) + cp.mls_flags.size();
-    b += (cp.grid.use.size() + cp.grid.f2f_use.size()) * sizeof(float);
+    b += cp.routes.size() * sizeof(route::NetRoute) +
+         cp.edge_routes.size() * sizeof(route::EdgeRoute);
+    b += cp.edge_count.size() * sizeof(std::uint32_t) + cp.history.size() * sizeof(float);
   }
   if (route_summary) b += sizeof(route::RouteSummary);
   if (sta_result) b += sizeof(sta::StaResult);

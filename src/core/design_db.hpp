@@ -107,8 +107,8 @@ class DesignDB {
   std::vector<netlist::Id> take_dirty_nets();
 
   // ---- artifacts ---------------------------------------------------------
-  // Created on first use with the given options (later calls ignore them).
-  route::Router& router(const route::RouterOptions& options = {});
+  // Created on first use.
+  route::Router& router();
   const route::Router* router_if_built() const {
     audit_note_read(Stage::kRoutes);
     return router_.get();

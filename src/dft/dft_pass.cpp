@@ -9,7 +9,7 @@ namespace gnnmls::dft {
 
 void DftPass::run(flow::PassContext& ctx) {
   core::DesignDB& db = ctx.db;
-  route::Router& router = db.router(ctx.config.router);
+  route::Router& router = db.router();
   netlist::Netlist& nl = db.design().nl;
 
   MlsDftReport dft_report;

@@ -16,14 +16,12 @@
 #include "pdn/pdn.hpp"
 #include "pdn/power.hpp"
 #include "place/placer.hpp"
-#include "route/router.hpp"
 
 namespace gnnmls::flow {
 
 struct FlowConfig {
   bool heterogeneous = true;
   double clock_uncertainty_ps = 40.0;
-  route::RouterOptions router;
   netlist::BufferingOptions buffering;
   place::PlacerOptions placer;
   pdn::PdnOptions pdn;

@@ -36,8 +36,7 @@ void DecidePass::run(flow::PassContext& ctx) {
   // rather than failing the run.
   try {
     GNNMLS_FAULT_POINT("decide.infer");
-    flags_ = engine_->decide(db.design(), db.tech(), db.router(ctx.config.router), db.timing(),
-                             corpus_);
+    flags_ = engine_->decide(db.design(), db.tech(), db.router(), db.timing(), corpus_);
   } catch (const std::exception& e) {
     util::log_warn("decide pass: GNN inference failed (", e.what(),
                    "); degrading to the SOTA heuristic");

@@ -46,7 +46,7 @@ DesignFlow::DesignFlow(netlist::Design design, const FlowConfig& config)
           tech_) {
   // Build the router eagerly: its construction reserves PDN/CTS tracks, and
   // callers poke at flow.router() for trials before the first evaluate().
-  db_.router(config_.router);
+  db_.router();
   db_.commit(core::Stage::kPlacement);  // prepare() placed the design
   util::log_info("flow[", db_.design().info.name, "]: ", db_.design().nl.num_cells(), " cells, ",
                  db_.design().nl.num_nets(), " nets, ", level_shifters_, " level shifters, ",

@@ -83,7 +83,7 @@ class DesignFlow {
   // transparently if the netlist moved past it.
   const netlist::Design& design() const { return db_.design(); }
   const tech::Tech3D& tech() const { return tech_; }
-  route::Router& router() { return db_.router(config_.router); }
+  route::Router& router() { return db_.router(); }
   sta::TimingGraph& sta() { return db_.timing(); }
   const FlowConfig& config() const { return config_; }
   const pdn::PdnDesign* pdn_design() const { return db_.pdn(); }

@@ -5,11 +5,9 @@
 
 namespace gnnmls::route {
 
-RoutingGrid::RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& tech,
-                         const GridConfig& config) {
-  gcell_um_ = config.gcell_um;
-  nx_ = std::max(1, static_cast<int>(std::ceil(die_w_um / gcell_um_)));
-  ny_ = std::max(1, static_cast<int>(std::ceil(die_h_um / gcell_um_)));
+RoutingGrid::RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& tech) {
+  nx_ = std::max(1, static_cast<int>(std::ceil(die_w_um / kGcellUm)));
+  ny_ = std::max(1, static_cast<int>(std::ceil(die_h_um / kGcellUm)));
   layers_[0] = tech.beol_bottom.num_layers();
   layers_[1] = tech.beol_top.num_layers();
   max_layers_ = std::max(layers_[0], layers_[1]);
@@ -18,7 +16,7 @@ RoutingGrid::RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& t
   use_.assign(cap_.size(), 0.0f);
   f2f_use_.assign(cells, 0.0f);
   // Pad array: (gcell / pitch)^2 pads per gcell, halved for keep-out.
-  const double pads_1d = gcell_um_ / tech.f2f.pitch_um;
+  const double pads_1d = kGcellUm / tech.f2f.pitch_um;
   f2f_cap_ = static_cast<float>(0.5 * pads_1d * pads_1d);
 
   for (int tier = 0; tier < 2; ++tier) {
@@ -26,7 +24,7 @@ RoutingGrid::RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& t
     for (int layer = 0; layer < stack.num_layers(); ++layer) {
       // Tracks crossing a gcell in the preferred direction. M1 is mostly
       // consumed by cell-internal routing, so it contributes little.
-      double tracks = gcell_um_ / stack.layer(layer).pitch_um;
+      double tracks = kGcellUm / stack.layer(layer).pitch_um;
       if (layer == 0) tracks *= 0.15;
       else if (layer == 1) tracks *= 0.70;
       const float t = static_cast<float>(tracks);

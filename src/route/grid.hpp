@@ -6,9 +6,10 @@
 // pads (paper: 0.5 um pads on a 1.0 um pitch), which caps how many nets can
 // cross between tiers — or share the other tier's metals — in any region.
 //
-// The PDN reserves a fraction of the top one or two layers before signal
-// routing begins (paper Table IV: M-T utilization 14% / 30%), which is the
-// resource coupling that makes indiscriminate MLS self-defeating.
+// The gcell size is a fixed constant (kGcellUm). The router reserves a
+// fraction of the top one or two layers for PDN straps and clock trunks
+// before signal routing begins (route/router.hpp), which is the resource
+// coupling that makes indiscriminate MLS self-defeating.
 #pragma once
 
 #include <algorithm>
@@ -19,23 +20,21 @@
 
 namespace gnnmls::route {
 
-struct GridConfig {
-  double gcell_um = 8.0;
-};
+// Side length of one square gcell.
+inline constexpr double kGcellUm = 8.0;
 
 class RoutingGrid {
  public:
-  RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& tech,
-              const GridConfig& config = {});
+  RoutingGrid(double die_w_um, double die_h_um, const tech::Tech3D& tech);
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  double gcell_um() const { return gcell_um_; }
+  double gcell_um() const { return kGcellUm; }
   int num_layers(int tier) const { return layers_[tier]; }
 
   // Gcell coordinates of a point (clamped to the die).
-  int gx(double x_um) const { return std::clamp(static_cast<int>(x_um / gcell_um_), 0, nx_ - 1); }
-  int gy(double y_um) const { return std::clamp(static_cast<int>(y_um / gcell_um_), 0, ny_ - 1); }
+  int gx(double x_um) const { return std::clamp(static_cast<int>(x_um / kGcellUm), 0, nx_ - 1); }
+  int gy(double y_um) const { return std::clamp(static_cast<int>(y_um / kGcellUm), 0, ny_ - 1); }
 
   // Track capacity/usage of one gcell on one layer.
   float capacity(int tier, int layer, int x, int y) const { return cap_[idx(tier, layer, x, y)]; }
@@ -78,19 +77,6 @@ class RoutingGrid {
   std::size_t num_track_cells() const { return use_.size(); }
   std::size_t num_f2f_cells() const { return f2f_use_.size(); }
 
-  // Mutable resource state (track + F2F usage) as one value, so the router's
-  // checkpoint can capture/restore a mid-route grid exactly. Capacities are
-  // construction-time constants and are not part of the state.
-  struct UsageState {
-    std::vector<float> use;
-    std::vector<float> f2f_use;
-  };
-  UsageState usage_state() const { return UsageState{use_, f2f_use_}; }
-  void restore_usage(const UsageState& state) {
-    use_ = state.use;
-    f2f_use_ = state.f2f_use;
-  }
-
   // Aggregate congestion census.
   struct Census {
     std::size_t overflow_gcells = 0;   // gcell-layers with usage > capacity
@@ -112,7 +98,6 @@ class RoutingGrid {
   std::size_t idx2(int x, int y) const { return static_cast<std::size_t>(y * nx_ + x); }
 
   int nx_ = 0, ny_ = 0;
-  double gcell_um_ = 8.0;
   int layers_[2] = {0, 0};
   int max_layers_ = 0;
   float f2f_cap_ = 1.0;

@@ -12,6 +12,18 @@ namespace gnnmls::route {
 
 namespace {
 
+// Shard side length in gcells for the initial sharded routing phase.
+constexpr int kShardGcells = 16;
+// Overflow-mask dilation: edges within this many gcells of a congested
+// range are negotiation rip-up victims (the shard halo overlap).
+constexpr int kHaloGcells = 2;
+// Negotiation loop bounds: at most this many iterations, and a stop after
+// kStagnationLimit consecutive iterations without strict improvement.
+constexpr int kMaxNegotiationIters = 8;
+constexpr int kStagnationLimit = 2;
+// History cost added per unit of overflow per iteration (ps per visit).
+constexpr double kHistoryGainPs = 1.5;
+
 struct NegCounters {
   obs::Counter& iters = obs::Metrics::instance().counter("route.negotiation_iters");
   obs::Counter& ripups = obs::Metrics::instance().counter("route.negotiation_ripups");
@@ -53,7 +65,7 @@ constexpr float kRepairFraction = 0.75f;
 
 void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
                     std::span<const EdgeRoute> results, std::uint64_t* repairs) {
-  const EdgeCostModel live{in.grid, in.tech, in.options, in.history.data()};
+  const EdgeCostModel live{in.grid, in.tech, in.history.data()};
   for (std::size_t k = 0; k < idxs.size(); ++k) {
     const EdgeTask& t = in.edges[idxs[k]];
     EdgeRoute er = results[k];
@@ -82,7 +94,7 @@ void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> i
 void route_tasks(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
                  std::vector<EdgeRoute>& results) {
   results.resize(idxs.size());
-  const EdgeCostModel model{in.grid, in.tech, in.options, in.history.data()};
+  const EdgeCostModel model{in.grid, in.tech, in.history.data()};
   // The distribution the mean hides: a handful of long congested edges
   // dominate the tail while most route in sub-µs.
   static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
@@ -106,12 +118,11 @@ std::pair<std::size_t, double> census_key(const RoutingGrid::Census& c) {
 
 NegotiationStats route_negotiated(const NegotiationInput& in) {
   NegotiationStats stats;
-  const RouterOptions& opt = in.options;
 
   // ---- phase 1: sharded initial routing -----------------------------------
   {
     GNNMLS_SPAN("route.shards");
-    const ShardMap shards(in.grid.nx(), in.grid.ny(), opt.shard_gcells);
+    const ShardMap shards(in.grid.nx(), in.grid.ny(), kShardGcells);
     const auto buckets = bucket_edges(shards, in.grid, in.edges);
     std::vector<EdgeRoute> results;
     std::uint64_t shards_routed = 0, repairs = 0;
@@ -131,7 +142,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
   stats.initial_overflow = census.overflow_gcells + census.f2f_overflow_gcells;
   int stagnant = 0;
   std::vector<EdgeRoute> results;
-  for (int iter = 0; iter < opt.max_negotiation_iters; ++iter) {
+  for (int iter = 0; iter < kMaxNegotiationIters; ++iter) {
     if (census_key(census).first == 0) break;
     GNNMLS_SPAN("route.negotiate.iter");
 
@@ -143,14 +154,14 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
         const std::size_t base = in.grid.track_index(tier, layer, 0, 0);
         for (std::size_t i = base; i < base + plane; ++i) {
           const double cong = in.grid.congestion_at(i);
-          if (cong > 1.0) in.history[i] += static_cast<float>(opt.history_gain_ps * (cong - 1.0));
+          if (cong > 1.0) in.history[i] += static_cast<float>(kHistoryGainPs * (cong - 1.0));
         }
       }
 
     // Victims: every committed edge whose footprint intersects the
     // halo-dilated overflow masks, in deterministic global edge order.
-    const std::vector<std::uint8_t> mask = overflow_mask(in.grid, opt.halo_gcells);
-    const std::vector<std::uint8_t> fmask = f2f_overflow_mask(in.grid, opt.halo_gcells);
+    const std::vector<std::uint8_t> mask = overflow_mask(in.grid, kHaloGcells);
+    const std::vector<std::uint8_t> fmask = f2f_overflow_mask(in.grid, kHaloGcells);
     std::vector<std::uint32_t> victims;
     for (std::uint32_t i = 0; i < in.edges.size(); ++i) {
       const EdgeTask& t = in.edges[i];
@@ -203,7 +214,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       ++stagnant;
       census = next;
     }
-    if (stagnant >= opt.stagnation_limit) break;
+    if (stagnant >= kStagnationLimit) break;
   }
 
   const RoutingGrid::Census final_census = in.grid.census();

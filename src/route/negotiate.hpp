@@ -15,15 +15,16 @@
 //      iteration that makes the overflow census worse is reverted exactly
 //      (an edge's footprint is derived from its EdgeRoute, so rip-up and
 //      recommit are lossless) and the loop goes on with the bumped history;
-//      a revert counts toward stagnation_limit. The final state is never
+//      a revert counts toward the stagnation limit. The final state is never
 //      worse than the initial routing.
 //
 // The frozen-grid speculation and the commit repair define today's routes;
 // routing runs on the calling thread, and the result is a pure function of
-// (netlist, flags, options).
+// (netlist, flags).
 //
-// The loop is bounded by RouterOptions::max_negotiation_iters and
-// stagnation_limit; it has no wall-clock deadline.
+// Shard size, halo, history gain and the loop bounds (kMaxNegotiationIters,
+// kStagnationLimit) are fixed constants in negotiate.cpp; the loop has no
+// wall-clock deadline.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +52,6 @@ struct NegotiationStats {
 struct NegotiationInput {
   RoutingGrid& grid;
   const tech::Tech3D& tech;
-  const RouterOptions& options;
   std::span<const EdgeTask> edges;
   std::vector<float>& history;
   std::vector<std::vector<EdgeRoute>>& edge_routes;

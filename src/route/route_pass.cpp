@@ -17,7 +17,7 @@ void RoutePass::run(flow::PassContext& ctx) {
   // Pull any unconsumed netlist mutations into the dirty set (and re-declare
   // placement, which the mutators maintain themselves) before dispatching.
   db.absorb_journal();
-  Router& router = db.router(ctx.config.router);
+  Router& router = db.router();
   const std::vector<std::uint8_t>& flags = db.mls_flags();
 
   RouteSummary rs;

@@ -56,38 +56,22 @@ struct EdgeTally {
 
 }  // namespace
 
-Router::Router(const netlist::Design& design, const tech::Tech3D& tech,
-               const RouterOptions& options)
-    : design_(design),
-      tech_(tech),
-      options_(options),
-      grid_(design.info.die_w_um, design.info.die_h_um, tech, options.grid) {
+Router::Router(const netlist::Design& design, const tech::Tech3D& tech)
+    : design_(design), tech_(tech), grid_(design.info.die_w_um, design.info.die_h_um, tech) {
   // PDN straps and clock trunks consume top-pair tracks before any signal
   // is routed; the leftover is what 2D nets and MLS nets fight over.
   for (int tier = 0; tier < 2; ++tier) {
     const int top = grid_.num_layers(tier) - 1;
-    grid_.reserve_layer_fraction(
-        tier, top,
-        std::min(0.95, options_.pdn_top_fraction[tier] + options_.cts_top_fraction));
-    grid_.reserve_layer_fraction(tier, top - 1, options_.cts_second_fraction);
+    grid_.reserve_layer_fraction(tier, top, std::min(0.95, kPdnTopFraction + kCtsTopFraction));
+    grid_.reserve_layer_fraction(tier, top - 1, kCtsSecondFraction);
   }
 }
 
-void Router::reset_state(const std::vector<std::uint8_t>& mls_flags) {
-  const std::size_t n = design_.nl.num_nets();
-  grid_.clear_usage();
-  routes_.assign(n, NetRoute{});
-  topo_.assign(n, NetTopology{});
-  edge_routes_.assign(n, {});
-  history_.clear();
-  mls_flags_ = mls_flags;
-}
-
 NetRoute Router::route_net(Id net, bool mls) {
-  NetTopology topo = build_net_topology(design_, tech_, net);
+  const NetTopology topo = build_net_topology(design_, tech_, net);
   const std::size_t ne = topo.num_edges();
   std::vector<EdgeRoute> edges(ne);
-  const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
+  const EdgeCostModel model{grid_, tech_, history_or_null()};
   EdgeTally tally;
   for (std::size_t e = 0; e < ne; ++e) {
     const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
@@ -98,9 +82,8 @@ NetRoute Router::route_net(Id net, bool mls) {
     // sees this edge's congestion.
     commit_edge(grid_, edges[e], 1.0f);
   }
-  NetRoute out = assemble_net_route(design_.nl, net, topo, edges);
+  NetRoute out = assemble_net_route(design_.nl, net, topo.terms, topo.parent, edges);
   tally.flush(/*committed=*/true);
-  topo_[net] = std::move(topo);
   edge_routes_[net] = std::move(edges);
   return out;
 }
@@ -136,7 +119,6 @@ RouteSummary Router::summarize() const {
 void Router::rip_up(Id net) {
   for (const EdgeRoute& er : edge_routes_[net]) commit_edge(grid_, er, -1.0f);
   edge_routes_[net].clear();
-  topo_[net] = NetTopology{};
   routes_[net] = NetRoute{};
 }
 
@@ -155,42 +137,62 @@ void Router::finish_route_all(RouteSummary& summary) {
 RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
   GNNMLS_SPAN("route.route_all");
   const netlist::Netlist& nl = design_.nl;
-  reset_state(mls_flags);
+  const std::size_t n = nl.num_nets();
+  grid_.clear_usage();
+  routes_.assign(n, NetRoute{});
+  edge_routes_.assign(n, {});
   history_.assign(grid_.num_track_cells(), 0.0f);
 
   // ---- phase 0: decompose every net into 2-pin edges ----------------------
   // The edge list is emitted in route order, so "earlier in the list" means
   // "higher routing priority" — within a shard bucket, MLS edges route and
   // commit before the native ones.
+  // The trees live only until assembly (net_topology() re-derives one on
+  // demand), flat-packed in route order: a net's terminals and parents start
+  // at tree_at[net]. Two arrays instead of two vectors per net leave no
+  // trail of small freed blocks behind for the rest of the flow to allocate
+  // from.
   std::vector<EdgeTask> tasks;
+  std::vector<Terminal> terms;
+  std::vector<int> parents;
+  std::vector<std::size_t> tree_at(n, 0);
+  terms.reserve(nl.num_pins());
+  parents.reserve(nl.num_pins());
   {
     GNNMLS_SPAN("route.decompose");
-    std::vector<Id> order(nl.num_nets());
+    std::vector<Id> order(n);
     std::iota(order.begin(), order.end(), 0u);
-    sort_route_order(order, mls_flags_);
+    sort_route_order(order, mls_flags);
     for (Id net : order) {
       GNNMLS_FAULT_POINT("route.net");
-      NetTopology topo = build_net_topology(design_, tech_, net);
-      const std::size_t ne = topo.num_edges();
+      const NetTopology t = build_net_topology(design_, tech_, net);
+      tree_at[net] = terms.size();
+      terms.insert(terms.end(), t.terms.begin(), t.terms.end());
+      parents.insert(parents.end(), t.parent.begin(), t.parent.end());
+      const std::size_t ne = t.num_edges();
       edge_routes_[net].assign(ne, EdgeRoute{});
-      const bool mls = flag_of(mls_flags_, net);
+      const bool mls = flag_of(mls_flags, net);
       for (std::uint32_t e = 0; e < ne; ++e) {
-        tasks.push_back(EdgeTask{net, e,
-                                 topo.terms[static_cast<std::size_t>(topo.parent[e + 1])],
-                                 topo.terms[e + 1], mls});
+        tasks.push_back(EdgeTask{net, e, t.terms[static_cast<std::size_t>(t.parent[e + 1])],
+                                 t.terms[e + 1], mls});
       }
-      topo_[net] = std::move(topo);
     }
   }
 
   // ---- phases 1+2: sharded routing + negotiation --------------------------
-  const NegotiationStats stats = route_negotiated(
-      NegotiationInput{grid_, tech_, options_, tasks, history_, edge_routes_});
+  const NegotiationStats stats =
+      route_negotiated(NegotiationInput{grid_, tech_, tasks, history_, edge_routes_});
 
   // ---- assemble per-net electrical models ---------------------------------
   EdgeTally tally;
-  for (Id net = 0; net < nl.num_nets(); ++net) {
-    routes_[net] = assemble_net_route(nl, net, topo_[net], edge_routes_[net]);
+  for (Id net = 0; net < n; ++net) {
+    // A tree with edges has one terminal more than edges; an edgeless net's
+    // tree is empty.
+    const std::size_t ne = edge_routes_[net].size();
+    const std::size_t nt = ne == 0 ? 0 : ne + 1;
+    routes_[net] =
+        assemble_net_route(nl, net, std::span(terms).subspan(tree_at[net], nt),
+                           std::span(parents).subspan(tree_at[net], nt), edge_routes_[net]);
     for (const EdgeRoute& er : edge_routes_[net]) tally.add(er);
   }
   tally.flush(/*committed=*/true);
@@ -198,6 +200,7 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
   RouteSummary summary = summarize();
   summary.negotiation_iters = stats.iterations;
   summary.negotiation_ripups = stats.ripups;
+  summary.initial_overflow = stats.initial_overflow;
   finish_route_all(summary);
   return summary;
 }
@@ -209,7 +212,6 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   const std::size_t n = nl.num_nets();
   const std::size_t old_n = routes_.size();
   routes_.resize(n);
-  topo_.resize(n);
   edge_routes_.resize(n);
 
   // Dirty set: the caller's nets plus everything added since the last route.
@@ -222,7 +224,6 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   for (Id i = 0; i < n; ++i)
     if (is_dirty[i]) affected.push_back(i);
   if (affected.empty()) {
-    mls_flags_ = mls_flags;
     routed_revision_ = nl.revision();
     return summarize();
   }
@@ -235,10 +236,9 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
     rc.eco_reroutes.add(1);
   }
   for (const Id i : affected) rip_up(i);
-  mls_flags_ = mls_flags;
   for (const Id i : affected) {
     GNNMLS_FAULT_POINT("route.net");
-    routes_[i] = route_net(i, flag_of(mls_flags_, i));
+    routes_[i] = route_net(i, flag_of(mls_flags, i));
   }
   routed_revision_ = nl.revision();
 
@@ -247,67 +247,40 @@ RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty,
   return summary;
 }
 
-RouteSummary Router::reroute_nets(std::span<const netlist::Id> dirty) {
-  return reroute_nets(dirty, mls_flags_);
-}
-
 Router::Checkpoint Router::checkpoint() const {
   Checkpoint cp;
   cp.routes = routes_;
-  const std::size_t n = routes_.size();
-  std::size_t n_terms = 0, n_edges = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    n_terms += topo_[i].terms.size();
-    n_edges += edge_routes_[i].size();
-  }
-  cp.term_count.reserve(n);
-  cp.terms.reserve(n_terms);
-  cp.parents.reserve(n_terms);
-  cp.edge_count.reserve(n);
+  std::size_t n_edges = 0;
+  for (const std::vector<EdgeRoute>& edges : edge_routes_) n_edges += edges.size();
+  cp.edge_count.reserve(edge_routes_.size());
   cp.edge_routes.reserve(n_edges);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NetTopology& t = topo_[i];
-    cp.term_count.push_back(static_cast<std::uint32_t>(t.terms.size()));
-    cp.terms.insert(cp.terms.end(), t.terms.begin(), t.terms.end());
-    cp.parents.insert(cp.parents.end(), t.parent.begin(), t.parent.end());
-    cp.edge_count.push_back(static_cast<std::uint32_t>(edge_routes_[i].size()));
-    cp.edge_routes.insert(cp.edge_routes.end(), edge_routes_[i].begin(), edge_routes_[i].end());
+  for (const std::vector<EdgeRoute>& edges : edge_routes_) {
+    cp.edge_count.push_back(static_cast<std::uint32_t>(edges.size()));
+    cp.edge_routes.insert(cp.edge_routes.end(), edges.begin(), edges.end());
   }
   cp.history = history_;
-  cp.mls_flags = mls_flags_;
   cp.routed_revision = routed_revision_;
-  cp.grid = grid_.usage_state();
   return cp;
 }
 
 void Router::restore(const Checkpoint& cp) {
   routes_ = cp.routes;
-  const std::size_t n = cp.routes.size();
-  topo_.assign(n, NetTopology{});
-  edge_routes_.assign(n, {});
-  std::size_t term_at = 0, edge_at = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t nt = cp.term_count[i];
-    topo_[i].terms.assign(cp.terms.begin() + static_cast<std::ptrdiff_t>(term_at),
-                          cp.terms.begin() + static_cast<std::ptrdiff_t>(term_at + nt));
-    topo_[i].parent.assign(cp.parents.begin() + static_cast<std::ptrdiff_t>(term_at),
-                           cp.parents.begin() + static_cast<std::ptrdiff_t>(term_at + nt));
-    term_at += nt;
-    const std::size_t ne = cp.edge_count[i];
-    edge_routes_[i].assign(cp.edge_routes.begin() + static_cast<std::ptrdiff_t>(edge_at),
-                           cp.edge_routes.begin() + static_cast<std::ptrdiff_t>(edge_at + ne));
-    edge_at += ne;
+  edge_routes_.assign(cp.routes.size(), {});
+  grid_.clear_usage();
+  auto at = cp.edge_routes.begin();
+  for (std::size_t i = 0; i < edge_routes_.size(); ++i) {
+    const auto end = at + static_cast<std::ptrdiff_t>(cp.edge_count[i]);
+    edge_routes_[i].assign(at, end);
+    for (; at != end; ++at) commit_edge(grid_, *at, 1.0f);
   }
   history_ = cp.history;
-  mls_flags_ = cp.mls_flags;
   routed_revision_ = cp.routed_revision;
-  grid_.restore_usage(cp.grid);
 }
 
 NetRoute Router::trial_route(Id net, bool mls) const {
   RouteCounters::get().trial_routes.add(1);
   const NetTopology topo = build_net_topology(design_, tech_, net);
-  const EdgeCostModel model{grid_, tech_, options_, history_or_null()};
+  const EdgeCostModel model{grid_, tech_, history_or_null()};
   std::vector<EdgeRoute> edges(topo.num_edges());
   EdgeTally tally;
   for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -317,7 +290,7 @@ NetRoute Router::trial_route(Id net, bool mls) const {
     tally.add(edges[e]);
   }
   tally.flush(/*committed=*/false);
-  return assemble_net_route(design_.nl, net, topo, edges);
+  return assemble_net_route(design_.nl, net, topo.terms, topo.parent, edges);
 }
 
 std::string Router::describe_layers(const NetRoute& r) {

@@ -14,9 +14,13 @@
 //      (route/negotiate.hpp).
 //
 // Every grid commit happens in an order derived from the deterministic
-// route order, so the result is a pure function of (netlist, flags,
-// options). route_all() is the only full-route entry point; reroute_nets() is the
+// route order, so the result is a pure function of (netlist, flags).
+// route_all() is the only full-route entry point; reroute_nets() is the
 // minimal rip-up repair after a netlist ECO.
+//
+// The router has one fixed configuration: every cost weight, reservation
+// and loop bound is a named constant next to the code that reads it (this
+// header, route/grid.hpp, route/topology.cpp, route/negotiate.cpp).
 //
 // Layer-pair selection per edge is cost-driven: wire RC delay + via-stack
 // resistance + congestion penalty (+ negotiated history), so short nets
@@ -46,41 +50,15 @@
 
 namespace gnnmls::route {
 
-struct RouterOptions {
-  GridConfig grid;
-  // PDN reservation on each tier's top layer. A fixed constant: nothing sets
-  // it, and the PDN synthesized after routing chooses its own utilization
-  // without feeding it back here (paper Table IV: M-T utilization 14% MAERI /
-  // 30% A7).
-  double pdn_top_fraction[2] = {0.14, 0.14};
-  // Clock-tree + shielding reservation: top pair of each tier loses this
-  // fraction on top of the PDN straps (real stacks route CTS trunks there).
-  double cts_top_fraction = 0.30;
-  double cts_second_fraction = 0.22;
-  // Tree edges shorter than this stay native even on MLS nets (an F2F hop
-  // would dominate).
-  double min_mls_edge_um = 16.0;
-  // Congestion penalty weight (ps per gcell at 100% congestion).
-  double congestion_penalty_ps = 2.0;
-  // Detour growth: committed overflow inflates wirelength by up to this
-  // factor (maze-detour stand-in).
-  double max_detour = 2.5;
-  // How many of the other tier's top layers MLS may use (paper: M5-6).
-  int shared_layers = 2;
-
-  // ---- sharded negotiated engine (route/negotiate.hpp) --------------------
-  // Shard side length in gcells for the initial sharded routing phase.
-  int shard_gcells = 16;
-  // Overflow-mask dilation: edges within this many gcells of a congested
-  // range are negotiation rip-up victims (the shard halo overlap).
-  int halo_gcells = 2;
-  // Negotiation loop bounds.
-  int max_negotiation_iters = 8;
-  // Stop after this many consecutive iterations without strict improvement.
-  int stagnation_limit = 2;
-  // History cost added per unit of overflow per iteration (ps per visit).
-  double history_gain_ps = 1.5;
-};
+// Top-layer reservations applied before any signal is routed. PDN straps
+// take kPdnTopFraction of each tier's top layer: a fixed constant, since the
+// PDN synthesized after routing chooses its own utilization without feeding
+// it back here (paper Table IV: M-T utilization 14% MAERI / 30% A7). Clock
+// trunks and shielding take kCtsTopFraction more of the top layer and
+// kCtsSecondFraction of the one below it (real stacks route CTS trunks there).
+inline constexpr double kPdnTopFraction = 0.14;
+inline constexpr double kCtsTopFraction = 0.30;
+inline constexpr double kCtsSecondFraction = 0.22;
 
 // Electrical + physical result for one routed net.
 struct NetRoute {
@@ -102,20 +80,21 @@ struct RouteSummary {
   std::size_t f2f_pairs = 0;  // F2F via count
   RoutingGrid::Census census;
   // Negotiation statistics of the producing route_all (0 for reroute_nets'
-  // ECO repairs).
+  // ECO repairs). initial_overflow is the track + F2F overflow cell count
+  // before negotiation; the final count is census's.
   std::size_t negotiation_iters = 0;
   std::size_t negotiation_ripups = 0;
+  std::size_t initial_overflow = 0;
 };
 
 class Router {
  public:
-  Router(const netlist::Design& design, const tech::Tech3D& tech,
-         const RouterOptions& options = {});
+  Router(const netlist::Design& design, const tech::Tech3D& tech);
 
   // Routes every net with the sharded negotiated engine. mls_flags is
   // per-net (empty = no MLS anywhere). Resets any previous routing state,
   // including the negotiation history. The result is a pure function of
-  // (netlist, flags, options).
+  // (netlist, flags).
   RouteSummary route_all(const std::vector<std::uint8_t>& mls_flags);
 
   // Minimal rip-up repair after `dirty` nets changed (connectivity,
@@ -125,11 +104,10 @@ class Router {
   // dirty set, but the result can differ from a from-scratch route_all
   // because rerouted nets see congestion out of order — the ECO repair for
   // netlist-changing passes (DFT/scan insertion), where from-scratch
-  // equivalence is undefined anyway. `mls_flags` replaces the stored
-  // decision vector; the overload without it keeps the previous decisions.
+  // equivalence is undefined anyway. `mls_flags` are the decisions the
+  // rerouted nets follow; the router keeps no copy (the DesignDB owns them).
   RouteSummary reroute_nets(std::span<const netlist::Id> dirty,
                             const std::vector<std::uint8_t>& mls_flags);
-  RouteSummary reroute_nets(std::span<const netlist::Id> dirty);
 
   // Netlist revision the current routes were built against (0 = never
   // routed). The RT-005 check compares this with design.nl.revision() to
@@ -145,49 +123,46 @@ class Router {
 
   const NetRoute& net_route(netlist::Id net) const { return routes_[net]; }
   const std::vector<NetRoute>& routes() const { return routes_; }
-  // Per-net 2-pin decomposition and per-edge results of the last (re)route.
-  const NetTopology& net_topology(netlist::Id net) const { return topo_[net]; }
+  // Per-edge results of the last (re)route, in topology edge order.
   const std::vector<EdgeRoute>& net_edges(netlist::Id net) const { return edge_routes_[net]; }
+  // The net's 2-pin decomposition, derived on demand from the current
+  // netlist: while the routes are current (routed_revision() equals the
+  // netlist's revision) it is the tree net_edges() was routed on.
+  NetTopology net_topology(netlist::Id net) const {
+    return build_net_topology(design_, tech_, net);
+  }
   const RoutingGrid& grid() const { return grid_; }
-  const RouterOptions& options() const { return options_; }
 
   // "M1-4(bot)+M6(top)" style rendering for Table I.
   static std::string describe_layers(const NetRoute& r);
 
-  // Deep copy of every mutable routing artifact (routes, per-edge results,
-  // topologies, negotiation history, decision vector, grid usage, routed
-  // revision). An edge's grid footprint is derived from its EdgeRoute, so
-  // the per-edge results are all a later rip-up needs. checkpoint()/
-  // restore() bracket transactional pass execution: a pass that dies
-  // mid-route leaves partial grid usage and a prefix of committed edges, and
-  // restoring the checkpoint makes the router bit-identical to its
-  // pre-dispatch state. The per-net nested containers (topologies, per-edge
-  // results) are serialized into a handful of contiguous arrays:
-  // checkpoint() runs on the hot path of every transactional wave, and flat
-  // packing makes it a few bulk copies instead of O(nets x edges) small
-  // allocations. restore() — the rare rollback path — pays the unpack.
+  // Deep copy of the routing state that cannot be derived: routes, per-edge
+  // results, negotiation history and routed revision. Grid usage is the sum
+  // of the stored edges' footprints and topologies are a function of the
+  // netlist, so neither is copied; restore() rebuilds usage by re-committing
+  // every restored edge (usage counts are whole-number float sums, so the
+  // rebuild is exact). checkpoint()/restore() bracket transactional pass
+  // execution: a pass that dies mid-route leaves partial grid usage and a
+  // prefix of committed edges, and restoring the checkpoint makes the router
+  // bit-identical to its pre-dispatch state. The per-net edge lists are
+  // packed into one contiguous array: checkpoint() runs on the hot path of
+  // every transactional wave, and flat packing makes it a few bulk copies
+  // instead of O(nets) small allocations. restore() — the rare rollback
+  // path — pays the unpack and the re-commit.
   struct Checkpoint {
     std::vector<NetRoute> routes;
-    std::vector<std::uint32_t> term_count;   // per net
-    std::vector<Terminal> terms;             // concatenated topology terminals
-    std::vector<int> parents;                // concatenated topology parents
     std::vector<std::uint32_t> edge_count;   // per net
     std::vector<EdgeRoute> edge_routes;      // concatenated per-edge results
     std::vector<float> history;
-    std::vector<std::uint8_t> mls_flags;
     std::uint64_t routed_revision = 0;
-    RoutingGrid::UsageState grid;
   };
   Checkpoint checkpoint() const;
   void restore(const Checkpoint& cp);
 
  private:
-  // Clears grid usage + history and resizes every per-net artifact for the
-  // current netlist, installing `mls_flags` as the decision vector.
-  void reset_state(const std::vector<std::uint8_t>& mls_flags);
   // Re-decomposes and routes one net edge-by-edge against the current grid
   // state (ECO repairs). Each edge's usage lands before the next edge is
-  // chosen, and the per-edge results/topology are stored on the router.
+  // chosen, and the per-edge results are stored on the router.
   NetRoute route_net(netlist::Id net, bool mls);
   void rip_up(netlist::Id net);
   void finish_route_all(RouteSummary& summary);
@@ -206,13 +181,10 @@ class Router {
 
   const netlist::Design& design_;
   const tech::Tech3D& tech_;
-  RouterOptions options_;
   RoutingGrid grid_;
   std::vector<NetRoute> routes_;
-  std::vector<NetTopology> topo_;                  // parallel to routes_
   std::vector<std::vector<EdgeRoute>> edge_routes_;  // parallel to routes_
   std::vector<float> history_;  // negotiated congestion history (may be empty)
-  std::vector<std::uint8_t> mls_flags_;   // decisions of the last (re)route
   std::uint64_t routed_revision_ = 0;
 };
 

@@ -40,10 +40,7 @@ class ShardMap {
   // collapses the map to a single shard.
   ShardMap(int nx, int ny, int shard_gcells);
 
-  int shards_x() const { return sx_; }
-  int shards_y() const { return sy_; }
   int num_shards() const { return sx_ * sy_; }
-  int shard_gcells() const { return shard_gcells_; }
 
   // Row-major shard id of a gcell.
   int shard_of(int gx, int gy) const {

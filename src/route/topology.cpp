@@ -14,6 +14,15 @@ namespace {
 using netlist::Id;
 using netlist::kNullId;
 
+// Tree edges shorter than this stay native even on MLS nets (an F2F hop
+// would dominate).
+constexpr double kMinMlsEdgeUm = 16.0;
+// Congestion penalty weight (ps per gcell at 100% congestion).
+constexpr double kCongestionPenaltyPs = 2.0;
+// Detour growth: committed overflow inflates wirelength by up to this
+// factor (maze-detour stand-in).
+constexpr double kMaxDetour = 2.5;
+
 // A candidate way to route one tree edge.
 struct EdgeChoice {
   int route_tier = 0;     // tier whose metals carry the wire
@@ -84,10 +93,9 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
                      bool mls) {
   EdgeRoute out;
   const RoutingGrid& grid = m.grid;
-  const RouterOptions& opt = m.options;
   const tech::Tech3D& tech = m.tech;
   const double g = grid.gcell_um();
-  const double penalty_w = opt.congestion_penalty_ps;
+  const double penalty_w = kCongestionPenaltyPs;
   const double len = std::abs(a.x - b.x) + std::abs(a.y - b.y) + 0.5 * g;
   // Length split across a layer pair by orientation.
   const double len_h = std::abs(a.x - b.x) + 0.25 * g;
@@ -100,7 +108,7 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
   out.gy2 = static_cast<std::uint16_t>(gy2);
 
   const bool cross_tier = a.tier != b.tier;
-  const bool force_shared = mls && !cross_tier && len >= opt.min_mls_edge_um;
+  const bool force_shared = mls && !cross_tier && len >= kMinMlsEdgeUm;
   // Bond-pad congestion at both ends, charged to every candidate with F2F
   // vias.
   double f2f_penalty = 0.0;
@@ -201,7 +209,7 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
     // falls back to native metal rather than overflowing the bond pads.
     const int other = a.tier == 0 ? 1 : 0;
     const int top = grid.num_layers(other) - 1;
-    for (int k = 0; k < opt.shared_layers; ++k) {
+    for (int k = 0; k < kSharedLayers; ++k) {
       const int lo = top - 1 - k;
       if (lo >= 1) consider(other, lo, 2, true);
     }
@@ -226,7 +234,7 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
 
   // Detour inflation when the chosen route is through overfull regions.
   const double over = std::max(0.0, pick.overflow - 1.0);
-  const double detour = std::min(opt.max_detour, 1.0 + 0.5 * over);
+  const double detour = std::min(kMaxDetour, 1.0 + 0.5 * over);
 
   out.routed = true;
   out.route_tier = static_cast<std::uint8_t>(pick.route_tier);
@@ -256,13 +264,14 @@ void commit_edge(RoutingGrid& grid, const EdgeRoute& er, float amount) {
       });
 }
 
-NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id, const NetTopology& topo,
+NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id,
+                            std::span<const Terminal> terms, std::span<const int> parent,
                             std::span<const EdgeRoute> edges) {
   const netlist::Net& net = nl.net(net_id);
   NetRoute out;
   out.sink_elmore_ps.assign(net.sinks.size(), 0.0f);
-  if (topo.terms.empty()) return out;
-  const std::size_t n = topo.terms.size();
+  if (terms.empty()) return out;
+  const std::size_t n = terms.size();
 
   // Per-edge electrical results (post-detour), indexed by child terminal.
   std::vector<double> edge_res(n, 0.0), edge_cap(n, 0.0);
@@ -290,8 +299,8 @@ NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id, const NetTopo
   std::vector<int> depth(n, 0);
   for (std::size_t i = 1; i < n; ++i) {
     int d = 0;
-    for (int p = static_cast<int>(i); topo.parent[static_cast<std::size_t>(p)] >= 0;
-         p = topo.parent[static_cast<std::size_t>(p)])
+    for (int p = static_cast<int>(i); parent[static_cast<std::size_t>(p)] >= 0;
+         p = parent[static_cast<std::size_t>(p)])
       ++d;
     depth[i] = d;
   }
@@ -303,9 +312,9 @@ NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id, const NetTopo
     return x < y;
   });
   std::vector<double> cap_below(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) cap_below[i] = topo.terms[i].pin_cap_ff;
+  for (std::size_t i = 0; i < n; ++i) cap_below[i] = terms[i].pin_cap_ff;
   for (int i : order) {
-    const int p = topo.parent[static_cast<std::size_t>(i)];
+    const int p = parent[static_cast<std::size_t>(i)];
     if (p < 0) continue;
     cap_below[static_cast<std::size_t>(p)] +=
         cap_below[static_cast<std::size_t>(i)] + edge_cap[static_cast<std::size_t>(i)];
@@ -316,7 +325,7 @@ NetRoute assemble_net_route(const netlist::Netlist& nl, Id net_id, const NetTopo
   std::vector<double> elmore(n, 0.0);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const int i = *it;
-    const int p = topo.parent[static_cast<std::size_t>(i)];
+    const int p = parent[static_cast<std::size_t>(i)];
     if (p < 0) continue;
     const double r = edge_res[static_cast<std::size_t>(i)];
     const double c =

@@ -33,8 +33,11 @@
 
 namespace gnnmls::route {
 
-struct RouterOptions;  // route/router.hpp
-struct NetRoute;       // route/router.hpp
+struct NetRoute;  // route/router.hpp
+
+// How many of the other tier's top layer pairs an MLS edge may use (paper:
+// M5-6). route_edge() enumerates them; check rule RT-002 enforces them.
+inline constexpr int kSharedLayers = 2;
 
 // One terminal of a net: pin position + electrical role.
 struct Terminal {
@@ -83,7 +86,6 @@ struct EdgeRoute {
 struct EdgeCostModel {
   const RoutingGrid& grid;
   const tech::Tech3D& tech;
-  const RouterOptions& options;
   const float* history = nullptr;
 };
 
@@ -124,8 +126,10 @@ bool for_each_cell(const RoutingGrid& grid, const EdgeRoute& er, TrackFn&& track
 void commit_edge(RoutingGrid& grid, const EdgeRoute& er, float amount);
 
 // Aggregates the routed edges of one net into its NetRoute: wirelength,
-// RC totals, layer masks, driver load, and per-sink Elmore delays.
+// RC totals, layer masks, driver load, and per-sink Elmore delays. `terms`
+// and `parent` are the net's tree (a NetTopology's two arrays).
 NetRoute assemble_net_route(const netlist::Netlist& nl, netlist::Id net,
-                            const NetTopology& topo, std::span<const EdgeRoute> edges);
+                            std::span<const Terminal> terms, std::span<const int> parent,
+                            std::span<const EdgeRoute> edges);
 
 }  // namespace gnnmls::route

@@ -53,8 +53,7 @@ void flip_random(util::Rng& rng, std::vector<std::uint8_t>& flags, std::size_t c
 TEST(RerouteReplay, BitExactWithFromScratchRouteAll) {
   tech::Tech3D tech3d;
   const netlist::Design d = placed_16pe(tech3d);
-  const route::RouterOptions opt;
-  Router live(d, tech3d, opt);
+  Router live(d, tech3d);
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
   live.route_all(flags);
 
@@ -64,7 +63,7 @@ TEST(RerouteReplay, BitExactWithFromScratchRouteAll) {
     flip_random(rng, new_flags, 1 + 7 * trial);
     const RouteSummary inc = live.route_all(new_flags);
 
-    Router fresh(d, tech3d, opt);
+    Router fresh(d, tech3d);
     const RouteSummary full = fresh.route_all(new_flags);
 
     EXPECT_DOUBLE_EQ(inc.total_wl_m, full.total_wl_m) << "trial " << trial;
@@ -106,8 +105,7 @@ TEST(RerouteReplay, EmptyDirtySetIsANoOp) {
 TEST(StaRerun, LiveGraphMatchesFreshGraphAfterFlagFlips) {
   tech::Tech3D tech3d;
   const netlist::Design d = placed_16pe(tech3d);
-  const route::RouterOptions opt;
-  Router live(d, tech3d, opt);
+  Router live(d, tech3d);
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
   live.route_all(flags);
   sta::TimingGraph g(d, tech3d, live.routes());
@@ -120,7 +118,7 @@ TEST(StaRerun, LiveGraphMatchesFreshGraphAfterFlagFlips) {
     live.route_all(new_flags);
     const sta::StaResult r_live = g.run(d.info.clock_ps, 40.0);
 
-    Router fresh(d, tech3d, opt);
+    Router fresh(d, tech3d);
     fresh.route_all(new_flags);
     sta::TimingGraph g2(d, tech3d, fresh.routes());
     const sta::StaResult r_fresh = g2.run(d.info.clock_ps, 40.0);
@@ -164,7 +162,7 @@ TEST(RerouteEco, RoutesNetsAddedAfterTheLastRoute) {
   std::vector<Id> dirty;
   for (const Id n : nl.journal().subspan(mark))
     if (n < old_nets) dirty.push_back(n);
-  live.reroute_nets(dirty);
+  live.reroute_nets(dirty, {});
 
   ASSERT_EQ(live.routes().size(), nl.num_nets());
   EXPECT_EQ(live.routed_revision(), nl.revision());

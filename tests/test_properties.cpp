@@ -218,14 +218,14 @@ TEST_P(RouterSweep, TrialRouteLeavesZeroWrites) {
   insert_buffer_trees(d.nl);
   place::place(d, tech3d);
   core::DesignDB db(d, tech3d);
-  route::Router& router = db.router({});
+  route::Router& router = db.router();
   std::vector<std::uint8_t> flags(d.nl.num_nets(), 0);
   for (Id n = 0; n < d.nl.num_nets(); ++n)
     if (!d.nl.is_3d_net(n) && d.nl.net_hpwl_um(n) > mls_wl_threshold) flags[n] = 1;
   db.set_route_summary(router.route_all(flags));
 
   const std::uint64_t fp_before = db.state_fingerprint();
-  const auto grid_before = router.grid().usage_state();
+  const route::RoutingGrid grid_before = router.grid();
   core::AccessRecorder rec;
   {
     core::AuditScope scope(&rec);
@@ -237,9 +237,11 @@ TEST_P(RouterSweep, TrialRouteLeavesZeroWrites) {
   EXPECT_TRUE(rec.writes().empty());
   EXPECT_FALSE(rec.took_mutable_design());
   EXPECT_EQ(db.state_fingerprint(), fp_before);
-  const auto grid_after = router.grid().usage_state();
-  EXPECT_TRUE(grid_before.use == grid_after.use);
-  EXPECT_TRUE(grid_before.f2f_use == grid_after.f2f_use);
+  const route::RoutingGrid& grid_after = router.grid();
+  for (std::size_t i = 0; i < grid_after.num_track_cells(); ++i)
+    ASSERT_EQ(grid_before.usage_at(i), grid_after.usage_at(i)) << "track cell " << i;
+  for (std::size_t i = 0; i < grid_after.num_f2f_cells(); ++i)
+    ASSERT_EQ(grid_before.f2f_usage_at(i), grid_after.f2f_usage_at(i)) << "f2f cell " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, RouterSweep,

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "ft/error.hpp"
+#include "ft/fault_plan.hpp"
 #include "netlist/buffering.hpp"
 #include "netlist/generators.hpp"
 #include "obs/metrics.hpp"
@@ -65,7 +67,7 @@ TEST(Grid, ReservationShrinksCapacity) {
 
 TEST(Grid, F2FCapacityFromPitch) {
   const auto tech3d = tech::make_hetero_tech(6);
-  RoutingGrid grid(80.0, 80.0, tech3d, {8.0});
+  RoutingGrid grid(80.0, 80.0, tech3d);
   // 8um gcell / 1um pitch -> 64 sites, halved for keep-out.
   EXPECT_NEAR(grid.f2f_capacity(), 32.0f, 1.0f);
 }
@@ -252,30 +254,23 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
   EXPECT_EQ(router.routed_revision(), d.nl.revision());
 }
 
-// Negotiation must pay for itself: the final overflow can never exceed
-// the same engine's with negotiation switched off (the revert-on-worse rule
-// makes the loop monotone against its own start).
+// Negotiation must pay for itself: the final overflow can never exceed the
+// overflow the initial sharded routing left before negotiation (the
+// revert-on-worse rule makes the loop monotone against its own start).
 TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
-  const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
-
-  Router negotiated(d, tech3d);
-  const RouteSummary neg = negotiated.route_all(flags);
-  RouterOptions initial_opt;
-  initial_opt.max_negotiation_iters = 0;
-  Router initial(d, tech3d, initial_opt);
-  const RouteSummary ini = initial.route_all(flags);
-  EXPECT_EQ(ini.negotiation_iters, 0u);
-  EXPECT_GT(neg.negotiation_iters, 0u);
-  EXPECT_LE(neg.census.overflow_gcells + neg.census.f2f_overflow_gcells,
-            ini.census.overflow_gcells + ini.census.f2f_overflow_gcells);
+  Router router(d, tech3d);
+  const RouteSummary s = router.route_all(long_2d_net_flags(d));
+  EXPECT_GT(s.negotiation_iters, 0u);
+  EXPECT_GT(s.initial_overflow, 0u);
+  EXPECT_LE(s.census.overflow_gcells + s.census.f2f_overflow_gcells, s.initial_overflow);
 }
 
 // RouteGolden pins one negotiated MAERI-16 route and one ECO repair of it to
 // their exact bits: a hash over every EdgeRoute, the negotiation statistics,
 // the commit-repair count and the final census. The router is a pure
-// function of (netlist, flags, options), so a change that moves any of these
+// function of (netlist, flags), so a change that moves any of these
 // values changes the routes every table is built on; re-pin on purpose and
 // say so in CHANGES.md. The configuration is long_2d_net_flags on the
 // heterogeneous stack.
@@ -334,11 +329,11 @@ std::vector<Id> splice_buffer_pair(Netlist& nl) {
 
 void print_route_golden(const char* tag, const Router& router, const RouteSummary& s,
                         std::uint64_t repairs) {
-  std::printf("golden %s: hash=0x%016llx iters=%zu ripups=%zu repairs=%llu overflow=%zu "
-              "f2f_overflow=%zu max=%.17g mean=%.17g\n",
+  std::printf("golden %s: hash=0x%016llx iters=%zu ripups=%zu repairs=%llu initial=%zu "
+              "overflow=%zu f2f_overflow=%zu max=%.17g mean=%.17g\n",
               tag, static_cast<unsigned long long>(edge_route_hash(router)),
               s.negotiation_iters, s.negotiation_ripups,
-              static_cast<unsigned long long>(repairs), s.census.overflow_gcells,
+              static_cast<unsigned long long>(repairs), s.initial_overflow, s.census.overflow_gcells,
               s.census.f2f_overflow_gcells, s.census.max_congestion, s.census.mean_congestion);
 }
 
@@ -348,13 +343,15 @@ TEST(RouteGolden, Maeri16NegotiatedRoutesAreBitIdentical) {
   obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
   Router router(d, tech3d);
 
+  const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
   std::uint64_t before = repairs.value();
-  const RouteSummary s = router.route_all(long_2d_net_flags(d));
+  const RouteSummary s = router.route_all(flags);
   print_route_golden("route_all", router, s, repairs.value() - before);
   EXPECT_EQ(edge_route_hash(router), 0x0dc2be5d82bd740dULL);
   EXPECT_EQ(s.negotiation_iters, 6u);
   EXPECT_EQ(s.negotiation_ripups, 11239u);
   EXPECT_EQ(repairs.value() - before, 6462u);
+  EXPECT_EQ(s.initial_overflow, 144u);
   EXPECT_EQ(s.census.overflow_gcells, 127u);
   EXPECT_EQ(s.census.f2f_overflow_gcells, 0u);
   EXPECT_EQ(s.census.max_congestion, 1.2794272899627686);
@@ -362,13 +359,23 @@ TEST(RouteGolden, Maeri16NegotiatedRoutesAreBitIdentical) {
 
   const std::vector<Id> dirty = splice_buffer_pair(d.nl);
   before = repairs.value();
-  const RouteSummary e = router.reroute_nets(dirty);
+  const RouteSummary e = router.reroute_nets(dirty, flags);
   print_route_golden("eco", router, e, repairs.value() - before);
   EXPECT_EQ(edge_route_hash(router), 0x74acc13ed7f3302dULL);
   EXPECT_EQ(e.census.overflow_gcells, 125u);
   EXPECT_EQ(e.census.f2f_overflow_gcells, 0u);
   EXPECT_EQ(e.census.max_congestion, 1.2794272899627686);
   EXPECT_EQ(e.census.mean_congestion, 0.31517798633525274);
+}
+
+// Grid usage compared cell by cell, tracks then F2F pads.
+void expect_same_usage(const RoutingGrid& want, const RoutingGrid& got) {
+  ASSERT_EQ(want.num_track_cells(), got.num_track_cells());
+  ASSERT_EQ(want.num_f2f_cells(), got.num_f2f_cells());
+  for (std::size_t i = 0; i < want.num_track_cells(); ++i)
+    ASSERT_EQ(want.usage_at(i), got.usage_at(i)) << "track cell " << i;
+  for (std::size_t i = 0; i < want.num_f2f_cells(); ++i)
+    ASSERT_EQ(want.f2f_usage_at(i), got.f2f_usage_at(i)) << "f2f cell " << i;
 }
 
 // The router keeps no record of what it committed besides the per-edge
@@ -378,38 +385,91 @@ TEST(RouteGolden, Maeri16NegotiatedRoutesAreBitIdentical) {
 // rip-up of reroute_nets.
 void expect_usage_is_footprint_sum(const Router& router, const Design& d,
                                    const tech::Tech3D& tech3d) {
-  RoutingGrid fresh(d.info.die_w_um, d.info.die_h_um, tech3d, router.options().grid);
+  RoutingGrid fresh(d.info.die_w_um, d.info.die_h_um, tech3d);
   for (Id n = 0; n < router.routes().size(); ++n)
     for (const EdgeRoute& er : router.net_edges(n)) commit_edge(fresh, er, 1.0f);
-  const RoutingGrid::UsageState want = fresh.usage_state();
-  const RoutingGrid::UsageState got = router.grid().usage_state();
-  EXPECT_TRUE(want.use == got.use);
-  EXPECT_TRUE(want.f2f_use == got.f2f_use);
+  expect_same_usage(fresh, router.grid());
 }
 
+// restore() rebuilds grid usage from the restored edges. The DesignDB state
+// fingerprint hashes neither usage nor history, so this test is what sees a
+// bad rebuild: after a fault kills route_all mid-decompose (usage cleared,
+// history zeroed), restoring the checkpoint must give back every usage cell,
+// the history surface and the edge routes of the negotiated route.
 TEST(RouterFootprint, GridUsageIsTheSumOfEdgeFootprints) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
   obs::Counter& reverts = obs::Metrics::instance().counter("route.negotiation_reverts");
   Router router(d, tech3d);
 
+  const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
   const std::uint64_t before = reverts.value();
-  const RouteSummary s = router.route_all(long_2d_net_flags(d));
+  const RouteSummary s = router.route_all(flags);
   EXPECT_GT(s.negotiation_iters, 0u);
   EXPECT_GT(reverts.value() - before, 0u);
   EXPECT_GT(s.f2f_pairs, 0u);
   expect_usage_is_footprint_sum(router, d, tech3d);
 
+  const RoutingGrid grid_before = router.grid();
+  const std::uint64_t hash_before = edge_route_hash(router);
   const Router::Checkpoint cp = router.checkpoint();
   router.route_all({});
   expect_usage_is_footprint_sum(router, d, tech3d);
   router.restore(cp);
-  EXPECT_TRUE(router.grid().usage_state().use == cp.grid.use);
+  expect_same_usage(grid_before, router.grid());
   expect_usage_is_footprint_sum(router, d, tech3d);
 
-  router.reroute_nets(splice_buffer_pair(d.nl));
+  ft::FaultPlan& plan = ft::FaultPlan::instance();
+  plan.reset();
+  plan.arm("route.net", d.nl.num_nets() / 2);
+  EXPECT_THROW(router.route_all(flags), ft::FlowError);
+  plan.reset();
+  router.restore(cp);
+  expect_same_usage(grid_before, router.grid());
+  EXPECT_TRUE(router.checkpoint().history == cp.history);
+  EXPECT_EQ(edge_route_hash(router), hash_before);
+
+  router.reroute_nets(splice_buffer_pair(d.nl), flags);
   ASSERT_EQ(router.routes().size(), d.nl.num_nets());
   expect_usage_is_footprint_sum(router, d, tech3d);
+}
+
+// net_topology() derives the tree from the netlist on demand; check rule
+// RT-002 reads it as the tree the router routed. After a negotiated route and
+// after an ECO repair, every net's derived tree has one edge per routed edge,
+// and each routed edge spans the gcells of its parent and child terminals.
+TEST(RouterTopology, DerivedTreeIsTheRoutedTree) {
+  tech::Tech3D tech3d;
+  Design d = placed_16pe(true, tech3d);
+  Router router(d, tech3d);
+  const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
+  const RoutingGrid& grid = router.grid();
+  const auto expect_derived_tree_routed = [&] {
+    std::size_t routed = 0;
+    for (Id n = 0; n < d.nl.num_nets(); ++n) {
+      const NetTopology topo = router.net_topology(n);
+      const std::vector<EdgeRoute>& edges = router.net_edges(n);
+      ASSERT_EQ(topo.num_edges(), edges.size()) << "net " << n;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        const EdgeRoute& er = edges[e];
+        if (!er.routed) continue;
+        ++routed;
+        const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
+        const Terminal& b = topo.terms[e + 1];
+        EXPECT_EQ(er.gx1, grid.gx(a.x)) << "net " << n << " edge " << e;
+        EXPECT_EQ(er.gy1, grid.gy(a.y)) << "net " << n << " edge " << e;
+        EXPECT_EQ(er.gx2, grid.gx(b.x)) << "net " << n << " edge " << e;
+        EXPECT_EQ(er.gy2, grid.gy(b.y)) << "net " << n << " edge " << e;
+      }
+    }
+    EXPECT_GT(routed, 1000u);
+  };
+
+  router.route_all(flags);
+  expect_derived_tree_routed();
+  router.reroute_nets(splice_buffer_pair(d.nl), flags);
+  ASSERT_EQ(router.routes().size(), d.nl.num_nets());
+  expect_derived_tree_routed();
 }
 
 TEST(Router, DescribeLayers) {

@@ -120,7 +120,9 @@ int cmd_diff(const std::vector<std::string>& args) {
       files.push_back(args[i]);
   }
   if (files.empty() || files.size() > 2) {
-    std::fprintf(stderr, "usage: gnnmls_report diff BASE [CUR] [--max-regress-pct N]\n");
+    std::fprintf(stderr,
+                 "usage: gnnmls_report diff BASE [CUR] [--max-regress-pct N] "
+                 "[--abs-floor-ms MS] [--report-only]\n");
     return 2;
   }
   LedgerRecord base, cur;
