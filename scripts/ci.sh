@@ -49,14 +49,14 @@ lint_fingerprint() {
     || { echo "fingerprint gate FAILED: ${design} ${strategy}${*:+ $*}: ${got} != ${want}"; exit 1; }
   echo "fingerprint OK: ${design} ${strategy}${*:+ $*} ${got}"
 }
-lint_fingerprint maeri128 sota 0x603f7148e3663941
-lint_fingerprint maeri128 gnn 0xde583f6a621d4b27
+lint_fingerprint maeri128 sota 0xba43d54cc55c3d51
+lint_fingerprint maeri128 gnn 0x7164fa38dddcfcc8
 # The DFT path: scan insertion is a netlist wave (checkpointed with the
 # routes) followed by a reroute_nets ECO repair.
-lint_fingerprint maeri128 gnn 0x3cee6d791b79ec3a --with-dft
+lint_fingerprint maeri128 gnn 0xbf5785232adfc627 --with-dft
 
 echo "==> metrics-snapshot gate: the JSON dump must carry the flow's histograms"
-grep -q '"route.edge_route_s"' LINT_metrics.json
+grep -q '"route.negotiation_iters_per_call"' LINT_metrics.json
 grep -q '"flow.snapshot_bytes"' LINT_metrics.json
 grep -q '"route.nets_routed"' LINT_metrics.json
 rm -f LINT_metrics.json
@@ -178,8 +178,8 @@ echo "==> perf smoke: incremental-ECO + per-stage microbenchmarks on MAERI-16PE"
   --benchmark_out=BENCH_incremental.json --benchmark_out_format=json \
   --benchmark_min_time=0.05
 
-echo "==> perf smoke: sharded negotiated routing (BENCH_routing.json)"
-# BM_RouteNegotiated is the sharded three-phase engine on a fresh router. It
+echo "==> perf smoke: negotiated routing (BENCH_routing.json)"
+# BM_RouteNegotiated is the serial negotiated engine on a fresh router. It
 # exports nets/s and the post-route overflow census, so BENCH_routing.json
 # carries quality next to throughput run over run; no gate reads it.
 ./build/bench/bench_micro \

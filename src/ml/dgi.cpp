@@ -149,7 +149,8 @@ double DgiTrainer::train_epoch(std::span<const PathGraph> graphs, Adam& optimize
 
 std::vector<double> DgiTrainer::pretrain(std::span<const PathGraph> graphs,
                                          const DgiConfig& config, util::Rng& rng) {
-  GNNMLS_SPAN("ml.dgi.pretrain");
+  // No span of its own: GnnMlsEngine::pretrain's ml.dgi.pretrain covers it
+  // (with the scaler fit), and the epochs are its children.
   std::vector<Param*> ps = encoder_.params();
   ps.push_back(&w_);
   Adam opt(ps, config.lr);

@@ -147,6 +147,7 @@ constexpr Kernels kScalarKernels{gemm_scalar,           gemm_nt_scalar,
                                  bias_relu_rows_scalar, layernorm_rows_scalar,
                                  attention_scalar,      detail::dgemm_scalar,
                                  detail::dgemm_tn_scalar, detail::dgemm_nt_scalar,
+                                 detail::dgemm_dense_scalar, detail::dtranspose_scalar,
                                  detail::adam_scalar};
 
 // ---- AVX2 + FMA kernels -----------------------------------------------------
@@ -561,6 +562,7 @@ constexpr Kernels kAvx2Kernels{gemm_avx2,           gemm_nt_avx2,
                                bias_relu_rows_avx2, layernorm_rows_avx2,
                                attention_avx2,      detail::dgemm_avx2,
                                detail::dgemm_tn_avx2, detail::dgemm_nt_avx2,
+                               detail::dgemm_dense_avx2, detail::dtranspose_avx2,
                                detail::adam_avx2};
 
 #endif  // GNNMLS_X86

@@ -79,6 +79,12 @@ struct Kernels {
   // C(m x n) = A(m x k) · B(n x k)ᵀ; every term is summed.
   void (*dgemm_nt)(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
                    double* c, int ldc);
+  // C(m x n) = A(m x k) · B(k x n) with every term summed: dgemm_nt's sums
+  // for a B that is already transposed, so both give the same bits.
+  void (*dgemm_dense)(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                      double* c, int ldc);
+  // Bt (k x n, dense) = B(n x k)ᵀ, B with row stride ldb.
+  void (*dtranspose)(int n, int k, const double* b, int ldb, double* bt);
   // Adam over `count` parameters: m and v are the moment estimates, w the
   // weights, g the gradient.
   void (*adam)(std::size_t count, const AdamStep& step, const double* g, double* m, double* v,

@@ -70,6 +70,17 @@ void dgemm_nt_scalar(int m, int k, int n, const double* a, int lda, const double
   }
 }
 
+void dgemm_dense_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                        double* c, int ldc) {
+  gemm_strided(false, m, k, n, a, lda, 1, b, ldb, c, ldc);
+}
+
+void dtranspose_scalar(int n, int k, const double* b, int ldb, double* bt) {
+  for (int j = 0; j < n; ++j)
+    for (int kk = 0; kk < k; ++kk)
+      bt[static_cast<std::ptrdiff_t>(kk) * n + j] = b[static_cast<std::ptrdiff_t>(j) * ldb + kk];
+}
+
 void adam_scalar(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
                  double* w) {
   for (std::size_t j = 0; j < count; ++j) adam_one(s, g[j], m[j], v[j], w[j]);
@@ -149,10 +160,11 @@ __attribute__((target("avx2"))) void run_panels(int m, int k, int n, const doubl
   }
 }
 
-// bt (k x n, dense) = transpose of b (n x k, row stride ldb), in 4 x 4
-// register blocks.
-__attribute__((target("avx2"))) void transpose_into(int n, int k, const double* b, int ldb,
-                                                    double* bt) {
+}  // namespace
+
+// In 4 x 4 register blocks.
+__attribute__((target("avx2"))) void dtranspose_avx2(int n, int k, const double* b, int ldb,
+                                                     double* bt) {
   int j0 = 0;
   for (; j0 + 4 <= n; j0 += 4) {
     const double* r = b + static_cast<std::ptrdiff_t>(j0) * ldb;
@@ -183,8 +195,6 @@ __attribute__((target("avx2"))) void transpose_into(int n, int k, const double* 
       bt[static_cast<std::ptrdiff_t>(kk) * n + j0] = b[static_cast<std::ptrdiff_t>(j0) * ldb + kk];
 }
 
-}  // namespace
-
 void dgemm_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
                 double* c, int ldc) {
   run_panels<true>(m, k, n, a, lda, 1, b, ldb, c, ldc);
@@ -202,8 +212,13 @@ void dgemm_nt_avx2(int m, int k, int n, const double* a, int lda, const double* 
                    double* c, int ldc) {
   thread_local std::vector<double> bt;
   bt.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
-  transpose_into(n, k, b, ldb, bt.data());
-  run_panels<false>(m, k, n, a, lda, 1, bt.data(), n, c, ldc);
+  dtranspose_avx2(n, k, b, ldb, bt.data());
+  dgemm_dense_avx2(m, k, n, a, lda, bt.data(), n, c, ldc);
+}
+
+void dgemm_dense_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                      double* c, int ldc) {
+  run_panels<false>(m, k, n, a, lda, 1, b, ldb, c, ldc);
 }
 
 __attribute__((target("avx2"))) void adam_avx2(std::size_t count, const AdamStep& s,

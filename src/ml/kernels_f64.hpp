@@ -18,6 +18,9 @@ void dgemm_tn_scalar(int m, int k, int n, const double* a, int lda, const double
                      double* c, int ldc);
 void dgemm_nt_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
                      double* c, int ldc);
+void dgemm_dense_scalar(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                        double* c, int ldc);
+void dtranspose_scalar(int n, int k, const double* b, int ldb, double* bt);
 void adam_scalar(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
                  double* w);
 
@@ -28,6 +31,9 @@ void dgemm_tn_avx2(int m, int k, int n, const double* a, int lda, const double* 
                    double* c, int ldc);
 void dgemm_nt_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
                    double* c, int ldc);
+void dgemm_dense_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                      double* c, int ldc);
+void dtranspose_avx2(int n, int k, const double* b, int ldb, double* bt);
 void adam_avx2(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
                double* w);
 #endif

@@ -9,7 +9,7 @@ namespace gnnmls::ml {
 
 // ---- Linear ----------------------------------------------------------------
 Linear::Linear(int in, int out, util::Rng& rng)
-    : w_(Mat::xavier(in, out, rng)), b_(Mat(1, out)) {}
+    : w_(Mat::xavier(in, out, rng), /*keep_transpose=*/true), b_(Mat(1, out)) {}
 
 void Linear::forward(const Mat& x, Cache& cache, Mat& y) const {
   cache.x = x;
@@ -22,7 +22,7 @@ void Linear::backward(const Mat& dy, const Cache& cache, Mat& dx) {
   w_.grad.axpy(1.0, dw_);
   for (int i = 0; i < dy.rows(); ++i)
     for (int j = 0; j < dy.cols(); ++j) b_.grad.at(0, j) += dy.at(i, j);
-  matmul_nt(dy, w_.value, dx);
+  matmul_dense(dy, w_.value_t, dx);
 }
 
 // ---- ReLU ------------------------------------------------------------------
@@ -98,10 +98,10 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, util::Rng& rng)
     : dim_(dim),
       heads_(heads),
       head_dim_(dim / heads),
-      wq_(Mat::xavier(dim, dim, rng)),
-      wk_(Mat::xavier(dim, dim, rng)),
-      wv_(Mat::xavier(dim, dim, rng)),
-      wo_(Mat::xavier(dim, dim, rng)),
+      wq_(Mat::xavier(dim, dim, rng), /*keep_transpose=*/true),
+      wk_(Mat::xavier(dim, dim, rng), /*keep_transpose=*/true),
+      wv_(Mat::xavier(dim, dim, rng), /*keep_transpose=*/true),
+      wo_(Mat::xavier(dim, dim, rng), /*keep_transpose=*/true),
       edge_bias_(Mat(1, heads)) {
   if (dim % heads != 0) throw std::invalid_argument("dim must be divisible by heads");
   edge_bias_.value.fill(0.5);  // start with a mild preference for graph edges
@@ -149,7 +149,7 @@ void MultiHeadAttention::backward(const Mat& dy, const Cache& c, Mat& dx) {
   // Through Wo.
   matmul_tn(c.concat, dy, tmp_);
   wo_.grad.axpy(1.0, tmp_);
-  matmul_nt(dy, wo_.value, dconcat_);
+  matmul_dense(dy, wo_.value_t, dconcat_);
 
   dq_.resize(n, dim_);
   dk_.resize(n, dim_);
@@ -186,10 +186,10 @@ void MultiHeadAttention::backward(const Mat& dy, const Cache& c, Mat& dx) {
   wk_.grad.axpy(1.0, tmp_);
   matmul_tn(c.x, dv_, tmp_);
   wv_.grad.axpy(1.0, tmp_);
-  matmul_nt(dq_, wq_.value, dx);
-  matmul_nt(dk_, wk_.value, tmp_);
+  matmul_dense(dq_, wq_.value_t, dx);
+  matmul_dense(dk_, wk_.value_t, tmp_);
   dx.axpy(1.0, tmp_);
-  matmul_nt(dv_, wv_.value, tmp_);
+  matmul_dense(dv_, wv_.value_t, tmp_);
   dx.axpy(1.0, tmp_);
 }
 
@@ -237,6 +237,7 @@ void Adam::step() {
     Param* p = params_[i];
     kern.adam(p->value.data().size(), s, p->grad.data().data(), m_[i].data().data(),
               v_[i].data().data(), p->value.data().data());
+    p->sync_transpose();
   }
 }
 

@@ -21,9 +21,21 @@ namespace gnnmls::ml {
 struct Param {
   Mat value;
   Mat grad;
+  // value^T, kept only for the weights whose backward computes dy * W^T:
+  // the constructor and Adam::step keep it equal to value's transpose, so W
+  // is transposed once per optimizer step rather than on every backward
+  // call. Empty for every other parameter. Code that writes value directly
+  // calls sync_transpose() before the next backward.
+  Mat value_t;
 
-  explicit Param(Mat v) : value(std::move(v)), grad(value.rows(), value.cols()) {}
+  explicit Param(Mat v, bool keep_transpose = false)
+      : value(std::move(v)), grad(value.rows(), value.cols()) {
+    if (keep_transpose) transpose_into(value, value_t);
+  }
   void zero_grad() { grad.zero(); }
+  void sync_transpose() {
+    if (!value_t.empty()) transpose_into(value, value_t);
+  }
 };
 
 // Common layer interface for parameter collection.

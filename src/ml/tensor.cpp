@@ -57,6 +57,13 @@ void matmul_nt(const Mat& a, const Mat& b, Mat& c) {
                      b.cols(), c.data().data(), c.cols());
 }
 
+void matmul_dense(const Mat& a, const Mat& b, Mat& c) {
+  if (a.cols() != b.rows()) throw std::invalid_argument("matmul_dense shape mismatch");
+  c.resize(a.rows(), b.cols());
+  kernels().dgemm_dense(a.rows(), a.cols(), b.cols(), a.data().data(), a.cols(),
+                        b.data().data(), b.cols(), c.data().data(), c.cols());
+}
+
 namespace {
 void check_same(const Mat& a, const Mat& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols())
@@ -79,10 +86,14 @@ Mat hadamard(const Mat& a, const Mat& b) {
 }
 
 Mat transpose(const Mat& a) {
-  Mat t(a.cols(), a.rows());
-  for (int i = 0; i < a.rows(); ++i)
-    for (int j = 0; j < a.cols(); ++j) t.at(j, i) = a.at(i, j);
+  Mat t;
+  transpose_into(a, t);
   return t;
+}
+
+void transpose_into(const Mat& a, Mat& t) {
+  t.resize(a.cols(), a.rows());
+  kernels().dtranspose(a.rows(), a.cols(), a.data().data(), a.cols(), t.data().data());
 }
 
 void softmax_rows_inplace(Mat& a) {

@@ -6,7 +6,7 @@
 // simpler and faster here than an autograd graph — and it keeps the library
 // dependency-free.
 //
-// The three products run on the double entries of the ml/kernels.hpp
+// The products run on the double entries of the ml/kernels.hpp
 // dispatch table, which are bit-equal across SIMD levels: training results
 // do not depend on the CPU or on GNNMLS_SIMD. Each product writes a
 // caller-owned output, reusing its storage, so a training step that keeps
@@ -61,10 +61,15 @@ void matmul(const Mat& a, const Mat& b, Mat& c);
 void matmul_tn(const Mat& a, const Mat& b, Mat& c);
 // C = A * B^T
 void matmul_nt(const Mat& a, const Mat& b, Mat& c);
+// C = A * B with every term summed: matmul_dense(a, transpose(b), c) gives
+// matmul_nt(a, b, c)'s bits without transposing b on the call.
+void matmul_dense(const Mat& a, const Mat& b, Mat& c);
 
 Mat sub(const Mat& a, const Mat& b);
 Mat hadamard(const Mat& a, const Mat& b);
 Mat transpose(const Mat& a);
+// t = A^T, reusing t's storage.
+void transpose_into(const Mat& a, Mat& t);
 
 // Row-wise softmax, in place.
 void softmax_rows_inplace(Mat& a);

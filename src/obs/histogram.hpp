@@ -5,12 +5,12 @@
 // scheduling change helps the median and wrecks the tail. Histogram keeps the
 // Counter cost model — observe() is branch-free bucket selection (exponent +
 // top mantissa bits, no libm) plus two relaxed atomic adds — so it is always
-// on, even on per-edge routing paths.
+// on. A per-item hot path (one observe per routed edge) still pays for it:
+// count there with a local and add it to a Counter once per phase.
 //
 // Buckets are log-spaced with 4 sub-buckets per power of two (relative error
-// of a reconstructed quantile ≤ ~12.5%), spanning 2^-28 (~3.7e-9; route-edge
-// timings bottom out around tens of ns) to 2^36 (~6.9e10; snapshot bytes on a
-// large design). Values below the range, zero, negatives, and NaN land in the
+// of a reconstructed quantile ≤ ~12.5%), spanning 2^-28 (~3.7e-9 s, below
+// any timed span) to 2^36 (~6.9e10; snapshot bytes on a large design). Values below the range, zero, negatives, and NaN land in the
 // underflow bucket; values above (and +inf) in the overflow bucket.
 //
 // snapshot() interpolates p50/p90/p99 inside the owning bucket. A concurrent
@@ -18,8 +18,9 @@
 // event) — quantiles are statistics, not ledger balances, and the hammer test
 // pins that a quiesced histogram is exact.
 //
-//   static obs::Histogram& h = obs::Metrics::instance().histogram("route.edge_route_s");
-//   h.observe(span.seconds());
+//   static obs::Histogram& h =
+//       obs::Metrics::instance().histogram("route.negotiation_iters_per_call");
+//   h.observe(static_cast<double>(stats.iterations));
 #pragma once
 
 #include <array>

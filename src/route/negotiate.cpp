@@ -1,7 +1,6 @@
 #include "route/negotiate.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -12,10 +11,8 @@ namespace gnnmls::route {
 
 namespace {
 
-// Shard side length in gcells for the initial sharded routing phase.
-constexpr int kShardGcells = 16;
 // Overflow-mask dilation: edges within this many gcells of a congested
-// range are negotiation rip-up victims (the shard halo overlap).
+// range are negotiation rip-up victims along with the direct offenders.
 constexpr int kHaloGcells = 2;
 // Negotiation loop bounds: at most this many iterations, and a stop after
 // kStagnationLimit consecutive iterations without strict improvement.
@@ -28,83 +25,58 @@ struct NegCounters {
   obs::Counter& iters = obs::Metrics::instance().counter("route.negotiation_iters");
   obs::Counter& ripups = obs::Metrics::instance().counter("route.negotiation_ripups");
   obs::Counter& reverts = obs::Metrics::instance().counter("route.negotiation_reverts");
-  obs::Counter& shards = obs::Metrics::instance().counter("route.shards_routed");
-  obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
+  obs::Counter& edge_routes = obs::Metrics::instance().counter("route.edge_routes");
   static NegCounters& get() {
     static NegCounters c;
     return c;
   }
 };
 
-// True when committing this edge onto the live grid would push any of its
-// cells past `frac` of capacity. At frac = 1 this is "would overflow"; the
-// commit loop uses a slightly lower fraction so speculative picks that land
-// on NEAR-full cells also get a fresh live decision — the congestion
-// penalty in the cost model only spreads load if the router sees the live
-// usage, and every speculative pick of a bucket saw the same frozen grid.
-// Without this check every edge in a shard piles onto the same cheapest
-// layer pair.
-bool would_stress(const RoutingGrid& grid, const EdgeRoute& er, float frac) {
-  return for_each_cell(
-      grid, er,
-      [&](std::size_t i) { return grid.usage_at(i) + 1.0f > frac * grid.capacity_at(i); },
-      [&](std::size_t i) { return grid.f2f_usage_at(i) + 1.0f > grid.f2f_capacity(); });
+// Routes in.edges[i] against the live grid and commits it at once, so every
+// edge routed after it prices the usage it adds.
+void route_live(const NegotiationInput& in, const EdgeCostModel& model, std::uint32_t i) {
+  const EdgeTask& t = in.edges[i];
+  EdgeRoute& er = in.edge_routes[t.net][t.edge];
+  er = route_edge(model, t.a, t.b, t.mls);
+  commit_edge(in.grid, er, 1.0f);
 }
 
-// Serially commits the speculative results for `idxs`, reroute-on-conflict:
-// an edge whose speculative choice no longer fits the live grid is rerouted
-// right here against the live congestion (the Gauss-Seidel feedback that
-// edge-by-edge routing gets for free). Commit order is the deterministic
-// bucket order, and the live grid evolves with it.
-// Speculative picks touching cells above this fraction of capacity are
-// rerouted live at commit. 1.0 would repair only outright overflow;
-// repairing a little early keeps edge-by-edge packing quality
-// in regions that are filling up, at the cost of a few extra serial
-// reroutes (the route.commit_repairs counter tracks how many).
-constexpr float kRepairFraction = 0.75f;
+// Marks a (2*halo+1)^2 box around (x, y) in one plane of `mask`.
+void mark_box(std::vector<std::uint8_t>& mask, std::size_t plane_base, int nx, int ny, int x,
+              int y, int halo) {
+  const int xs = std::max(0, x - halo), xe = std::min(nx - 1, x + halo);
+  const int ys = std::max(0, y - halo), ye = std::min(ny - 1, y + halo);
+  for (int yy = ys; yy <= ye; ++yy)
+    for (int xx = xs; xx <= xe; ++xx)
+      mask[plane_base + static_cast<std::size_t>(yy * nx + xx)] = 1;
+}
 
-void commit_results(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
-                    std::span<const EdgeRoute> results, std::uint64_t* repairs) {
-  const EdgeCostModel live{in.grid, in.tech, in.history.data()};
-  for (std::size_t k = 0; k < idxs.size(); ++k) {
-    const EdgeTask& t = in.edges[idxs[k]];
-    EdgeRoute er = results[k];
-    // Repair when the live grid disagrees with the speculation: the pick
-    // crowds a (near-)full live cell, or it was already squeezing through
-    // overfull cells at snapshot time (then the live state deserves a fresh
-    // decision — this is what keeps congested regions at edge-by-edge
-    // quality while uncontended regions keep their speculative result
-    // untouched).
-    if (would_stress(in.grid, er, kRepairFraction) || er.overflow >= 1.0f) {
-      static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
-      const auto t0 = std::chrono::steady_clock::now();
-      er = route_edge(live, t.a, t.b, t.mls);
-      edge_s.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-      ++*repairs;
+// Per-track-cell overflow mask: 1 where usage exceeds capacity somewhere
+// within `halo` gcells on the same tier/layer plane, so an edge committed
+// near an overflowed range is a rip-up victim even if its own cells fit.
+std::vector<std::uint8_t> overflow_mask(const RoutingGrid& grid, int halo) {
+  std::vector<std::uint8_t> mask(grid.num_track_cells(), 0);
+  const int nx = grid.nx(), ny = grid.ny();
+  for (int tier = 0; tier < 2; ++tier) {
+    for (int layer = 0; layer < grid.num_layers(tier); ++layer) {
+      const std::size_t plane_base = grid.track_index(tier, layer, 0, 0);
+      for (int y = 0; y < ny; ++y)
+        for (int x = 0; x < nx; ++x)
+          if (grid.usage(tier, layer, x, y) > grid.capacity(tier, layer, x, y))
+            mark_box(mask, plane_base, nx, ny, x, y, halo);
     }
-    in.edge_routes[t.net][t.edge] = er;
-    commit_edge(in.grid, er, 1.0f);
   }
+  return mask;
 }
 
-// Routes edges[idx] for every idx in `idxs` into result slots parallel to
-// `idxs`, each against the grid and history frozen at the call: no result
-// is committed until commit_results runs over the whole bucket.
-void route_tasks(const NegotiationInput& in, std::span<const std::uint32_t> idxs,
-                 std::vector<EdgeRoute>& results) {
-  results.resize(idxs.size());
-  const EdgeCostModel model{in.grid, in.tech, in.history.data()};
-  // The distribution the mean hides: a handful of long congested edges
-  // dominate the tail while most route in sub-µs.
-  static obs::Histogram& edge_s = obs::Metrics::instance().histogram("route.edge_route_s");
-  for (std::size_t k = 0; k < idxs.size(); ++k) {
-    const EdgeTask& t = in.edges[idxs[k]];
-    const auto t0 = std::chrono::steady_clock::now();
-    results[k] = route_edge(model, t.a, t.b, t.mls);
-    edge_s.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  }
+// Same for the per-gcell F2F bond-pad resource.
+std::vector<std::uint8_t> f2f_overflow_mask(const RoutingGrid& grid, int halo) {
+  std::vector<std::uint8_t> mask(grid.num_f2f_cells(), 0);
+  const int nx = grid.nx(), ny = grid.ny();
+  for (int y = 0; y < ny; ++y)
+    for (int x = 0; x < nx; ++x)
+      if (grid.f2f_usage(x, y) > grid.f2f_capacity()) mark_box(mask, 0, nx, ny, x, y, halo);
+  return mask;
 }
 
 // Total overflow cells (tracks + F2F pads): the quantity negotiation
@@ -119,29 +91,16 @@ std::pair<std::size_t, double> census_key(const RoutingGrid::Census& c) {
 NegotiationStats route_negotiated(const NegotiationInput& in) {
   NegotiationStats stats;
 
-  // ---- phase 1: sharded initial routing -----------------------------------
-  {
-    GNNMLS_SPAN("route.shards");
-    const ShardMap shards(in.grid.nx(), in.grid.ny(), kShardGcells);
-    const auto buckets = bucket_edges(shards, in.grid, in.edges);
-    std::vector<EdgeRoute> results;
-    std::uint64_t shards_routed = 0, repairs = 0;
-    for (const std::vector<std::uint32_t>& bucket : buckets) {
-      if (bucket.empty()) continue;
-      GNNMLS_SPAN("route.shard");
-      ++shards_routed;
-      route_tasks(in, bucket, results);
-      commit_results(in, bucket, results, &repairs);
-    }
-    NegCounters::get().shards.add(shards_routed);
-    NegCounters::get().repairs.add(repairs);
-  }
+  const EdgeCostModel model{in.grid, in.tech, in.history.data()};
+
+  // ---- phase 1: initial routing, edge by edge on the live grid ------------
+  for (std::uint32_t i = 0; i < in.edges.size(); ++i) route_live(in, model, i);
+  NegCounters::get().edge_routes.add(in.edges.size());
 
   // ---- phase 2: negotiation loop ------------------------------------------
   RoutingGrid::Census census = in.grid.census();
   stats.initial_overflow = census.overflow_gcells + census.f2f_overflow_gcells;
   int stagnant = 0;
-  std::vector<EdgeRoute> results;
   for (int iter = 0; iter < kMaxNegotiationIters; ++iter) {
     if (census_key(census).first == 0) break;
     GNNMLS_SPAN("route.negotiate.iter");
@@ -181,13 +140,10 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       commit_edge(in.grid, old_routes[k], -1.0f);
     }
 
-    // Reroute all victims Jacobi-style against the frozen post-rip-up grid
-    // and the updated history, then commit in edge order with the same
-    // reroute-on-conflict rule as the initial phase.
-    route_tasks(in, victims, results);
-    std::uint64_t repairs = 0;
-    commit_results(in, victims, results, &repairs);
-    NegCounters::get().repairs.add(repairs);
+    // Reroute the victims in edge order against the live grid and the
+    // updated history, each committed before the next is priced.
+    for (const std::uint32_t v : victims) route_live(in, model, v);
+    NegCounters::get().edge_routes.add(victims.size());
     ++stats.iterations;
     stats.ripups += victims.size();
 

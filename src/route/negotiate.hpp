@@ -1,40 +1,46 @@
-// Phase 3 of the routing engine: deterministic negotiated congestion.
+// Phase 2 of the routing engine: serial routing with negotiated congestion.
 //
 // PathFinder-style rip-up-and-reroute over the 2-pin edges produced by
-// route/topology.hpp, sharded by route/shard.hpp:
+// route/topology.hpp, one edge at a time on the live grid (the nthu-route
+// Route_2pinnets order):
 //
-//   1. Initial routing — shards in fixed row-major order; the edges of one
-//      shard are routed speculatively against the grid frozen at shard
-//      start, then committed in deterministic order, with a live reroute
-//      for any pick the committed edges before it made stressful.
+//   1. Initial routing — every edge, in the global edge order, is routed
+//      against the live grid and committed at once, so edge k prices the
+//      usage of edges 0..k-1.
 //   2. Negotiation — while track or F2F overflow remains: bump a per-cell
 //      history cost on every overflowed cell, rip up every committed edge
-//      whose footprint intersects the halo-dilated overflow mask, reroute
-//      all victims against the frozen post-rip-up grid + the updated
-//      history surface, and commit in edge order the same way. An
-//      iteration that makes the overflow census worse is reverted exactly
-//      (an edge's footprint is derived from its EdgeRoute, so rip-up and
-//      recommit are lossless) and the loop goes on with the bumped history;
-//      a revert counts toward the stagnation limit. The final state is never
-//      worse than the initial routing.
+//      whose footprint intersects the halo-dilated overflow mask, then
+//      reroute and commit the victims one by one in edge order against the
+//      live grid and the updated history surface. An iteration that makes
+//      the overflow census worse is reverted exactly (an edge's footprint is
+//      derived from its EdgeRoute, so rip-up and recommit are lossless) and
+//      the loop goes on with the bumped history; a revert counts toward the
+//      stagnation limit. The final state is never worse than the initial
+//      routing.
 //
-// The frozen-grid speculation and the commit repair define today's routes;
-// routing runs on the calling thread, and the result is a pure function of
-// (netlist, flags).
-//
-// Shard size, halo, history gain and the loop bounds (kMaxNegotiationIters,
-// kStagnationLimit) are fixed constants in negotiate.cpp; the loop has no
-// wall-clock deadline.
+// Routing runs on the calling thread, and the result is a pure function of
+// (netlist, flags). The halo, history gain and the loop bounds
+// (kMaxNegotiationIters, kStagnationLimit) are fixed constants in
+// negotiate.cpp; the loop has no wall-clock deadline.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "route/router.hpp"
-#include "route/shard.hpp"
 
 namespace gnnmls::route {
+
+// One 2-pin routing task: an edge of some net's topology plus everything
+// route_edge() needs to run it.
+struct EdgeTask {
+  netlist::Id net = 0;
+  std::uint32_t edge = 0;
+  Terminal a, b;   // parent terminal, child terminal
+  bool mls = false;
+};
 
 struct NegotiationStats {
   std::size_t iterations = 0;        // negotiation iterations executed

@@ -145,8 +145,8 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
 
   // ---- phase 0: decompose every net into 2-pin edges ----------------------
   // The edge list is emitted in route order, so "earlier in the list" means
-  // "higher routing priority" — within a shard bucket, MLS edges route and
-  // commit before the native ones.
+  // "higher routing priority": MLS edges route and commit before the native
+  // ones.
   // The trees live only until assembly (net_topology() re-derives one on
   // demand), flat-packed in route order: a net's terminals and parents start
   // at tree_at[net]. Two arrays instead of two vectors per net leave no
@@ -179,7 +179,7 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
     }
   }
 
-  // ---- phases 1+2: sharded routing + negotiation --------------------------
+  // ---- phases 1+2: serial routing + negotiation ---------------------------
   const NegotiationStats stats =
       route_negotiated(NegotiationInput{grid_, tech_, tasks, history_, edge_routes_});
 

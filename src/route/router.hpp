@@ -1,15 +1,14 @@
 // Congestion- and MLS-aware global router.
 //
-// The router is a three-phase engine (ROADMAP item 2, the nthu-route
-// Route_2pinnets / RangeRouter structure):
+// The router is a two-phase engine (the nthu-route Route_2pinnets
+// structure; ROADMAP item 2 adds its RangeRouter):
 //
 //   1. decompose — every net becomes a driver-rooted spanning tree of 2-pin
 //      edges (route/topology.hpp), the atomic routing unit;
-//   2. shard — the gcell plane is tessellated into regions with halo
-//      overlap, and each shard's edges are routed speculatively against the
-//      grid frozen at shard start (route/shard.hpp);
-//   3. negotiate — a deterministic PathFinder-style loop rips up the edges
-//      crossing congested ranges and reroutes them with history-based
+//   2. route and negotiate — every edge, in the global route order, is
+//      routed against the live grid and committed at once; then a
+//      deterministic PathFinder-style loop rips up the edges crossing
+//      congested ranges and reroutes them one by one with history-based
 //      congestion costs until overflow converges or an iteration cap hits
 //      (route/negotiate.hpp).
 //
@@ -91,7 +90,7 @@ class Router {
  public:
   Router(const netlist::Design& design, const tech::Tech3D& tech);
 
-  // Routes every net with the sharded negotiated engine. mls_flags is
+  // Routes every net with the negotiated engine. mls_flags is
   // per-net (empty = no MLS anywhere). Resets any previous routing state,
   // including the negotiation history. The result is a pure function of
   // (netlist, flags).

@@ -16,10 +16,9 @@
 //   * assemble_net_route() — per-net electrical model (load + Elmore) from
 //                        the routed edges
 //
-// route_edge() is deliberately pure with respect to the grid (reads only):
-// the sharded engine (route/shard.hpp, route/negotiate.hpp) routes a whole
-// bucket of edges against one frozen congestion snapshot before it commits
-// any of them.
+// route_edge() is pure with respect to the grid (reads only): the caller
+// commits its result (route/negotiate.hpp commits each edge before it
+// prices the next; Router::trial_route commits nothing).
 #pragma once
 
 #include <algorithm>

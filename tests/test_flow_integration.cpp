@@ -167,14 +167,14 @@ TEST(FlowGolden, Maeri16SotaEvaluateIsBitIdentical) {
   const FlowMetrics m = flow.evaluate_sota();
   const std::uint64_t fp = flow.db().state_fingerprint();
   print_golden("sota", m, 0.0, fp);
-  EXPECT_EQ(m.wl_m, 0.10302847118949876);
-  EXPECT_EQ(m.wns_ps, -90.54544951468705);
-  EXPECT_EQ(m.tns_ns, -5.8646905786513708);
-  EXPECT_EQ(m.violating, 155u);
-  EXPECT_EQ(m.mls_nets, 92u);
-  EXPECT_EQ(m.overflow_gcells, 94u);
-  EXPECT_EQ(m.power_mw, 24.395549799785393);
-  EXPECT_EQ(fp, 0x93cab9a7e1fd60cbULL);
+  EXPECT_EQ(m.wl_m, 0.10302297483253463);
+  EXPECT_EQ(m.wns_ps, -91.350772476017539);
+  EXPECT_EQ(m.tns_ns, -5.9052666851622195);
+  EXPECT_EQ(m.violating, 154u);
+  EXPECT_EQ(m.mls_nets, 96u);
+  EXPECT_EQ(m.overflow_gcells, 111u);
+  EXPECT_EQ(m.power_mw, 24.379979697737525);
+  EXPECT_EQ(fp, 0x0bfa0fc099deacb9ULL);
 }
 
 TEST(FlowGolden, Maeri16DftEvaluateIsBitIdentical) {
@@ -186,17 +186,17 @@ TEST(FlowGolden, Maeri16DftEvaluateIsBitIdentical) {
   const FlowMetrics& m = dft.flow;
   const std::uint64_t fp = flow.db().state_fingerprint();
   print_golden("dft", m, dft.coverage, fp);
-  EXPECT_EQ(m.wl_m, 0.1146160304074373);
-  EXPECT_EQ(m.wns_ps, -100.36184489905838);
-  EXPECT_EQ(m.tns_ns, -7.7236383859550983);
-  EXPECT_EQ(m.violating, 180u);
-  EXPECT_EQ(m.mls_nets, 93u);
-  EXPECT_EQ(m.overflow_gcells, 136u);
-  EXPECT_EQ(m.power_mw, 27.411362412818786);
-  EXPECT_EQ(dft.coverage, 0.90382800916565575);
+  EXPECT_EQ(m.wl_m, 0.1147618288793649);
+  EXPECT_EQ(m.wns_ps, -101.00919610250003);
+  EXPECT_EQ(m.tns_ns, -7.915104778715734);
+  EXPECT_EQ(m.violating, 184u);
+  EXPECT_EQ(m.mls_nets, 92u);
+  EXPECT_EQ(m.overflow_gcells, 143u);
+  EXPECT_EQ(m.power_mw, 27.439364534951917);
+  EXPECT_EQ(dft.coverage, 0.90360069864302028);
   // Stage revisions follow commit order: the DFT wave commits placement,
   // test, then routes.
-  EXPECT_EQ(fp, 0x64bb8289f16456a0ULL);
+  EXPECT_EQ(fp, 0xa329247efb41a312ULL);
 }
 
 }  // namespace

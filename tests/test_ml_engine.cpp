@@ -201,6 +201,20 @@ TEST_F(KernelParity, DoubleGemmsAreBitEqual) {
     sc.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c1.data(), ldc);
     vx.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c2.data(), ldc);
     EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_nt " << m << "x" << k << "x" << n;
+
+    // b_nt transposed at both levels; dense on it gives the nt sums.
+    std::vector<double> bt(static_cast<std::size_t>(k) * n);
+    for (int j = 0; j < n; ++j)
+      for (int kk = 0; kk < k; ++kk)
+        bt[static_cast<std::size_t>(kk) * n + j] = b_nt[static_cast<std::size_t>(j) * ldb_nt + kk];
+    for (const ml::Kernels* kern : {&sc, &vx}) {
+      std::vector<double> t(bt.size(), 7.0);
+      kern->dtranspose(n, k, b_nt.data(), ldb_nt, t.data());
+      EXPECT_TRUE(bits_equal(bt, t)) << "dtranspose " << n << "x" << k;
+      std::vector<double> c3(c_size, 7.0);
+      kern->dgemm_dense(m, k, n, a_nn.data(), lda_nn, bt.data(), n, c3.data(), ldc);
+      EXPECT_TRUE(bits_equal(c1, c3)) << "dgemm_dense " << m << "x" << k << "x" << n;
+    }
   }
 }
 

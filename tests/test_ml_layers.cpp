@@ -255,4 +255,22 @@ TEST(Adam, ConvergesOnQuadratic) {
     EXPECT_NEAR(w.value.data()[i], target.data()[i], 1e-3);
 }
 
+// A weight's kept transpose follows every optimizer step exactly, and a
+// parameter that keeps none stays without one.
+TEST(Adam, StepKeepsWeightTransposes) {
+  Rng rng(17);
+  Param w(Mat::xavier(3, 5, rng), /*keep_transpose=*/true);
+  Param b(Mat(1, 5));
+  Adam opt({&w, &b}, 0.05);
+  for (int step = 0; step < 3; ++step) {
+    for (double& g : w.grad.data()) g = rng.uniform(-1.0, 1.0);
+    for (double& g : b.grad.data()) g = rng.uniform(-1.0, 1.0);
+    opt.step();
+    const Mat want = transpose(w.value);
+    ASSERT_EQ(w.value_t.rows(), 5);
+    EXPECT_EQ(w.value_t.data(), want.data());
+  }
+  EXPECT_TRUE(b.value_t.empty());
+}
+
 }  // namespace

@@ -272,13 +272,13 @@ TEST(TrainingGolden, Maeri16RunIsBitIdentical) {
               val.f1);
   ASSERT_EQ(dgi_loss.size(), 2u);
   EXPECT_EQ(corpus.size(), 60u);
-  EXPECT_EQ(dgi_loss[0], 1.7137832680114087);
-  EXPECT_EQ(dgi_loss[1], 1.4068654518497807);
-  EXPECT_EQ(weights, 0x276551e140c94a7fULL);
-  EXPECT_EQ(val.accuracy, 0.90566037735849059);
-  EXPECT_EQ(val.precision, 0.90000000000000002);
-  EXPECT_EQ(val.recall, 0.39130434782608697);
-  EXPECT_EQ(val.f1, 0.54545454545454541);
+  EXPECT_EQ(dgi_loss[0], 2.0998074233156938);
+  EXPECT_EQ(dgi_loss[1], 1.4554745052824305);
+  EXPECT_EQ(weights, 0x3fb83fa7129b1de7ULL);
+  EXPECT_EQ(val.accuracy, 0.86986301369863017);
+  EXPECT_EQ(val.precision, 1.0);
+  EXPECT_EQ(val.recall, 0.23999999999999999);
+  EXPECT_EQ(val.f1, 0.38709677419354838);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "ft/blackbox.hpp"
 #include "mls/flow.hpp"
+#include "mls/gnnmls.hpp"
 #include "netlist/generators.hpp"
 #include "obs/histogram.hpp"
 #include "obs/ledger.hpp"
@@ -473,6 +474,48 @@ TEST_F(FlowStages, EvaluateWithDftStageBreakdown) {
   EXPECT_GT(m.route_s, 0.0);
   EXPECT_GT(m.sta_s, 0.0);
   expect_stages_cover_runtime(m);
+}
+
+// One engine pretrain is one ml.dgi.pretrain node (the scaler fit plus the
+// DGI epochs), so trace totals count pretraining once; its epochs are its
+// children.
+TEST_F(FlowStages, PretrainIsOneSpanOverItsEpochs) {
+  flow_->evaluate_no_mls();
+  mls::CorpusOptions options;
+  options.max_paths = 40;
+  const mls::Corpus corpus = flow_->corpus(options);
+  ASSERT_FALSE(corpus.graphs.empty());
+  mls::GnnMlsConfig cfg;
+  cfg.dgi.epochs = 2;
+  mls::GnnMlsEngine engine(cfg);
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset();
+  tracer.set_enabled(true);
+  engine.pretrain(corpus.graphs);
+  tracer.set_enabled(false);
+
+  const std::vector<obs::SpanStat> stats = tracer.snapshot();
+  int pretrain_nodes = 0, pretrain_idx = -1;
+  for (std::size_t i = 0; i < stats.size(); ++i)
+    if (stats[i].name == "ml.dgi.pretrain") {
+      ++pretrain_nodes;
+      pretrain_idx = static_cast<int>(i);
+    }
+  ASSERT_EQ(pretrain_nodes, 1);
+  const obs::SpanStat& pretrain = stats[static_cast<std::size_t>(pretrain_idx)];
+  EXPECT_EQ(pretrain.count, 1u);
+  double epochs_s = 0.0;
+  std::uint64_t epochs = 0;
+  for (const obs::SpanStat& s : stats)
+    if (s.name == "ml.dgi.epoch") {
+      EXPECT_EQ(s.parent, pretrain_idx);
+      epochs_s += s.total_s;
+      epochs += s.count;
+    }
+  EXPECT_EQ(epochs, 2u);
+  EXPECT_GE(pretrain.total_s, epochs_s);
+  EXPECT_DOUBLE_EQ(tracer.total_seconds("ml.dgi.pretrain"), pretrain.total_s);
 }
 
 // ---- histograms -------------------------------------------------------------

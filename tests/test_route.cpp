@@ -11,6 +11,7 @@
 #include "netlist/generators.hpp"
 #include "obs/metrics.hpp"
 #include "place/placer.hpp"
+#include "route/negotiate.hpp"
 #include "route/router.hpp"
 
 namespace {
@@ -255,7 +256,7 @@ TEST(RouterDelta, RouteAllReportsNoDeltaRerouteReportsExact) {
 }
 
 // Negotiation must pay for itself: the final overflow can never exceed the
-// overflow the initial sharded routing left before negotiation (the
+// overflow the initial routing left before negotiation (the
 // revert-on-worse rule makes the loop monotone against its own start).
 TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
   tech::Tech3D tech3d;
@@ -268,8 +269,8 @@ TEST(RouterNegotiation, OverflowNoWorseThanUnnegotiated) {
 }
 
 // RouteGolden pins one negotiated MAERI-16 route and one ECO repair of it to
-// their exact bits: a hash over every EdgeRoute, the negotiation statistics,
-// the commit-repair count and the final census. The router is a pure
+// their exact bits: a hash over every EdgeRoute, the negotiation statistics
+// and the final census. The router is a pure
 // function of (netlist, flags), so a change that moves any of these
 // values changes the routes every table is built on; re-pin on purpose and
 // say so in CHANGES.md. The configuration is long_2d_net_flags on the
@@ -327,45 +328,40 @@ std::vector<Id> splice_buffer_pair(Netlist& nl) {
   return dirty;
 }
 
-void print_route_golden(const char* tag, const Router& router, const RouteSummary& s,
-                        std::uint64_t repairs) {
-  std::printf("golden %s: hash=0x%016llx iters=%zu ripups=%zu repairs=%llu initial=%zu "
+void print_route_golden(const char* tag, const Router& router, const RouteSummary& s) {
+  std::printf("golden %s: hash=0x%016llx iters=%zu ripups=%zu initial=%zu "
               "overflow=%zu f2f_overflow=%zu max=%.17g mean=%.17g\n",
               tag, static_cast<unsigned long long>(edge_route_hash(router)),
-              s.negotiation_iters, s.negotiation_ripups,
-              static_cast<unsigned long long>(repairs), s.initial_overflow, s.census.overflow_gcells,
-              s.census.f2f_overflow_gcells, s.census.max_congestion, s.census.mean_congestion);
+              s.negotiation_iters, s.negotiation_ripups, s.initial_overflow,
+              s.census.overflow_gcells, s.census.f2f_overflow_gcells, s.census.max_congestion,
+              s.census.mean_congestion);
 }
 
 TEST(RouteGolden, Maeri16NegotiatedRoutesAreBitIdentical) {
   tech::Tech3D tech3d;
   Design d = placed_16pe(true, tech3d);
-  obs::Counter& repairs = obs::Metrics::instance().counter("route.commit_repairs");
   Router router(d, tech3d);
 
   const std::vector<std::uint8_t> flags = long_2d_net_flags(d);
-  std::uint64_t before = repairs.value();
   const RouteSummary s = router.route_all(flags);
-  print_route_golden("route_all", router, s, repairs.value() - before);
-  EXPECT_EQ(edge_route_hash(router), 0x0dc2be5d82bd740dULL);
+  print_route_golden("route_all", router, s);
+  EXPECT_EQ(edge_route_hash(router), 0x0bbc4c74e4f4d800ULL);
   EXPECT_EQ(s.negotiation_iters, 6u);
-  EXPECT_EQ(s.negotiation_ripups, 11239u);
-  EXPECT_EQ(repairs.value() - before, 6462u);
-  EXPECT_EQ(s.initial_overflow, 144u);
-  EXPECT_EQ(s.census.overflow_gcells, 127u);
+  EXPECT_EQ(s.negotiation_ripups, 11522u);
+  EXPECT_EQ(s.initial_overflow, 128u);
+  EXPECT_EQ(s.census.overflow_gcells, 124u);
   EXPECT_EQ(s.census.f2f_overflow_gcells, 0u);
-  EXPECT_EQ(s.census.max_congestion, 1.2794272899627686);
-  EXPECT_EQ(s.census.mean_congestion, 0.31565775660198359);
+  EXPECT_EQ(s.census.max_congestion, 1.2684671878814697);
+  EXPECT_EQ(s.census.mean_congestion, 0.29753774059198879);
 
   const std::vector<Id> dirty = splice_buffer_pair(d.nl);
-  before = repairs.value();
   const RouteSummary e = router.reroute_nets(dirty, flags);
-  print_route_golden("eco", router, e, repairs.value() - before);
-  EXPECT_EQ(edge_route_hash(router), 0x74acc13ed7f3302dULL);
-  EXPECT_EQ(e.census.overflow_gcells, 125u);
+  print_route_golden("eco", router, e);
+  EXPECT_EQ(edge_route_hash(router), 0x6d0d063306f1baf9ULL);
+  EXPECT_EQ(e.census.overflow_gcells, 120u);
   EXPECT_EQ(e.census.f2f_overflow_gcells, 0u);
-  EXPECT_EQ(e.census.max_congestion, 1.2794272899627686);
-  EXPECT_EQ(e.census.mean_congestion, 0.31517798633525274);
+  EXPECT_EQ(e.census.max_congestion, 1.2684671878814697);
+  EXPECT_EQ(e.census.mean_congestion, 0.29744167265737459);
 }
 
 // Grid usage compared cell by cell, tracks then F2F pads.
@@ -376,6 +372,89 @@ void expect_same_usage(const RoutingGrid& want, const RoutingGrid& got) {
     ASSERT_EQ(want.usage_at(i), got.usage_at(i)) << "track cell " << i;
   for (std::size_t i = 0; i < want.num_f2f_cells(); ++i)
     ASSERT_EQ(want.f2f_usage_at(i), got.f2f_usage_at(i)) << "f2f cell " << i;
+}
+
+// Phase 1 routes every edge against the live grid and commits it before it
+// prices the next, so edge k's result is route_edge() on the grid holding
+// exactly edges 0..k-1. Identical edges make the difference visible: each one
+// records the usage its predecessors added (EdgeRoute::overflow), where a
+// router that priced them against one grid state would record the same value
+// for all of them.
+TEST(RouterNegotiation, EachEdgeSeesTheEdgesCommittedBeforeIt) {
+  tech::Tech3D tech3d;
+  const Design d = placed_16pe(true, tech3d);
+  RoutingGrid grid(d.info.die_w_um, d.info.die_h_um, tech3d);
+  const Terminal a{20.0f, 20.0f, 0, 0.0f}, b{90.0f, 70.0f, 0, 1.0f};
+  constexpr std::uint32_t kEdges = 6;
+  std::vector<EdgeTask> edges;
+  for (std::uint32_t k = 0; k < kEdges; ++k) edges.push_back(EdgeTask{k, 0, a, b, false});
+  std::vector<float> history(grid.num_track_cells(), 0.0f);
+  std::vector<std::vector<EdgeRoute>> routes(kEdges, std::vector<EdgeRoute>(1));
+  const NegotiationStats stats =
+      route_negotiated(NegotiationInput{grid, tech3d, edges, history, routes});
+  EXPECT_EQ(stats.initial_overflow, 0u);
+  EXPECT_EQ(stats.iterations, 0u);
+
+  RoutingGrid replay(d.info.die_w_um, d.info.die_h_um, tech3d);
+  const EdgeCostModel model{replay, tech3d, history.data()};
+  for (std::uint32_t k = 0; k < kEdges; ++k) {
+    EXPECT_EQ(routes[k][0], route_edge(model, a, b, false)) << "edge " << k;
+    commit_edge(replay, routes[k][0], 1.0f);
+  }
+  EXPECT_GT(routes[kEdges - 1][0].overflow, routes[0][0].overflow);
+  expect_same_usage(replay, grid);
+}
+
+// The same with one free track: the other tier is full except for one track
+// along the cheapest shared pair. Of two identical MLS edges the first takes
+// that track; the second sees it taken, finds no shared pair that fits and
+// falls back to native metal, so the two end on different layer pairs.
+TEST(RouterNegotiation, OneFreeSharedTrackGoesToTheFirstEdge) {
+  tech::Tech3D tech3d;
+  const Design d = placed_16pe(true, tech3d);
+  RoutingGrid grid(d.info.die_w_um, d.info.die_h_um, tech3d);
+  const Terminal a{20.0f, 20.0f, 0, 0.0f}, b{90.0f, 70.0f, 0, 1.0f};
+
+  const EdgeRoute cheapest = route_edge(EdgeCostModel{grid, tech3d, nullptr}, a, b, true);
+  ASSERT_TRUE(cheapest.routed);
+  ASSERT_TRUE(cheapest.shared);
+  const std::size_t plane = static_cast<std::size_t>(grid.nx()) * grid.ny();
+  for (int layer = 0; layer < grid.num_layers(cheapest.route_tier); ++layer) {
+    const std::size_t base = grid.track_index(cheapest.route_tier, layer, 0, 0);
+    for (std::size_t i = base; i < base + plane; ++i) grid.add_usage_at(i, grid.capacity_at(i));
+  }
+  for_each_cell(
+      grid, cheapest,
+      [&](std::size_t i) {
+        EXPECT_GE(grid.capacity_at(i), 1.0f);
+        grid.add_usage_at(i, -1.0f);
+        return false;
+      },
+      [](std::size_t) { return false; });
+  const RoutingGrid before = grid;
+
+  const std::vector<EdgeTask> edges = {EdgeTask{0, 0, a, b, true}, EdgeTask{1, 0, a, b, true}};
+  std::vector<float> history(grid.num_track_cells(), 0.0f);
+  std::vector<std::vector<EdgeRoute>> routes(2, std::vector<EdgeRoute>(1));
+  const NegotiationStats stats =
+      route_negotiated(NegotiationInput{grid, tech3d, edges, history, routes});
+
+  const EdgeRoute& first = routes[0][0];
+  const EdgeRoute& second = routes[1][0];
+  EXPECT_TRUE(first.shared);
+  EXPECT_EQ(first.route_tier, cheapest.route_tier);
+  EXPECT_EQ(first.layer_lo, cheapest.layer_lo);
+  EXPECT_TRUE(second.fallback);
+  EXPECT_FALSE(second.shared);
+  EXPECT_NE(second.route_tier, first.route_tier);
+  EXPECT_EQ(stats.initial_overflow, 0u);
+  EXPECT_EQ(stats.iterations, 0u);
+
+  // The grid holds the prefill plus exactly the two committed footprints.
+  RoutingGrid want = before;
+  commit_edge(want, first, 1.0f);
+  commit_edge(want, second, 1.0f);
+  expect_same_usage(want, grid);
 }
 
 // The router keeps no record of what it committed besides the per-edge
