@@ -188,15 +188,27 @@ void BM_MlBatchedForward(benchmark::State& st) {
 }
 BENCHMARK(BM_MlBatchedForward)->Unit(benchmark::kMillisecond);
 
+// One supervised training step through encoder and head on a packed batch
+// of 8 ragged path graphs (10-24 nodes): one forward, one backward and one
+// Adam step for the whole batch.
 void BM_TransformerTrainStep(benchmark::State& st) {
   util::Rng rng(2);
   ml::TransformerConfig cfg;
   ml::GraphTransformer enc(cfg, rng);
   ml::MlpHead head(cfg.dim, 24, rng);
-  const ml::Mat x = ml::Mat::xavier(16, cfg.input_features, rng);
-  const ml::Mat adj = ml::chain_adjacency(16);
-  std::vector<int> labels(16, 1);
-  for (int i = 0; i < 8; ++i) labels[static_cast<std::size_t>(i)] = 0;
+  std::vector<ml::PathGraph> graphs(8);
+  std::vector<int> labels;
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const int n = 10 + static_cast<int>(2 * g);
+    graphs[g].x = ml::Mat::xavier(n, cfg.input_features, rng);
+    graphs[g].adj = ml::chain_adjacency(n);
+    for (int i = 0; i < n; ++i) labels.push_back(i % 2);
+  }
+  std::vector<const ml::PathGraph*> members;
+  for (const ml::PathGraph& g : graphs) members.push_back(&g);
+  ml::GraphBatch batch;
+  ml::Mat x;
+  ml::pack(members, batch, x);
   std::vector<ml::Param*> params = enc.params();
   for (ml::Param* p : head.params()) params.push_back(p);
   ml::Adam opt(params, 1e-3);
@@ -205,16 +217,20 @@ void BM_TransformerTrainStep(benchmark::State& st) {
   for (auto _ : st) {
     enc.zero_grad();
     head.zero_grad();
-    enc.forward(x, adj, cache, h);
-    benchmark::DoNotOptimize(head.loss_and_grad(h, labels, 2.0, dh));
+    enc.forward(x, batch, cache, h);
+    benchmark::DoNotOptimize(head.loss_and_grad(h, batch, labels, 2.0, dh));
     enc.backward(dh, cache, dx);
     opt.step();
   }
+  st.counters["graphs/s"] = benchmark::Counter(
+      static_cast<double>(graphs.size()) * static_cast<double>(st.iterations()),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TransformerTrainStep)->Unit(benchmark::kMicrosecond);
 
-// One DGI epoch over the maeri16 corpus: per path a clean and a corrupted
-// forward, two backward passes and one Adam step, with the default model.
+// One DGI epoch over the maeri16 corpus with the default model: per
+// mini-batch of DgiTrainer::kGraphsPerStep paths, a packed clean and a
+// packed corrupted forward, their two backward passes and one Adam step.
 // The corpus and the trainer are built once; the weights keep training
 // across iterations, which leaves the per-epoch work unchanged.
 void BM_DgiEpoch(benchmark::State& st) {

@@ -192,8 +192,9 @@ echo "==> perf smoke: ML engine and training (BENCH_ml.json)"
 # the same decide through the float32 SIMD engine. The longer min_time
 # stabilizes the scalar baseline on noisy runners — the check-ml gate
 # enforces a >= 5x batched-over-reference speedup.
-# BM_TransformerTrainStep and BM_DgiEpoch (one DGI epoch on the maeri16
-# corpus) put training in the ledger run over run; no gate reads them.
+# BM_TransformerTrainStep (one training step on a packed batch of 8 path
+# graphs) and BM_DgiEpoch (one mini-batched DGI epoch on the maeri16 corpus)
+# put training in the ledger run over run; no gate reads them.
 ./build/bench/bench_micro \
   --benchmark_filter='BM_MlGemm|BM_MlBatchedForward|BM_DecideStage|BM_TransformerTrainStep|BM_DgiEpoch' \
   --benchmark_out=BENCH_ml.json --benchmark_out_format=json \

@@ -5,31 +5,35 @@
 
 namespace gnnmls::ml {
 
+void BatchLayout::add(int n) {
+  nodes.push_back(n);
+  row_offset.push_back(total_rows);
+  adj_offset.push_back(adj_size);
+  ++graphs;
+  max_nodes = std::max(max_nodes, n);
+  total_rows += n;
+  adj_size += n * n;
+}
+
+void BatchLayout::clear() {
+  graphs = max_nodes = total_rows = adj_size = 0;
+  nodes.clear();
+  row_offset.clear();
+  adj_offset.clear();
+}
+
 PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& scaler) {
   PackedBatch batch;
-  batch.graphs = static_cast<int>(graphs.size());
   if (graphs.empty()) return batch;
   batch.features = graphs.front()->x.cols();
   for (const PathGraph* g : graphs) {
     if (g->x.cols() != batch.features)
       throw std::invalid_argument("pack: mixed feature widths in one batch");
-    batch.max_nodes = std::max(batch.max_nodes, g->x.rows());
+    batch.add(g->x.rows());
   }
   const int f = batch.features;
-  batch.nodes.reserve(graphs.size());
-  batch.row_offset.reserve(graphs.size());
-  batch.adj_offset.reserve(graphs.size());
-  std::size_t adj_total = 0;
-  for (const PathGraph* g : graphs) {
-    const int n = g->x.rows();
-    batch.nodes.push_back(n);
-    batch.row_offset.push_back(batch.total_rows);
-    batch.adj_offset.push_back(static_cast<int>(adj_total));
-    batch.total_rows += n;
-    adj_total += static_cast<std::size_t>(n) * n;
-  }
   batch.x.resize(static_cast<std::size_t>(batch.total_rows) * f);
-  batch.adj.assign(adj_total, 0.0f);
+  batch.adj.assign(static_cast<std::size_t>(batch.adj_size), 0.0f);
 
   const std::vector<double>& mean = scaler.mean();
   const std::vector<double>& stddev = scaler.stddev();
@@ -62,6 +66,37 @@ PackedBatch pack(std::span<const PathGraph* const> graphs, const FeatureScaler& 
     }
   }
   return batch;
+}
+
+GraphBatch GraphBatch::single(const Mat& adj, int n) {
+  GraphBatch batch;
+  batch.add(n);
+  batch.adj = adj.data();
+  return batch;
+}
+
+void pack(std::span<const PathGraph* const> graphs, GraphBatch& batch, Mat& x) {
+  batch.clear();
+  bool any_adj = false;
+  for (const PathGraph* g : graphs) {
+    const int n = g->x.rows();
+    if (g->x.cols() != graphs.front()->x.cols())
+      throw std::invalid_argument("pack: mixed feature widths in one batch");
+    if (!g->adj.empty() && (g->adj.rows() != n || g->adj.cols() != n))
+      throw std::invalid_argument("pack: adjacency is not n x n");
+    batch.add(n);
+    any_adj = any_adj || !g->adj.empty();
+  }
+  const int f = graphs.empty() ? 0 : graphs.front()->x.cols();
+  x.resize(batch.total_rows, f);
+  batch.adj.assign(any_adj ? static_cast<std::size_t>(batch.adj_size) : 0, 0.0);
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const PathGraph& src = *graphs[g];
+    std::copy(src.x.data().begin(), src.x.data().end(), x.row(batch.row_offset[g]));
+    if (any_adj && !src.adj.empty())
+      std::copy(src.adj.data().begin(), src.adj.data().end(),
+                batch.adj.begin() + batch.adj_offset[g]);
+  }
 }
 
 }  // namespace gnnmls::ml

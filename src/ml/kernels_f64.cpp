@@ -95,11 +95,11 @@ namespace {
 // One row of C over a panel of NV ymm vectors (4 doubles each); with
 // kMasked the last vector covers only its first `lanes` columns. Each lane
 // is an accumulator that starts at +0.0 and adds mul(A(i, kk), B(kk, j)) in
-// ascending kk, as gemm_strided does. With kSkipZeros a term whose A entry
-// is zero is masked to +0.0 rather than branched around: an accumulator
-// that starts at +0.0 never holds -0.0 (x + -0.0 is x, and +0.0 + -0.0 is
-// +0.0), so adding +0.0 leaves its bits unchanged, exactly as skipping the
-// term does, 0 * inf included.
+// ascending kk, as gemm_strided does. With kSkipZeros a k step whose A
+// entry is zero is skipped, as gemm_strided skips it (0 * inf included).
+// Branching beats masking the products to +0.0: it saves the mask op per
+// vector on dense panels, and skips the work of the zeros that make up
+// about half of a ReLU output.
 template <int NV, bool kSkipZeros, bool kMasked>
 __attribute__((target("avx2"))) void row_panel(int k, const double* ai, std::ptrdiff_t a_cs,
                                                const double* b, std::ptrdiff_t ldb, double* c,
@@ -110,16 +110,15 @@ __attribute__((target("avx2"))) void row_panel(int k, const double* ai, std::ptr
 #pragma GCC unroll 12
   for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
   for (int kk = 0; kk < k; ++kk) {
-    const __m256d av = _mm256_set1_pd(ai[kk * a_cs]);
-    [[maybe_unused]] const __m256d keep = _mm256_cmp_pd(av, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    const double a = ai[kk * a_cs];
+    if (kSkipZeros && a == 0.0) continue;
+    const __m256d av = _mm256_set1_pd(a);
     const double* brow = b + kk * ldb;
 #pragma GCC unroll 12
     for (int v = 0; v < NV; ++v) {
       const __m256d bv = (kMasked && v + 1 == NV) ? _mm256_maskload_pd(brow + 4 * v, last)
                                                   : _mm256_loadu_pd(brow + 4 * v);
-      __m256d p = _mm256_mul_pd(av, bv);
-      if constexpr (kSkipZeros) p = _mm256_and_pd(p, keep);
-      acc[v] = _mm256_add_pd(acc[v], p);
+      acc[v] = _mm256_add_pd(acc[v], _mm256_mul_pd(av, bv));
     }
   }
 #pragma GCC unroll 12

@@ -108,42 +108,58 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, util::Rng& rng)
 }
 
 // Head h is the column slice [h * head_dim, (h + 1) * head_dim) of the packed
-// n x dim matrices; the kernels read and write it in place through the row
+// rows x dim matrices, and graph g the row slice the batch layout gives it;
+// the kernels read and write a head of one graph in place through the row
 // stride dim. Every product starts its sums at +0.0 and never yields -0.0,
 // so writing a head's result straight into its slice gives the same bits as
-// adding it into a zeroed matrix.
-void MultiHeadAttention::forward(const Mat& x, const Mat& adj, Cache& c, Mat& y) const {
+// adding it into a zeroed matrix, and each graph's rows are bit-equal to
+// its lone forward.
+void MultiHeadAttention::forward(const Mat& x, const GraphBatch& batch, Cache& c,
+                                 Mat& y) const {
+  if (x.rows() != batch.total_rows)
+    throw std::invalid_argument("attention: rows do not match the batch layout");
+  if (!batch.adj.empty() && static_cast<int>(batch.adj.size()) != batch.adj_size)
+    throw std::invalid_argument("attention: adjacency does not match the batch layout");
   c.x = x;
-  c.adj = adj;
+  c.batch = batch;
   matmul(x, wq_.value, c.q);
   matmul(x, wk_.value, c.k);
   matmul(x, wv_.value, c.v);
-  const int n = x.rows();
   const Kernels& kern = kernels();
-  c.attn.resize(static_cast<std::size_t>(heads_));
-  c.concat.resize(n, dim_);
+  c.attn.resize(heads_, batch.adj_size);
+  c.concat.resize(x.rows(), dim_);
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
   for (int h = 0; h < heads_; ++h) {
     const int off = h * head_dim_;
-    Mat& scores = c.attn[static_cast<std::size_t>(h)];
-    scores.resize(n, n);
-    kern.dgemm_nt(n, head_dim_, n, c.q.data().data() + off, dim_, c.k.data().data() + off, dim_,
-                  scores.data().data(), n);
-    for (double& s : scores.data()) s *= scale;
-    if (!adj.empty()) {
-      const double bias = edge_bias_.value.at(0, h);
-      for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) scores.at(i, j) += bias * adj.at(i, j);
+    const double bias = edge_bias_.value.at(0, h);
+    for (int g = 0; g < batch.graphs; ++g) {
+      const int n = batch.nodes[static_cast<std::size_t>(g)];
+      const std::size_t base =
+          static_cast<std::size_t>(batch.row_offset[static_cast<std::size_t>(g)]) * dim_ + off;
+      const int blk = batch.adj_offset[static_cast<std::size_t>(g)];
+      double* scores = c.attn.row(h) + blk;
+      kern.dgemm_nt(n, head_dim_, n, c.q.data().data() + base, dim_, c.k.data().data() + base,
+                    dim_, scores, n);
+      for (int e = 0; e < n * n; ++e) scores[e] *= scale;
+      if (!batch.adj.empty()) {
+        const double* adj = batch.adj.data() + blk;
+        for (int e = 0; e < n * n; ++e) scores[e] += bias * adj[e];
+      }
+      softmax_rows_inplace(n, n, scores);
+      kern.dgemm(n, n, head_dim_, scores, n, c.v.data().data() + base, dim_,
+                 c.concat.data().data() + base, dim_);
     }
-    softmax_rows_inplace(scores);
-    kern.dgemm(n, n, head_dim_, scores.data().data(), n, c.v.data().data() + off, dim_,
-               c.concat.data().data() + off, dim_);
   }
   matmul(c.concat, wo_.value, y);
 }
 
+void MultiHeadAttention::forward(const Mat& x, const Mat& adj, Cache& c, Mat& y) const {
+  forward(x, GraphBatch::single(adj, x.rows()), c, y);
+}
+
 void MultiHeadAttention::backward(const Mat& dy, const Cache& c, Mat& dx) {
-  const int n = dy.rows();
+  const int rows = dy.rows();
+  const GraphBatch& batch = c.batch;
   const double scale = 1.0 / std::sqrt(static_cast<double>(head_dim_));
   const Kernels& kern = kernels();
   // Through Wo.
@@ -151,34 +167,41 @@ void MultiHeadAttention::backward(const Mat& dy, const Cache& c, Mat& dx) {
   wo_.grad.axpy(1.0, tmp_);
   matmul_dense(dy, wo_.value_t, dconcat_);
 
-  dq_.resize(n, dim_);
-  dk_.resize(n, dim_);
-  dv_.resize(n, dim_);
-  da_.resize(n, n);
+  dq_.resize(rows, dim_);
+  dk_.resize(rows, dim_);
+  dv_.resize(rows, dim_);
   for (int h = 0; h < heads_; ++h) {
     const int off = h * head_dim_;
-    const Mat& a = c.attn[static_cast<std::size_t>(h)];
-    const double* doh = dconcat_.data().data() + off;
-    // O_h = A V_h
-    kern.dgemm_nt(n, head_dim_, n, doh, dim_, c.v.data().data() + off, dim_, da_.data().data(),
-                  n);
-    kern.dgemm_tn(n, n, head_dim_, a.data().data(), n, doh, dim_, dv_.data().data() + off,
-                  dim_);
-    // Through softmax.
-    softmax_rows_backward(a, da_, dscores_);
-    // Adjacency bias gradient.
-    if (!c.adj.empty()) {
-      double g = 0.0;
-      for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) g += dscores_.at(i, j) * c.adj.at(i, j);
-      edge_bias_.grad.at(0, h) += g;
+    for (int g = 0; g < batch.graphs; ++g) {
+      const int n = batch.nodes[static_cast<std::size_t>(g)];
+      const std::size_t base =
+          static_cast<std::size_t>(batch.row_offset[static_cast<std::size_t>(g)]) * dim_ + off;
+      const int blk = batch.adj_offset[static_cast<std::size_t>(g)];
+      const double* a = c.attn.row(h) + blk;
+      const double* doh = dconcat_.data().data() + base;
+      da_.resize(n, n);
+      dscores_.resize(n, n);
+      // O_h = A V_h
+      kern.dgemm_nt(n, head_dim_, n, doh, dim_, c.v.data().data() + base, dim_,
+                    da_.data().data(), n);
+      kern.dgemm_tn(n, n, head_dim_, a, n, doh, dim_, dv_.data().data() + base, dim_);
+      // Through softmax.
+      softmax_rows_backward(n, n, a, da_.data().data(), dscores_.data().data());
+      // Adjacency bias gradient.
+      if (!batch.adj.empty()) {
+        const double* adj = batch.adj.data() + blk;
+        const double* ds = dscores_.data().data();
+        double grad = 0.0;
+        for (int e = 0; e < n * n; ++e) grad += ds[e] * adj[e];
+        edge_bias_.grad.at(0, h) += grad;
+      }
+      // scores = scale * Q_h K_h^T
+      for (double& s : dscores_.data()) s *= scale;
+      kern.dgemm(n, n, head_dim_, dscores_.data().data(), n, c.k.data().data() + base, dim_,
+                 dq_.data().data() + base, dim_);
+      kern.dgemm_tn(n, n, head_dim_, dscores_.data().data(), n, c.q.data().data() + base, dim_,
+                    dk_.data().data() + base, dim_);
     }
-    // scores = scale * Q_h K_h^T
-    for (double& s : dscores_.data()) s *= scale;
-    kern.dgemm(n, n, head_dim_, dscores_.data().data(), n, c.k.data().data() + off, dim_,
-               dq_.data().data() + off, dim_);
-    kern.dgemm_tn(n, n, head_dim_, dscores_.data().data(), n, c.q.data().data() + off, dim_,
-                  dk_.data().data() + off, dim_);
   }
   matmul_tn(c.x, dq_, tmp_);
   wq_.grad.axpy(1.0, tmp_);

@@ -5,14 +5,17 @@
 // (DGI backpropagates a clean and a corrupted pass through the same
 // encoder) and a cache reused across calls keeps its storage. Backward takes
 // dL/d(output) and the matching forward's cache, writes dL/d(input) and
-// accumulates parameter gradients (so minibatching = several
-// forward/backward calls per step). Layers are sized for sequence inputs X
-// of shape [path_len x features]. Outputs are caller-owned too and are
+// accumulates parameter gradients. Inputs X are [rows x features]: one path
+// graph's nodes, or a mini-batch of graphs packed back to back
+// (ml/batcher.hpp). Every layer but attention is row-wise, and attention
+// addresses each graph through the batch layout, so a mini-batch is one
+// forward and one backward call. Outputs are caller-owned too and are
 // resized in place; an output must not alias the layer's input.
 #pragma once
 
 #include <vector>
 
+#include "ml/batcher.hpp"
 #include "ml/tensor.hpp"
 
 namespace gnnmls::ml {
@@ -104,19 +107,27 @@ class LayerNorm : public Layer {
 // timing-path graph the bias term (one learned scalar per head) is added to
 // attention logits of edges present in the DAG, letting the model blend
 // global attention with graph structure (the "graph transformer" of the
-// paper's Figure 5).
+// paper's Figure 5). Over a packed batch each graph attends only to its own
+// rows.
 class MultiHeadAttention : public Layer {
  public:
   struct Cache {
-    Mat x, adj;
-    Mat q, k, v;            // n x dim (all heads packed)
-    std::vector<Mat> attn;  // per head: n x n softmax matrices
-    Mat concat;             // n x dim, pre-Wo
+    Mat x;
+    GraphBatch batch;  // the forward's layout and adjacency
+    Mat q, k, v;       // rows x dim (all heads packed)
+    // Softmax scores, one row per head: graph g's n x n block sits at the
+    // batch's adj_offset[g].
+    Mat attn;
+    Mat concat;  // rows x dim, pre-Wo
   };
 
   MultiHeadAttention(int dim, int heads, util::Rng& rng);
 
-  // adj: n x n, 1.0 where an edge exists (may be empty -> pure attention).
+  // x: [batch.total_rows x dim]; batch.adj is empty (pure attention) or
+  // holds every graph's n x n block.
+  void forward(const Mat& x, const GraphBatch& batch, Cache& cache, Mat& y) const;
+  // One graph, the batch of one: adj is n x n, 1.0 where an edge exists, or
+  // empty.
   void forward(const Mat& x, const Mat& adj, Cache& cache, Mat& y) const;
   void backward(const Mat& dy, const Cache& cache, Mat& dx);
   std::vector<Param*> params() override {

@@ -15,9 +15,6 @@ namespace gnnmls::ml {
 struct FineTuneConfig {
   int epochs = 40;
   double lr = 2e-3;
-  // When true, gradients also flow into the transformer (full fine-tune);
-  // the paper's Algorithm 1 trains only the MLP on frozen embeddings.
-  bool train_encoder = false;
   // Weight on positive examples (MLS-helps labels are the minority class).
   double positive_weight = 2.0;
 };
@@ -26,11 +23,17 @@ class MlpHead : public Layer {
  public:
   MlpHead(int dim, int hidden, util::Rng& rng);
 
-  // h: [n x dim] embeddings -> per-node probability in [0,1].
+  // h: [rows x dim] embeddings -> per-row probability in [0,1].
   std::vector<double> predict(const Mat& h);
 
-  // BCE loss + gradient step helper: returns loss, fills dh (for optional
-  // encoder fine-tuning). Nodes with label kLabelUnknown are skipped.
+  // Weighted BCE over the labeled rows of a packed batch of graphs (h and
+  // labels in packed row order): the mean over the graphs with a labeled
+  // node of each graph's mean over its labeled nodes. Accumulates the head's
+  // parameter gradients, writes dL/dh into dh and returns the loss; rows
+  // labeled kLabelUnknown are skipped.
+  double loss_and_grad(const Mat& h, const BatchLayout& layout, std::span<const int> labels,
+                       double positive_weight, Mat& dh);
+  // One graph: the batch of one.
   double loss_and_grad(const Mat& h, std::span<const int> labels, double positive_weight,
                        Mat& dh);
 
@@ -45,11 +48,16 @@ class MlpHead : public Layer {
   Mat logits_, dlogits_;
 };
 
-// Trains the head (and optionally the encoder) on labeled graphs in corpus
-// order; returns per-epoch training loss. Validation metrics can be
-// computed by the caller via evaluate().
-std::vector<double> fine_tune(GraphTransformer& encoder, MlpHead& head,
+// Trains the head on the frozen encoder's embeddings of the labeled graphs
+// (the paper's Algorithm 1 trains only the MLP), in mini-batches of
+// kFineTuneGraphsPerStep graphs in corpus order, one optimizer step per
+// batch; returns the per-epoch training loss (the mean over labeled
+// graphs). Validation metrics can be computed by the caller via evaluate().
+std::vector<double> fine_tune(const GraphTransformer& encoder, MlpHead& head,
                               std::span<const PathGraph> graphs, const FineTuneConfig& config);
+
+// Graphs per fine-tuning optimizer step.
+inline constexpr std::size_t kFineTuneGraphsPerStep = 4;
 
 // Accuracy/precision/recall of head(encoder(x)) over labeled nodes.
 util::BinaryMetrics evaluate(const GraphTransformer& encoder, MlpHead& head,

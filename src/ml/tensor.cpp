@@ -14,6 +14,7 @@ void Mat::fill(double v) { std::fill(d_.begin(), d_.end(), v); }
 void Mat::resize(int rows, int cols) {
   rows_ = rows;
   cols_ = cols;
+  d_.reserve(static_cast<std::size_t>(rows) * cols);
   d_.resize(static_cast<std::size_t>(rows) * cols);
 }
 
@@ -96,31 +97,38 @@ void transpose_into(const Mat& a, Mat& t) {
   kernels().dtranspose(a.rows(), a.cols(), a.data().data(), a.cols(), t.data().data());
 }
 
-void softmax_rows_inplace(Mat& a) {
-  for (int i = 0; i < a.rows(); ++i) {
-    double* row = a.row(i);
+void softmax_rows_inplace(int m, int n, double* a) {
+  for (int i = 0; i < m; ++i) {
+    double* row = a + static_cast<std::ptrdiff_t>(i) * n;
     double mx = row[0];
-    for (int j = 1; j < a.cols(); ++j) mx = std::max(mx, row[j]);
+    for (int j = 1; j < n; ++j) mx = std::max(mx, row[j]);
     double sum = 0.0;
-    for (int j = 0; j < a.cols(); ++j) {
+    for (int j = 0; j < n; ++j) {
       row[j] = std::exp(row[j] - mx);
       sum += row[j];
     }
-    for (int j = 0; j < a.cols(); ++j) row[j] /= sum;
+    for (int j = 0; j < n; ++j) row[j] /= sum;
+  }
+}
+
+void softmax_rows_inplace(Mat& a) { softmax_rows_inplace(a.rows(), a.cols(), a.data().data()); }
+
+void softmax_rows_backward(int m, int n, const double* s, const double* ds, double* dz) {
+  for (int i = 0; i < m; ++i) {
+    const std::ptrdiff_t r = static_cast<std::ptrdiff_t>(i) * n;
+    const double* srow = s + r;
+    const double* dsrow = ds + r;
+    double dot = 0.0;
+    for (int j = 0; j < n; ++j) dot += srow[j] * dsrow[j];
+    double* dzrow = dz + r;
+    for (int j = 0; j < n; ++j) dzrow[j] = srow[j] * (dsrow[j] - dot);
   }
 }
 
 void softmax_rows_backward(const Mat& s, const Mat& ds, Mat& dz) {
   check_same(s, ds);
   dz.resize(s.rows(), s.cols());
-  for (int i = 0; i < s.rows(); ++i) {
-    const double* srow = s.row(i);
-    const double* dsrow = ds.row(i);
-    double dot = 0.0;
-    for (int j = 0; j < s.cols(); ++j) dot += srow[j] * dsrow[j];
-    double* dzrow = dz.row(i);
-    for (int j = 0; j < s.cols(); ++j) dzrow[j] = srow[j] * (dsrow[j] - dot);
-  }
+  softmax_rows_backward(s.rows(), s.cols(), s.data().data(), ds.data().data(), dz.data().data());
 }
 
 void add_row_bias(Mat& a, const Mat& bias) {

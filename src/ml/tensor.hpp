@@ -38,8 +38,10 @@ class Mat {
 
   void zero();
   void fill(double v);
-  // Reshapes to rows x cols, reusing the storage's capacity. Element values
-  // are unspecified until written: callers that accumulate zero() first.
+  // Reshapes to rows x cols, reusing the storage's capacity; growth
+  // allocates exactly rows x cols, so buffers sized by the largest batch
+  // carry no geometric slack. Element values are unspecified until written:
+  // callers that accumulate zero() first.
   void resize(int rows, int cols);
 
   // Xavier/Glorot uniform init, deterministic via rng.
@@ -75,6 +77,10 @@ void transpose_into(const Mat& a, Mat& t);
 void softmax_rows_inplace(Mat& a);
 // Given S = softmax_rows_inplace(Z) and dL/dS, writes dL/dZ into dz.
 void softmax_rows_backward(const Mat& s, const Mat& ds, Mat& dz);
+// The same two over a dense row-major m x n block (one graph's attention
+// scores inside a packed batch).
+void softmax_rows_inplace(int m, int n, double* a);
+void softmax_rows_backward(int m, int n, const double* s, const double* ds, double* dz);
 
 // Adds `bias` (1 x cols) to every row.
 void add_row_bias(Mat& a, const Mat& bias);

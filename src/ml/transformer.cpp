@@ -28,26 +28,35 @@ GraphTransformer::GraphTransformer(const TransformerConfig& config, util::Rng& r
   final_ln_ = std::make_unique<LayerNorm>(config.dim);
 }
 
-void GraphTransformer::forward(const Mat& x, const Mat& adj, Cache& c, Mat& out) const {
-  if (x.rows() > config_.max_len)
+void GraphTransformer::forward(const Mat& x, const GraphBatch& batch, Cache& c, Mat& out) const {
+  if (batch.max_nodes > config_.max_len)
     throw std::invalid_argument("path longer than positional table");
+  if (x.rows() != batch.total_rows)
+    throw std::invalid_argument("encoder: rows do not match the batch layout");
   Mat& h = c.h;
   input_proj_->forward(x, c.input, h);
-  for (int i = 0; i < h.rows(); ++i)
-    for (int j = 0; j < h.cols(); ++j) h.at(i, j) += pos_table_.at(i, j);
+  for (int g = 0; g < batch.graphs; ++g) {
+    double* rows = h.row(batch.row_offset[static_cast<std::size_t>(g)]);
+    for (int i = 0; i < batch.nodes[static_cast<std::size_t>(g)]; ++i)
+      for (int j = 0; j < h.cols(); ++j) rows[i * h.cols() + j] += pos_table_.at(i, j);
+  }
   c.blocks.resize(blocks_.size());
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
     const Block& b = blocks_[l];
     BlockCache& bc = c.blocks[l];
     // Pre-LN residual blocks: h += Attn(LN(h)); h += FFN(LN(h)).
     b.ln1->forward(h, bc.ln1, c.normed);
-    b.attn->forward(c.normed, adj, bc.attn, c.sub);
+    b.attn->forward(c.normed, batch, bc.attn, c.sub);
     h.axpy(1.0, c.sub);
     b.ln2->forward(h, bc.ln2, c.normed);
     b.ffn->forward(c.normed, bc.ffn, c.sub);
     h.axpy(1.0, c.sub);
   }
   final_ln_->forward(h, c.final_ln, out);
+}
+
+void GraphTransformer::forward(const Mat& x, const Mat& adj, Cache& c, Mat& out) const {
+  forward(x, GraphBatch::single(adj, x.rows()), c, out);
 }
 
 Mat GraphTransformer::forward(const Mat& x, const Mat& adj) const {

@@ -7,9 +7,16 @@
 // adjacency bias (the "graph" part) and a feed-forward block, and a final
 // layer norm. Output is one embedding per path stage.
 //
-// forward() records its activations in a caller-owned Cache and backward()
-// replays one; a trainer keeps a cache per pass it backpropagates and reuses
-// them across graphs, so a training step allocates nothing per op.
+// forward() runs a mini-batch of path graphs packed back to back
+// (ml/batcher.hpp): the row-wise stages (input projection, LayerNorm, the
+// Q/K/V/Wo projections, FFN) run once over all rows, and the positional
+// rows and attention address each graph through the batch layout. One
+// graph is the batch of one. Each output row is computed independently of
+// the other graphs' rows, so a graph's embeddings inside a batch are
+// bit-equal to its lone forward. forward() records its activations in a
+// caller-owned Cache and backward() replays one; a trainer keeps a cache per
+// pass it backpropagates and reuses them across steps, so a training step
+// allocates nothing per op.
 #pragma once
 
 #include <memory>
@@ -45,11 +52,13 @@ class GraphTransformer : public Layer {
 
   GraphTransformer(const TransformerConfig& config, util::Rng& rng);
 
-  // x: [n x input_features], adj: [n x n] (or empty); out: [n x dim].
+  // x: [batch.total_rows x input_features]; out: [batch.total_rows x dim].
+  void forward(const Mat& x, const GraphBatch& batch, Cache& cache, Mat& out) const;
+  // One graph: x [n x input_features], adj [n x n] (or empty).
   void forward(const Mat& x, const Mat& adj, Cache& cache, Mat& out) const;
-  // One-off forward with a throwaway cache (inference, tests).
+  // One-off forward of one graph with a throwaway cache (inference, tests).
   Mat forward(const Mat& x, const Mat& adj) const;
-  // dh: [n x dim] against the cache of the forward it differentiates;
+  // dh: [rows x dim] against the cache of the forward it differentiates;
   // accumulates parameter grads and writes dL/dx (rarely used) into dx.
   void backward(const Mat& dh, const Cache& cache, Mat& dx);
 

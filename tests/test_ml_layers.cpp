@@ -3,6 +3,10 @@
 // the hand-written transformer.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "ml/batcher.hpp"
+#include "ml/kernels.hpp"
 #include "ml/layers.hpp"
 #include "ml/transformer.hpp"
 
@@ -271,6 +275,131 @@ TEST(Adam, StepKeepsWeightTransposes) {
     EXPECT_EQ(w.value_t.data(), want.data());
   }
   EXPECT_TRUE(b.value_t.empty());
+}
+
+// ---- packed mini-batches -------------------------------------------------------
+
+// Ragged path graphs of the given sizes, each with a chain adjacency except
+// the one at index `no_adj`, which has none.
+std::vector<PathGraph> ragged_graphs(const std::vector<int>& sizes, int features, Rng& rng,
+                                     std::size_t no_adj) {
+  std::vector<PathGraph> graphs;
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    PathGraph pg;
+    pg.x = Mat::xavier(sizes[g], features, rng);
+    if (g != no_adj) pg.adj = chain_adjacency(sizes[g]);
+    graphs.push_back(std::move(pg));
+  }
+  return graphs;
+}
+
+std::vector<const PathGraph*> pointers(const std::vector<PathGraph>& graphs) {
+  std::vector<const PathGraph*> ptrs;
+  for (const PathGraph& g : graphs) ptrs.push_back(&g);
+  return ptrs;
+}
+
+// Every double kernel computes each output row on its own and attention
+// reads only its graph's rows, so a graph's embedding rows inside a packed
+// batch are memcmp-equal to its lone forward, at every SIMD level.
+TEST(PackedForward, RowsAreBitEqualToLoneForwards) {
+  Rng rng(18);
+  TransformerConfig cfg;
+  cfg.max_len = 40;
+  GraphTransformer enc(cfg, rng);
+  const std::vector<PathGraph> graphs =
+      ragged_graphs({3, 1, cfg.max_len, 2, 11, 7}, cfg.input_features, rng, /*no_adj=*/4);
+  GraphBatch batch;
+  Mat x;
+  pack(pointers(graphs), batch, x);
+  ASSERT_EQ(batch.max_nodes, cfg.max_len);
+
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (cpu_has_avx2()) levels.push_back(SimdLevel::kAvx2);
+  for (const SimdLevel level : levels) {
+    const SimdLevel prev = set_simd_for_test(level);
+    GraphTransformer::Cache cache;
+    Mat h;
+    enc.forward(x, batch, cache, h);
+    ASSERT_EQ(h.rows(), batch.total_rows);
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const Mat lone = enc.forward(graphs[g].x, graphs[g].adj);
+      EXPECT_EQ(std::memcmp(lone.data().data(), h.row(batch.row_offset[g]),
+                            lone.data().size() * sizeof(double)),
+                0)
+          << "graph " << g << " (" << graphs[g].x.rows() << " nodes) at "
+          << to_string(level);
+    }
+    set_simd_for_test(prev);
+  }
+}
+
+// The packed backward against central finite differences on a ragged batch:
+// the input gradient row by row, and every parameter gradient against the
+// sum of the graphs' lone backward passes.
+TEST(PackedBackward, RaggedBatchGradCheck) {
+  Rng rng(19);
+  TransformerConfig cfg;
+  cfg.input_features = 5;
+  cfg.dim = 12;
+  cfg.heads = 3;
+  cfg.layers = 2;
+  cfg.ffn_hidden = 24;
+  GraphTransformer enc(cfg, rng);
+  const std::vector<PathGraph> graphs = ragged_graphs({1, 4, 3}, cfg.input_features, rng, 9);
+  GraphBatch batch;
+  Mat x;
+  pack(pointers(graphs), batch, x);
+  const Mat probe = Mat::xavier(batch.total_rows, cfg.dim, rng);
+
+  enc.zero_grad();
+  GraphTransformer::Cache cache;
+  Mat h, dx;
+  enc.forward(x, batch, cache, h);
+  enc.backward(probe, cache, dx);
+  const auto fwd = [&](const Mat& xi) {
+    GraphTransformer::Cache c;
+    Mat out;
+    enc.forward(xi, batch, c, out);
+    return out;
+  };
+  check_input_grad(fwd, x, dx, probe, 2e-4);
+
+  std::vector<Mat> packed_grads;
+  for (const Param* p : enc.params()) packed_grads.push_back(p->grad);
+  enc.zero_grad();
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const int n = batch.nodes[g];
+    Mat probe_g(n, cfg.dim);
+    std::copy(probe.row(batch.row_offset[g]), probe.row(batch.row_offset[g]) + n * cfg.dim,
+              probe_g.data().begin());
+    GraphTransformer::Cache c;
+    enc.forward(graphs[g].x, graphs[g].adj, c, h);
+    enc.backward(probe_g, c, dx);
+  }
+  const std::vector<Param*> params = enc.params();
+  for (std::size_t p = 0; p < params.size(); ++p)
+    for (std::size_t i = 0; i < packed_grads[p].data().size(); ++i)
+      EXPECT_NEAR(packed_grads[p].data()[i], params[p]->grad.data()[i], 1e-12)
+          << "param " << p << " entry " << i;
+
+  // The adjacency-bias gradients against finite differences: the one
+  // parameter that only attention reads through the batch's blocks.
+  const double eps = 1e-6;
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    if (params[p]->value.rows() != 1 || params[p]->value.cols() != cfg.heads) continue;
+    for (int hd = 0; hd < cfg.heads; ++hd) {
+      double& v = params[p]->value.at(0, hd);
+      const double save = v;
+      v = save + eps;
+      const double lp = probe_loss(fwd(x), probe);
+      v = save - eps;
+      const double lm = probe_loss(fwd(x), probe);
+      v = save;
+      EXPECT_NEAR(packed_grads[p].at(0, hd), (lp - lm) / (2.0 * eps), 2e-5)
+          << "param " << p << " head " << hd;
+    }
+  }
 }
 
 }  // namespace
