@@ -5,8 +5,10 @@
 // turns the full flow around in seconds).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <vector>
 
 #include "dft/faults.hpp"
 #include "ml/dgi.hpp"
@@ -159,6 +161,38 @@ void BM_MlGemm(benchmark::State& st) {
       2.0 * kM * kK * kN * static_cast<double>(st.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MlGemm)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The double training products at the DGI shapes of a packed 8-graph batch
+// (120 rows, dim 48), one row per SIMD level (Arg 0 = scalar, 1 = avx2,
+// 2 = avx512, clamped to the CPU; the label names the level that ran): an
+// nn product on a dense A (a projection) and a tn product on a ReLU-sparse
+// A (a weight gradient, about half of A zero).
+void BM_DgemmTrain(benchmark::State& st) {
+  constexpr int kRows = 120, kDim = 48;
+  util::Rng rng(11);
+  std::vector<double> dense(static_cast<std::size_t>(kRows) * kDim);
+  std::vector<double> relu(dense.size());
+  std::vector<double> b(dense.size());
+  std::vector<double> c(dense.size());
+  for (double& v : dense) v = rng.uniform(-1.0, 1.0);
+  for (double& v : relu) v = std::max(0.0, rng.uniform(-1.0, 1.0));
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  const ml::SimdLevel level =
+      std::min(static_cast<ml::SimdLevel>(st.range(0)), ml::best_simd());
+  const ml::Kernels& ker = ml::kernels_for(level);
+  for (auto _ : st) {
+    // nn 120x48x48: C(120 x 48) = A(120 x 48) · B(48 x 48).
+    ker.dgemm(kRows, kDim, kDim, dense.data(), kDim, b.data(), kDim, c.data(), kDim);
+    // tn 48x120x48: C(48 x 48) = A(120 x 48)ᵀ · B(120 x 48).
+    ker.dgemm_tn(kDim, kRows, kDim, relu.data(), kDim, b.data(), kDim, c.data(), kDim);
+    benchmark::ClobberMemory();
+  }
+  st.SetLabel(ml::to_string(level));
+  st.counters["madds/s"] = benchmark::Counter(2.0 * kRows * kDim * kDim *
+                                                  static_cast<double>(st.iterations()),
+                                              benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DgemmTrain)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // Batched float32 forward over a synthetic corpus: the per-path amortized
 // cost the engine buys over the per-graph double-precision stack.

@@ -194,9 +194,10 @@ echo "==> perf smoke: ML engine and training (BENCH_ml.json)"
 # enforces a >= 5x batched-over-reference speedup.
 # BM_TransformerTrainStep (one training step on a packed batch of 8 path
 # graphs) and BM_DgiEpoch (one mini-batched DGI epoch on the maeri16 corpus)
-# put training in the ledger run over run; no gate reads them.
+# put training in the ledger run over run, and BM_DgemmTrain the double
+# training products' rate at each SIMD level; no gate reads them.
 ./build/bench/bench_micro \
-  --benchmark_filter='BM_MlGemm|BM_MlBatchedForward|BM_DecideStage|BM_TransformerTrainStep|BM_DgiEpoch' \
+  --benchmark_filter='BM_MlGemm|BM_DgemmTrain|BM_MlBatchedForward|BM_DecideStage|BM_TransformerTrainStep|BM_DgiEpoch' \
   --benchmark_out=BENCH_ml.json --benchmark_out_format=json \
   --benchmark_min_time=0.3
 ./build/tools/gnnmls_report ingest BENCH_ml.json --ledger PERF_LEDGER.jsonl --label ml-micro
@@ -207,7 +208,7 @@ echo "==> ml-engine gate: --strategy gnn decides through the batched SIMD engine
 # the default path must be the batched engine actually serving paths, and
 # --ml-engine=scalar must still select the reference stack.
 ./build/tools/gnnmls_lint --design maeri16 --strategy gnn | tee LINT_gnn.txt
-grep -qE 'ml-engine: path=batched simd=(avx2|scalar) batches=[1-9]' LINT_gnn.txt
+grep -qE 'ml-engine: path=batched simd=(avx512|avx2|scalar) batches=[1-9]' LINT_gnn.txt
 grep -q 'recovery: degraded=0 retries=0 rollbacks=0 faults_injected=0 leaked=0' LINT_gnn.txt
 rm -f LINT_gnn.txt
 ./build/tools/gnnmls_lint --design maeri16 --strategy gnn --ml-engine=scalar \

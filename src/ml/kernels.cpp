@@ -1,5 +1,6 @@
 #include "ml/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +24,7 @@ const char* to_string(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
     case SimdLevel::kAvx2: return "avx2";
+    case SimdLevel::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -565,6 +567,16 @@ constexpr Kernels kAvx2Kernels{gemm_avx2,           gemm_nt_avx2,
                                detail::dgemm_dense_avx2, detail::dtranspose_avx2,
                                detail::adam_avx2};
 
+// AVX-512 only for the double products; every float32 entry, the transpose
+// and Adam are the AVX2 ones, so inference does not move with this level.
+constexpr Kernels kAvx512Kernels{gemm_avx2,           gemm_nt_avx2,
+                                 softmax_rows_avx2,   relu_avx2,
+                                 bias_relu_rows_avx2, layernorm_rows_avx2,
+                                 attention_avx2,      detail::dgemm_avx512,
+                                 detail::dgemm_tn_avx512, detail::dgemm_nt_avx512,
+                                 detail::dgemm_dense_avx512, detail::dtranspose_avx2,
+                                 detail::adam_avx2};
+
 #endif  // GNNMLS_X86
 
 std::atomic<int> g_active{-1};
@@ -589,29 +601,44 @@ bool cpu_has_avx2() {
 #endif
 }
 
+bool cpu_has_avx512() {
+#ifdef GNNMLS_X86
+  return cpu_has_avx2() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+SimdLevel best_simd() {
+  if (cpu_has_avx512()) return SimdLevel::kAvx512;
+  return cpu_has_avx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+}
+
 const Kernels& kernels_for(SimdLevel level) {
 #ifdef GNNMLS_X86
-  if (level == SimdLevel::kAvx2 && cpu_has_avx2()) return kAvx2Kernels;
+  switch (std::min(level, best_simd())) {
+    case SimdLevel::kAvx512: return kAvx512Kernels;
+    case SimdLevel::kAvx2: return kAvx2Kernels;
+    case SimdLevel::kScalar: break;
+  }
 #else
   (void)level;
 #endif
   return kScalarKernels;
 }
 
-SimdLevel resolve_simd(const char* override_name) {
-  const SimdLevel best = cpu_has_avx2() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  if (override_name == nullptr || *override_name == '\0') return best;
-  if (std::strcmp(override_name, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(override_name, "avx2") == 0) {
-    if (!cpu_has_avx2()) {
-      util::log_warn("ml: GNNMLS_SIMD=avx2 requested but unsupported; using scalar kernels");
-      return SimdLevel::kScalar;
-    }
-    return SimdLevel::kAvx2;
+SimdLevel resolve_simd(const char* override_name, SimdLevel supported) {
+  if (override_name == nullptr || *override_name == '\0') return supported;
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (std::strcmp(override_name, to_string(level)) != 0) continue;
+    if (level > supported)
+      util::log_warn("ml: GNNMLS_SIMD=", override_name, " requested but unsupported; using ",
+                     to_string(supported), " kernels");
+    return std::min(level, supported);
   }
   util::log_warn("ml: unknown GNNMLS_SIMD value '", override_name, "'; auto-selecting ",
-                 to_string(best));
-  return best;
+                 to_string(supported));
+  return supported;
 }
 
 SimdLevel active_simd() {
@@ -633,8 +660,7 @@ const Kernels& kernels() { return kernels_for(active_simd()); }
 
 SimdLevel set_simd_for_test(SimdLevel level) {
   const SimdLevel prev = active_simd();
-  SimdLevel next = level;
-  if (next == SimdLevel::kAvx2 && !cpu_has_avx2()) next = SimdLevel::kScalar;
+  const SimdLevel next = std::min(level, best_simd());
   g_active.store(static_cast<int>(next), std::memory_order_release);
   if (next != prev) record_dispatch(next);
   return prev;

@@ -4,8 +4,9 @@
 // Inference runs on contiguous float32 buffers through this kernel table;
 // training runs the double-precision Mat stack (ml/tensor.hpp), whose
 // products and optimizer step call the table's double entries. The table is
-// resolved once per process: AVX2 variants when the CPU supports AVX2 and
-// FMA, portable scalar fallbacks otherwise, with a GNNMLS_SIMD=scalar|avx2
+// resolved once per process to the best level the CPU supports: AVX-512 when
+// it has avx512f (plus AVX2 and FMA), AVX2 when it has AVX2 and FMA,
+// portable scalar fallbacks otherwise, with a GNNMLS_SIMD=scalar|avx2|avx512
 // environment override for A/B runs. The selection is recorded in the flight
 // recorder (EventKind::kDispatch) and the ml.engine.dispatch.* counters so a
 // perf-ledger row always says which code path produced it.
@@ -18,19 +19,23 @@
 //     the double products take a leading dimension (row stride) per matrix.
 //   * Float variants may differ in the last ulps (different summation order,
 //     FMA contraction, polynomial exp in softmax); the engine's parity tests
-//     pin the tolerance.
+//     pin the tolerance. The AVX-512 level's float entries are the AVX2
+//     ones, so inference gives the same bits at both levels.
 //   * Double variants are bit-equal across SIMD levels: each output element
 //     is the same IEEE mul-then-add sequence in ascending k, starting from
-//     +0.0, at every level (no FMA; the scalar variant builds with
+//     +0.0, at every level (no FMA: kernels_f64.cpp builds with
 //     -ffp-contract=off), and Adam keeps its expression order lane by lane.
-//     Training results therefore never depend on GNNMLS_SIMD.
+//     The AVX-512 level has its own four products (4-row register blocks)
+//     and reuses the AVX2 transpose and Adam. Training results therefore
+//     never depend on GNNMLS_SIMD.
 #pragma once
 
 #include <cstddef>
 
 namespace gnnmls::ml {
 
-enum class SimdLevel { kScalar = 0, kAvx2 = 1 };
+// Ordered: a level can run on any CPU that runs a higher one.
+enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 const char* to_string(SimdLevel level);
 
 // One Adam step's coefficients; bc1 and bc2 are the bias corrections
@@ -95,17 +100,21 @@ struct Kernels {
 const Kernels& kernels();
 SimdLevel active_simd();
 
-// Kernel tables for a specific level, independent of dispatch — the parity
-// tests compare these directly.
+// Kernel tables for a specific level (clamped to what the CPU supports),
+// independent of dispatch — the parity tests compare these directly.
 const Kernels& kernels_for(SimdLevel level);
 
 // True when this CPU can run the AVX2 variants.
 bool cpu_has_avx2();
+// True when this CPU can run the AVX-512 variants (avx512f, avx2 and fma).
+bool cpu_has_avx512();
+// The highest level this CPU can run.
+SimdLevel best_simd();
 
-// Parses a GNNMLS_SIMD-style override ("scalar"/"avx2"); returns the level
-// actually usable on this CPU (an avx2 request degrades to scalar with a
-// warning when unsupported). nullptr/unknown -> best available.
-SimdLevel resolve_simd(const char* override_name);
+// Parses a GNNMLS_SIMD-style override ("scalar"/"avx2"/"avx512") and
+// returns the level actually used: a request above `supported` degrades to
+// `supported` with a warning; nullptr/empty/unknown -> `supported`.
+SimdLevel resolve_simd(const char* override_name, SimdLevel supported = best_simd());
 
 // Test/bench hook: force the active level in-process (clamped to what the
 // CPU supports) and re-record the dispatch event. Returns the previous

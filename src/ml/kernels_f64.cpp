@@ -204,15 +204,24 @@ void dgemm_tn_avx2(int m, int k, int n, const double* a, int lda, const double* 
   run_panels<true>(m, k, n, a, 1, lda, b, ldb, c, ldc);
 }
 
+namespace {
+
+// Bᵀ (k x n) in a per-thread buffer that keeps its storage between calls.
+double* transposed(int n, int k, const double* b, int ldb) {
+  thread_local std::vector<double> bt;
+  bt.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
+  dtranspose_avx2(n, k, b, ldb, bt.data());
+  return bt.data();
+}
+
+}  // namespace
+
 // A · Bᵀ as A · (Bᵀ): the transposed copy makes each output row a
 // broadcast-multiply over contiguous columns while every element still sums
 // its k terms in ascending order, with no zero skip.
 void dgemm_nt_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
                    double* c, int ldc) {
-  thread_local std::vector<double> bt;
-  bt.resize(static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
-  dtranspose_avx2(n, k, b, ldb, bt.data());
-  dgemm_dense_avx2(m, k, n, a, lda, bt.data(), n, c, ldc);
+  dgemm_dense_avx2(m, k, n, a, lda, transposed(n, k, b, ldb), n, c, ldc);
 }
 
 void dgemm_dense_avx2(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
@@ -247,6 +256,130 @@ __attribute__((target("avx2"))) void adam_avx2(std::size_t count, const AdamStep
     _mm256_storeu_pd(w + j, _mm256_sub_pd(_mm256_loadu_pd(w + j), step));
   }
   for (; j < count; ++j) adam_one(s, g[j], m[j], v[j], w[j]);
+}
+
+// ---- AVX-512 kernels (no FMA) -----------------------------------------------
+
+namespace {
+
+// R rows of C (4, or 1 for the last m % 4 rows) over a panel of NV zmm
+// vectors (8 doubles each); the last vector covers only the lanes set in
+// `tail` (all 8 for a full panel: a masked load or store with every lane
+// set costs what an unmasked one does). One B load per k step feeds all R
+// rows: 24 accumulators, the B vector, the product and the broadcasts fit
+// the 32 zmm registers, so B traffic is a quarter of a single-row panel's.
+//
+// Each lane is an accumulator that starts at +0.0 and adds mul(A(i, kk),
+// B(kk, j)) in ascending kk, as gemm_strided does. avx512f has FMA
+// instructions, so -ffp-contract=off is what keeps the mul and the add
+// apart here.
+//
+// With kSkipZeros a zero A entry's product is masked to +0.0
+// (_mm512_maskz_mul_pd) instead of branched around: the R rows share each k
+// step, and a branch per entry mispredicts on ReLU outputs. Adding +0.0
+// gives the same bits as skipping the term. The accumulator starts at +0.0,
+// and under round-to-nearest a sum is -0.0 only when both addends are, so
+// it never holds -0.0, and acc + (+0.0) keeps acc's bits for every value it
+// can hold, inf and NaN included. The mask also keeps 0 * inf and 0 * NaN
+// out, as the skip does; a NaN A entry compares unequal to zero and is
+// kept, as in gemm_strided.
+template <int R, int NV, bool kSkipZeros>
+__attribute__((target("avx512f"))) void block_avx512(int k, const double* a, std::ptrdiff_t a_rs,
+                                                     std::ptrdiff_t a_cs, const double* b,
+                                                     std::ptrdiff_t ldb, double* c,
+                                                     std::ptrdiff_t ldc, __mmask8 tail) {
+  __m512d acc[R][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 6
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const double* ak = a + kk * a_cs;
+    __m512d av[R];
+    __mmask8 keep[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      av[r] = _mm512_set1_pd(ak[r * a_rs]);
+      if (kSkipZeros) keep[r] = _mm512_cmp_pd_mask(av[r], _mm512_setzero_pd(), _CMP_NEQ_UQ);
+    }
+    const double* brow = b + kk * ldb;
+#pragma GCC unroll 6
+    for (int v = 0; v < NV; ++v) {
+      const __m512d bv = v + 1 == NV ? _mm512_maskz_loadu_pd(tail, brow + 8 * v)
+                                     : _mm512_loadu_pd(brow + 8 * v);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const __m512d p =
+            kSkipZeros ? _mm512_maskz_mul_pd(keep[r], av[r], bv) : _mm512_mul_pd(av[r], bv);
+        acc[r][v] = _mm512_add_pd(acc[r][v], p);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 6
+    for (int v = 0; v < NV; ++v) {
+      double* out = c + r * ldc + 8 * v;
+      if (v + 1 == NV)
+        _mm512_mask_storeu_pd(out, tail, acc[r][v]);
+      else
+        _mm512_storeu_pd(out, acc[r][v]);
+    }
+}
+
+using BlockFn = void (*)(int, const double*, std::ptrdiff_t, std::ptrdiff_t, const double*,
+                         std::ptrdiff_t, double*, std::ptrdiff_t, __mmask8);
+constexpr int kMaxZmm = 6;  // 48 columns
+
+template <int R, bool kSkipZeros, int... I>
+constexpr std::array<BlockFn, sizeof...(I)> block_table(std::integer_sequence<int, I...>) {
+  return {&block_avx512<R, I + 1, kSkipZeros>...};
+}
+
+// Column panels outermost, so one panel of B stays in L1 across the rows.
+template <bool kSkipZeros>
+void run_blocks(int m, int k, int n, const double* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
+                const double* b, int ldb, double* c, int ldc) {
+  constexpr auto kVecs = std::make_integer_sequence<int, kMaxZmm>{};
+  static constexpr std::array<BlockFn, kMaxZmm> kFour = block_table<4, kSkipZeros>(kVecs);
+  static constexpr std::array<BlockFn, kMaxZmm> kOne = block_table<1, kSkipZeros>(kVecs);
+  for (int j0 = 0; j0 < n; j0 += 8 * kMaxZmm) {
+    const int cols = std::min(8 * kMaxZmm, n - j0);
+    const int vecs = (cols + 7) / 8;
+    const int lanes = cols - 8 * (vecs - 1);
+    const auto tail = static_cast<__mmask8>((1u << lanes) - 1u);
+    const BlockFn four = kFour[vecs - 1];
+    const BlockFn one = kOne[vecs - 1];
+    int i = 0;
+    for (; i + 4 <= m; i += 4)
+      four(k, a + i * a_rs, a_rs, a_cs, b + j0, ldb, c + static_cast<std::ptrdiff_t>(i) * ldc + j0,
+           ldc, tail);
+    for (; i < m; ++i)
+      one(k, a + i * a_rs, a_rs, a_cs, b + j0, ldb, c + static_cast<std::ptrdiff_t>(i) * ldc + j0,
+          ldc, tail);
+  }
+}
+
+}  // namespace
+
+void dgemm_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                  double* c, int ldc) {
+  run_blocks<true>(m, k, n, a, lda, 1, b, ldb, c, ldc);
+}
+
+void dgemm_tn_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc) {
+  run_blocks<true>(m, k, n, a, 1, lda, b, ldb, c, ldc);
+}
+
+void dgemm_nt_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc) {
+  dgemm_dense_avx512(m, k, n, a, lda, transposed(n, k, b, ldb), n, c, ldc);
+}
+
+void dgemm_dense_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                        double* c, int ldc) {
+  run_blocks<false>(m, k, n, a, lda, 1, b, ldb, c, ldc);
 }
 
 #endif  // GNNMLS_X86

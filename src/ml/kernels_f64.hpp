@@ -1,9 +1,11 @@
 // Double-precision training kernels behind the ml/kernels.hpp dispatch
 // table (internal: include ml/kernels.hpp and call through the table).
 //
-// kernels_f64.cpp builds with -ffp-contract=off and its AVX2 variants
-// target avx2 without fma, so every output element is the same IEEE
-// mul-then-add sequence at every SIMD level: the variants are bit-equal.
+// kernels_f64.cpp builds with -ffp-contract=off, so no multiply-add is
+// fused (its AVX2 variants also target avx2 without fma; avx512f has FMA
+// instructions, so for the AVX-512 variants the flag alone prevents it).
+// Every output element is the same IEEE mul-then-add sequence at every SIMD
+// level: the variants are bit-equal.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +38,17 @@ void dgemm_dense_avx2(int m, int k, int n, const double* a, int lda, const doubl
 void dtranspose_avx2(int n, int k, const double* b, int ldb, double* bt);
 void adam_avx2(std::size_t count, const AdamStep& s, const double* g, double* m, double* v,
                double* w);
+
+// The AVX-512 level has its own products only; it reuses dtranspose_avx2
+// and adam_avx2.
+void dgemm_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                  double* c, int ldc);
+void dgemm_tn_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc);
+void dgemm_nt_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                     double* c, int ldc);
+void dgemm_dense_avx512(int m, int k, int n, const double* a, int lda, const double* b, int ldb,
+                        double* c, int ldc);
 #endif
 
 }  // namespace gnnmls::ml::detail

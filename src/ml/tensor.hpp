@@ -7,8 +7,9 @@
 // dependency-free.
 //
 // The products run on the double entries of the ml/kernels.hpp
-// dispatch table, which are bit-equal across SIMD levels: training results
-// do not depend on the CPU or on GNNMLS_SIMD. Each product writes a
+// dispatch table, which are bit-equal across SIMD levels (scalar, AVX2,
+// AVX-512): training results do not depend on the CPU or on
+// GNNMLS_SIMD=scalar|avx2|avx512. Each product writes a
 // caller-owned output, reusing its storage, so a training step that keeps
 // its buffers allocates nothing per op.
 #pragma once

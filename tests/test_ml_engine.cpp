@@ -1,8 +1,10 @@
 // Batched SIMD inference engine properties (ml/engine.hpp):
 //   * kernel parity — every float AVX2 kernel matches its scalar reference
 //     on random inputs within float32 tolerance, including both GEMM
-//     accumulate modes and the fused attention kernel; the double GEMMs and
-//     the Adam update are bit-equal to theirs;
+//     accumulate modes and the fused attention kernel; the double GEMMs of
+//     every level the CPU runs (AVX2, AVX-512) and the Adam update are
+//     bit-equal to theirs, and no level fuses a multiply-add;
+//   * dispatch — GNNMLS_SIMD names resolve to a level the CPU runs;
 //   * ragged packing — pack() lays graphs back to back with exact offsets
 //     and scaler-normalized features;
 //   * numeric parity — batched float32 probabilities track the
@@ -14,11 +16,13 @@
 //     reproduces the cold twin's PPA row bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <sstream>
 #include <vector>
 
 #include "ml/batcher.hpp"
@@ -161,61 +165,219 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST_F(KernelParity, DoubleGemmsAreBitEqual) {
-  // Ragged shapes, row strides wider than the rows, an all-zero row of A and
-  // (in every third case) an infinity in B, which the zero-skipping products
-  // must keep out of the rows whose A entry is zero.
-  std::vector<std::array<int, 3>> shapes = {{1, 1, 1},   {50, 50, 50}, {11, 16, 11}, {16, 48, 48},
-                                            {11, 48, 96}, {48, 11, 48}, {3, 17, 5},  {13, 50, 49}};
-  const auto dim = [&] { return 1 + static_cast<int>(rng.below(50)); };
-  for (int t = 0; t < 120; ++t) shapes.push_back({dim(), dim(), dim()});
-  int case_id = 0;
-  for (const auto& [m, k, n] : shapes) {
-    const int pad = case_id % 2 == 0 ? 0 : 3;
-    const bool with_inf = case_id % 3 == 0;
-    ++case_id;
-    // nn: A is m x k; tn: A is k x m; nt: B is n x k.
-    const int lda_nn = k + pad, lda_tn = m + pad, ldb = n + pad, ldb_nt = k + pad, ldc = n + pad;
-    std::vector<double> a_nn = random_f64(static_cast<std::size_t>(m) * lda_nn, rng);
-    std::vector<double> a_tn = random_f64(static_cast<std::size_t>(k) * lda_tn, rng);
-    std::vector<double> b = random_f64(static_cast<std::size_t>(k) * ldb, rng);
-    std::vector<double> b_nt = random_f64(static_cast<std::size_t>(n) * ldb_nt, rng);
-    for (int kk = 0; kk < k; ++kk) a_nn[static_cast<std::size_t>(m / 2) * lda_nn + kk] = 0.0;
-    for (int i = 0; i < m; ++i) a_tn[static_cast<std::size_t>(k / 2) * lda_tn + i] = 0.0;
-    if (with_inf) b[static_cast<std::size_t>(k / 2) * ldb] = std::numeric_limits<double>::infinity();
-    const std::size_t c_size = static_cast<std::size_t>(m) * ldc;
+// Every SIMD level this CPU runs, scalar first.
+std::vector<ml::SimdLevel> cpu_levels() {
+  std::vector<ml::SimdLevel> levels;
+  for (int l = 0; l <= static_cast<int>(ml::best_simd()); ++l)
+    levels.push_back(static_cast<ml::SimdLevel>(l));
+  return levels;
+}
 
-    std::vector<double> c1(c_size, 7.0), c2(c_size, 7.0);
-    sc.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c1.data(), ldc);
-    vx.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c2.data(), ldc);
-    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm " << m << "x" << k << "x" << n;
+struct ProductCase {
+  int m, k, n;
+  bool padded;    // row strides 3 wider than the rows
+  bool relu;      // about half of A zero, as in a ReLU output
+  bool specials;  // infinities, NaNs and -0.0 underflows
+};
 
-    c1.assign(c_size, 7.0);
-    c2.assign(c_size, 7.0);
-    sc.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c1.data(), ldc);
-    vx.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c2.data(), ldc);
-    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_tn " << m << "x" << k << "x" << n;
-
-    c1.assign(c_size, 7.0);
-    c2.assign(c_size, 7.0);
-    sc.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c1.data(), ldc);
-    vx.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c2.data(), ldc);
-    EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_nt " << m << "x" << k << "x" << n;
-
-    // b_nt transposed at both levels; dense on it gives the nt sums.
-    std::vector<double> bt(static_cast<std::size_t>(k) * n);
-    for (int j = 0; j < n; ++j)
-      for (int kk = 0; kk < k; ++kk)
-        bt[static_cast<std::size_t>(kk) * n + j] = b_nt[static_cast<std::size_t>(j) * ldb_nt + kk];
-    for (const ml::Kernels* kern : {&sc, &vx}) {
-      std::vector<double> t(bt.size(), 7.0);
-      kern->dtranspose(n, k, b_nt.data(), ldb_nt, t.data());
-      EXPECT_TRUE(bits_equal(bt, t)) << "dtranspose " << n << "x" << k;
-      std::vector<double> c3(c_size, 7.0);
-      kern->dgemm_dense(m, k, n, a_nn.data(), lda_nn, bt.data(), n, c3.data(), ldc);
-      EXPECT_TRUE(bits_equal(c1, c3)) << "dgemm_dense " << m << "x" << k << "x" << n;
+// Runs the four double products of `vx` and of the scalar table on one
+// random case and expects the same bits. With `specials`, one k step of B
+// holds inf and NaN. The even rows' A entry at that step is zero (+0.0 and
+// -0.0), so the zero-skipping products must leave the inf and NaN out of
+// them; the odd rows' entry is nonzero, so those rows carry inf and NaN
+// through every later term, the zero ones the products mask included.
+// Another k step multiplies -1e-200 by 1e-200, whose product underflows to
+// -0.0.
+void expect_products_bit_equal(const ml::Kernels& sc, const ml::Kernels& vx, const char* level,
+                               const ProductCase& pc, util::Rng& rng) {
+  const auto [m, k, n, padded, relu, specials] = pc;
+  const int pad = padded ? 3 : 0;
+  // nn: A is m x k; tn: A is k x m; nt: B is n x k.
+  const int lda_nn = k + pad, lda_tn = m + pad, ldb = n + pad, ldb_nt = k + pad, ldc = n + pad;
+  std::vector<double> a_nn = random_f64(static_cast<std::size_t>(m) * lda_nn, rng);
+  std::vector<double> a_tn = random_f64(static_cast<std::size_t>(k) * lda_tn, rng);
+  std::vector<double> b = random_f64(static_cast<std::size_t>(k) * ldb, rng);
+  std::vector<double> b_nt = random_f64(static_cast<std::size_t>(n) * ldb_nt, rng);
+  // A(i, kk) of the nn and of the tn operand.
+  const auto nn = [&](int i, int kk) -> double& {
+    return a_nn[static_cast<std::size_t>(i) * lda_nn + kk];
+  };
+  const auto tn = [&](int i, int kk) -> double& {
+    return a_tn[static_cast<std::size_t>(kk) * lda_tn + i];
+  };
+  if (relu)
+    for (std::vector<double>* a : {&a_nn, &a_tn})
+      for (double& v : *a)
+        if (rng.uniform(0.0, 1.0) < 0.5) v = 0.0;
+  if (specials) {
+    const int kz = k / 2, ku = k / 3;
+    for (int i = 0; i < m; ++i)
+      nn(i, kz) = tn(i, kz) = i % 2 == 1 ? 0.5 + i : i % 4 == 0 ? 0.0 : -0.0;
+    double* bz = b.data() + static_cast<std::size_t>(kz) * ldb;
+    bz[0] = std::numeric_limits<double>::infinity();
+    if (n > 1) bz[1] = std::numeric_limits<double>::quiet_NaN();
+    if (n > 2) bz[n - 1] = -std::numeric_limits<double>::infinity();
+    if (ku != kz) {
+      for (int i = 0; i < m; ++i) nn(i, ku) = tn(i, ku) = -1e-200;
+      for (int j = 0; j < n; ++j) b[static_cast<std::size_t>(ku) * ldb + j] = 1e-200;
     }
+    for (int j = 0; j < n; ++j) b_nt[static_cast<std::size_t>(j) * ldb_nt + ku] = 1e-200;
+    // The dense products skip nothing: their zero rows take 0 * inf = NaN.
+    b_nt[static_cast<std::size_t>(kz)] = std::numeric_limits<double>::infinity();
   }
+  // An all-zero row of A.
+  for (int kk = 0; kk < k; ++kk) nn(m / 2, kk) = 0.0;
+  for (int kk = 0; kk < k; ++kk) tn(m / 2, kk) = 0.0;
+  const std::size_t c_size = static_cast<std::size_t>(m) * ldc;
+  std::ostringstream what;
+  what << m << "x" << k << "x" << n << (padded ? " padded" : "") << (relu ? " relu" : "")
+       << (specials ? " specials" : "") << " at " << level;
+
+  // From 4 rows on, an odd row other than the all-zero one carries an inf.
+  const bool carries_inf = specials && m >= 4;
+  const auto has_inf = [](const std::vector<double>& c) {
+    return std::any_of(c.begin(), c.end(), [](double v) { return std::isinf(v); });
+  };
+  std::vector<double> c1(c_size, 7.0), c2(c_size, 7.0);
+  sc.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c1.data(), ldc);
+  vx.dgemm(m, k, n, a_nn.data(), lda_nn, b.data(), ldb, c2.data(), ldc);
+  EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm " << what.str();
+  if (carries_inf) {
+    EXPECT_TRUE(has_inf(c1)) << "dgemm " << what.str();
+  }
+
+  c1.assign(c_size, 7.0);
+  c2.assign(c_size, 7.0);
+  sc.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c1.data(), ldc);
+  vx.dgemm_tn(m, k, n, a_tn.data(), lda_tn, b.data(), ldb, c2.data(), ldc);
+  EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_tn " << what.str();
+  if (carries_inf) {
+    EXPECT_TRUE(has_inf(c1)) << "dgemm_tn " << what.str();
+  }
+
+  c1.assign(c_size, 7.0);
+  c2.assign(c_size, 7.0);
+  sc.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c1.data(), ldc);
+  vx.dgemm_nt(m, k, n, a_nn.data(), lda_nn, b_nt.data(), ldb_nt, c2.data(), ldc);
+  EXPECT_TRUE(bits_equal(c1, c2)) << "dgemm_nt " << what.str();
+
+  // b_nt transposed at both levels; dense on it gives the nt sums.
+  std::vector<double> bt(static_cast<std::size_t>(k) * n);
+  for (int j = 0; j < n; ++j)
+    for (int kk = 0; kk < k; ++kk)
+      bt[static_cast<std::size_t>(kk) * n + j] = b_nt[static_cast<std::size_t>(j) * ldb_nt + kk];
+  for (const ml::Kernels* kern : {&sc, &vx}) {
+    std::vector<double> t(bt.size(), 7.0);
+    kern->dtranspose(n, k, b_nt.data(), ldb_nt, t.data());
+    EXPECT_TRUE(bits_equal(bt, t)) << "dtranspose " << what.str();
+    std::vector<double> c3(c_size, 7.0);
+    kern->dgemm_dense(m, k, n, a_nn.data(), lda_nn, bt.data(), n, c3.data(), ldc);
+    EXPECT_TRUE(bits_equal(c1, c3)) << "dgemm_dense " << what.str();
+  }
+}
+
+TEST_F(KernelParity, DoubleGemmsAreBitEqual) {
+  // Ragged shapes, the row blocks and column panels of every width with
+  // their tails (m 1..9, n 1..17), the packed training shapes (112 and 120
+  // rows, dim 48, FFN 96, 144 = 3 panels) and k up to 128.
+  std::vector<ProductCase> cases;
+  for (const auto& [m, k, n] : std::vector<std::array<int, 3>>{{1, 1, 1},   {50, 50, 50},
+                                                                {11, 16, 11}, {16, 48, 48},
+                                                                {11, 48, 96}, {48, 11, 48},
+                                                                {3, 17, 5},   {13, 50, 49}})
+    cases.push_back({m, k, n, false, false, false});
+  const auto dim = [&] { return 1 + static_cast<int>(rng.below(50)); };
+  for (int t = 0; t < 120; ++t) cases.push_back({dim(), dim(), dim(), false, false, false});
+  const std::array<int, 9> ks = {1, 2, 5, 11, 16, 48, 96, 120, 128};
+  int t = 0;
+  for (const int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 112, 120})
+    for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 48, 96, 144}) {
+      cases.push_back({m, ks[static_cast<std::size_t>(t) % ks.size()], n, false, false, false});
+      ++t;
+    }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    cases[i].padded = i % 2 == 1;
+    cases[i].relu = i % 4 >= 2;
+    cases[i].specials = i % 3 == 0;
+  }
+  for (const ml::SimdLevel level : cpu_levels())
+    for (const ProductCase& pc : cases)
+      if (level != ml::SimdLevel::kScalar)
+        expect_products_bit_equal(sc, ml::kernels_for(level), ml::to_string(level), pc, rng);
+}
+
+// A contraction canary: with a = 1 + 2^-52 and b = 1 - 2^-52, a*b rounds to
+// 1.0, so -1 + a*b is +0.0 when the multiply and the add round separately,
+// and -2^-104 when they are fused into one FMA. Every element of C sums the
+// terms (-1)(1) and a*b in that order, at every level and in every product.
+// It fails when kernels_f64.cpp loses -ffp-contract=off.
+TEST(KernelContract, DoubleProductsRoundEveryMultiplyAndAdd) {
+  const double a = 1.0 + 0x1p-52, b = 1.0 - 0x1p-52;
+  ASSERT_EQ(std::fma(a, b, -1.0), -0x1p-104);
+  for (const ml::SimdLevel level : cpu_levels()) {
+    const ml::Kernels& kern = ml::kernels_for(level);
+    for (const int m : {1, 5})
+      for (const int n : {1, 9, 48}) {
+        // A(m x 2) rows [-1, a]; its transpose (2 x m); B(2 x n) rows 1 and
+        // b; B's transpose (n x 2) rows [1, b].
+        std::vector<double> a_nn, a_tn(2 * static_cast<std::size_t>(m)), b_kn, b_nk;
+        for (int i = 0; i < m; ++i) {
+          a_nn.insert(a_nn.end(), {-1.0, a});
+          a_tn[static_cast<std::size_t>(i)] = -1.0;
+          a_tn[static_cast<std::size_t>(m + i)] = a;
+        }
+        b_kn.assign(static_cast<std::size_t>(n), 1.0);
+        b_kn.insert(b_kn.end(), static_cast<std::size_t>(n), b);
+        for (int j = 0; j < n; ++j) b_nk.insert(b_nk.end(), {1.0, b});
+        const std::vector<double> zeros(static_cast<std::size_t>(m) * n, 0.0);
+        std::ostringstream what;
+        what << m << "x2x" << n << " at " << ml::to_string(level);
+        std::vector<double> c(zeros.size(), 7.0);
+        kern.dgemm(m, 2, n, a_nn.data(), 2, b_kn.data(), n, c.data(), n);
+        EXPECT_TRUE(bits_equal(c, zeros)) << "dgemm " << what.str();
+        c.assign(zeros.size(), 7.0);
+        kern.dgemm_tn(m, 2, n, a_tn.data(), m, b_kn.data(), n, c.data(), n);
+        EXPECT_TRUE(bits_equal(c, zeros)) << "dgemm_tn " << what.str();
+        c.assign(zeros.size(), 7.0);
+        kern.dgemm_nt(m, 2, n, a_nn.data(), 2, b_nk.data(), 2, c.data(), n);
+        EXPECT_TRUE(bits_equal(c, zeros)) << "dgemm_nt " << what.str();
+        c.assign(zeros.size(), 7.0);
+        kern.dgemm_dense(m, 2, n, a_nn.data(), 2, b_kn.data(), n, c.data(), n);
+        EXPECT_TRUE(bits_equal(c, zeros)) << "dgemm_dense " << what.str();
+      }
+  }
+}
+
+// resolve_simd never picks a level above what the CPU (or the `supported`
+// argument standing in for a smaller CPU) runs, and every level's name
+// resolves back to it.
+TEST(SimdDispatch, ResolvesWithinTheCpuAndRoundTrips) {
+  const ml::SimdLevel best = ml::best_simd();
+  EXPECT_EQ(best >= ml::SimdLevel::kAvx2, ml::cpu_has_avx2());
+  EXPECT_EQ(best == ml::SimdLevel::kAvx512, ml::cpu_has_avx512());
+  const util::LogLevel log_level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);  // the fallbacks warn
+  for (const char* name : {"scalar", "avx2", "avx512", "", "sse9"})
+    EXPECT_LE(ml::resolve_simd(name), best) << name;
+  EXPECT_EQ(ml::resolve_simd(nullptr), best);
+  for (const ml::SimdLevel level :
+       {ml::SimdLevel::kScalar, ml::SimdLevel::kAvx2, ml::SimdLevel::kAvx512}) {
+    const char* name = ml::to_string(level);
+    // On a CPU that runs `level`, its name resolves to it; on one that runs
+    // less, to that CPU's best.
+    for (const ml::SimdLevel cpu :
+         {ml::SimdLevel::kScalar, ml::SimdLevel::kAvx2, ml::SimdLevel::kAvx512})
+      EXPECT_EQ(ml::resolve_simd(name, cpu), std::min(level, cpu)) << name;
+  }
+  // A CPU without avx512f falls back to AVX2, one without AVX2 to scalar.
+  EXPECT_EQ(ml::resolve_simd("avx512", ml::SimdLevel::kAvx2), ml::SimdLevel::kAvx2);
+  EXPECT_EQ(ml::resolve_simd("avx512", ml::SimdLevel::kScalar), ml::SimdLevel::kScalar);
+  EXPECT_EQ(ml::resolve_simd("bogus", ml::SimdLevel::kAvx2), ml::SimdLevel::kAvx2);
+  // set_simd_for_test clamps the same way.
+  const ml::SimdLevel prev = ml::set_simd_for_test(ml::SimdLevel::kAvx512);
+  EXPECT_EQ(ml::active_simd(), best);
+  ml::set_simd_for_test(prev);
+  util::set_log_level(log_level);
 }
 
 TEST_F(KernelParity, AdamUpdateIsBitEqual) {

@@ -316,6 +316,7 @@ TEST(PackedForward, RowsAreBitEqualToLoneForwards) {
 
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
   if (cpu_has_avx2()) levels.push_back(SimdLevel::kAvx2);
+  if (cpu_has_avx512()) levels.push_back(SimdLevel::kAvx512);
   for (const SimdLevel level : levels) {
     const SimdLevel prev = set_simd_for_test(level);
     GraphTransformer::Cache cache;
