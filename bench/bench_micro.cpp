@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "dft/faults.hpp"
@@ -72,6 +73,30 @@ void BM_RouteNegotiated(benchmark::State& st) {
   st.counters["overflow"] = static_cast<double>(overflow);
 }
 BENCHMARK(BM_RouteNegotiated)->Unit(benchmark::kMillisecond);
+
+// route_all on a paper-scale design: the placed dual-core A7 (about 39k
+// 2-pin edges, 8+8 metal layers), no MLS, no PDN. A router change is judged
+// here, not on MAERI-16 alone; ci.sh leaves it out of its gates.
+void BM_RoutePaperScale(benchmark::State& st) {
+  static const std::unique_ptr<mls::DesignFlow> flow = [] {
+    util::set_log_level(util::LogLevel::kError);
+    mls::FlowConfig cfg;
+    cfg.heterogeneous = true;
+    cfg.run_pdn = false;
+    auto f = std::make_unique<mls::DesignFlow>(netlist::make_a7_dual_core(), cfg);
+    f->evaluate_no_mls();
+    return f;
+  }();
+  route::Router& router = flow->router();
+  for (auto _ : st) benchmark::DoNotOptimize(router.route_all({}));
+  std::size_t edges = 0;
+  for (netlist::Id n = 0; n < flow->design().nl.num_nets(); ++n)
+    edges += router.net_edges(n).size();
+  st.counters["edges/s"] = benchmark::Counter(
+      static_cast<double>(edges) * static_cast<double>(st.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RoutePaperScale)->Unit(benchmark::kMillisecond);
 
 void BM_StaFullRun(benchmark::State& st) {
   auto& f = *state().flow;

@@ -51,6 +51,11 @@ lint_fingerprint() {
 }
 lint_fingerprint maeri128 sota 0xba43d54cc55c3d51
 lint_fingerprint maeri128 gnn 0x7164fa38dddcfcc8
+# maeri256's tree edges are longer than maeri128's (a sota lint prices 10.7
+# grid cells per candidate walk against 4.4), so long pricing walks are
+# pinned too.
+lint_fingerprint maeri256 sota 0xa9f205031c4cbd3e
+lint_fingerprint maeri256 gnn 0x4332025c578d5050
 # The DFT path: scan insertion is a netlist wave (checkpointed with the
 # routes) followed by a reroute_nets ECO repair.
 lint_fingerprint maeri128 gnn 0xbf5785232adfc627 --with-dft

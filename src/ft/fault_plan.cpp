@@ -84,14 +84,14 @@ const FaultSite* FaultPlan::find_site(std::string_view name) {
   return nullptr;
 }
 
-FaultPlan::SiteState* FaultPlan::state_of(std::string_view site) {
+FaultPlan::SiteState* FaultPlan::resolve(std::string_view site) {
   for (SiteState& s : states_)
     if (site == s.info->name) return &s;
   return nullptr;
 }
 
 void FaultPlan::arm(std::string_view site, std::uint64_t nth) {
-  SiteState* s = state_of(site);
+  SiteState* s = resolve(site);
   if (s == nullptr) {
     // List the catalogue: a typo'd site name must not read like "maybe the
     // site exists but can't be armed" — show exactly what is spellable.
@@ -135,15 +135,11 @@ bool FaultPlan::armed() const {
   return false;
 }
 
-void FaultPlan::visit(const char* site) {
-  SiteState* s = state_of(site);
-  if (s == nullptr) return;  // unreachable for in-tree sites; keep chaos-safe
-  const std::uint64_t hit = s->hits.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t trip = s->trip_at.load(std::memory_order_relaxed);
-  if (trip == 0 || hit != trip) return;
+void FaultPlan::trip(SiteState& s, std::uint64_t hit) {
   // One-shot: disarm before throwing so the retried pass runs clean.
-  s->trip_at.store(0, std::memory_order_relaxed);
+  s.trip_at.store(0, std::memory_order_relaxed);
   tripped_.fetch_add(1, std::memory_order_relaxed);
+  const char* site = s.info->name;
   obs::Metrics::instance().counter("ft.faults_injected").add(1);
   obs::FlightRecorder::instance().record(obs::EventKind::kFaultTrip, site, hit);
   util::log_warn("ft: injected fault at site ", site, " (hit ", hit, ")");

@@ -50,9 +50,28 @@ class FaultPlan {
   std::uint64_t tripped() const { return tripped_.load(std::memory_order_relaxed); }
   bool armed() const;
 
-  // Called at each injection site (via GNNMLS_FAULT_POINT). Counts the hit;
-  // throws when the site's armed countdown reaches zero.
-  void visit(const char* site);
+  // Hit counter and trip ordinal of one catalogued site. Its address is
+  // stable for the process lifetime (reset() zeroes it in place).
+  struct SiteState {
+    const FaultSite* info = nullptr;
+    std::atomic<std::uint64_t> hits{0};
+    // 0 = disarmed; otherwise the hit ordinal (1-based) that trips.
+    std::atomic<std::uint64_t> trip_at{0};
+  };
+  // The state of `site`, or null when it is not in the catalogue.
+  SiteState* resolve(std::string_view site);
+
+  // Counts one hit of a resolved site (null: no-op); throws when the site's
+  // armed countdown reaches zero. GNNMLS_FAULT_POINT resolves its site once
+  // and calls this.
+  static void visit(SiteState* s) {
+    if (s == nullptr) return;
+    const std::uint64_t hit = s->hits.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::uint64_t trip = s->trip_at.load(std::memory_order_relaxed);
+    if (trip != 0 && hit == trip) instance().trip(*s, hit);
+  }
+  // The same by name: looks the site up first.
+  void visit(const char* site) { visit(resolve(site)); }
 
   // Returns whether GNNMLS_FAULT ("site:n[,site:n...]") was present. The
   // arming itself happens on the first instance() touch (bad specs abort
@@ -63,20 +82,22 @@ class FaultPlan {
  private:
   FaultPlan();
 
-  struct SiteState {
-    const FaultSite* info = nullptr;
-    std::atomic<std::uint64_t> hits{0};
-    // 0 = disarmed; otherwise the hit ordinal (1-based) that trips.
-    std::atomic<std::uint64_t> trip_at{0};
-  };
-
-  SiteState* state_of(std::string_view site);
+  // Disarms `s` (one-shot), records the trip and throws.
+  [[noreturn]] void trip(SiteState& s, std::uint64_t hit);
 
   std::vector<SiteState> states_;  // parallel to known_sites()
   std::atomic<std::uint64_t> tripped_{0};
 };
 
-// Zero-cost-when-disarmed injection hook; reads one relaxed atomic per hit.
-#define GNNMLS_FAULT_POINT(site) ::gnnmls::ft::FaultPlan::instance().visit(site)
+// Injection hook. The site name is looked up once per call site, on its
+// first visit (a function-local static); after that a visit costs the
+// static's initialization check, one relaxed fetch_add on the site's hit
+// counter and one relaxed load of its trip ordinal, armed or not.
+#define GNNMLS_FAULT_POINT(site)                                            \
+  do {                                                                      \
+    static ::gnnmls::ft::FaultPlan::SiteState* const gnnmls_fault_site_ =   \
+        ::gnnmls::ft::FaultPlan::instance().resolve(site);                  \
+    ::gnnmls::ft::FaultPlan::visit(gnnmls_fault_site_);                     \
+  } while (false)
 
 }  // namespace gnnmls::ft

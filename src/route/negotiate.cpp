@@ -1,6 +1,7 @@
 #include "route/negotiate.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -32,11 +33,11 @@ struct NegCounters {
   }
 };
 
-// Routes in.edges[i] against the live grid and commits it at once, so every
-// edge routed after it prices the usage it adds.
+// Routes in.edges[i] against the live grid into in.routes[i] and commits it
+// at once, so every edge routed after it prices the usage it adds.
 void route_live(const NegotiationInput& in, const EdgeCostModel& model, std::uint32_t i) {
   const EdgeTask& t = in.edges[i];
-  EdgeRoute& er = in.edge_routes[t.net][t.edge];
+  EdgeRoute& er = in.routes[i];
   er = route_edge(model, t.a, t.b, t.mls);
   commit_edge(in.grid, er, 1.0f);
 }
@@ -89,9 +90,11 @@ std::pair<std::size_t, double> census_key(const RoutingGrid::Census& c) {
 }  // namespace
 
 NegotiationStats route_negotiated(const NegotiationInput& in) {
+  if (in.routes.size() != in.edges.size())
+    throw std::invalid_argument("route_negotiated: routes must be parallel to edges");
   NegotiationStats stats;
 
-  const EdgeCostModel model{in.grid, in.tech, in.history.data()};
+  const EdgeCostModel model{in.grid, in.candidates, in.history.data()};
 
   // ---- phase 1: initial routing, edge by edge on the live grid ------------
   for (std::uint32_t i = 0; i < in.edges.size(); ++i) route_live(in, model, i);
@@ -122,11 +125,9 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     const std::vector<std::uint8_t> mask = overflow_mask(in.grid, kHaloGcells);
     const std::vector<std::uint8_t> fmask = f2f_overflow_mask(in.grid, kHaloGcells);
     std::vector<std::uint32_t> victims;
-    for (std::uint32_t i = 0; i < in.edges.size(); ++i) {
-      const EdgeTask& t = in.edges[i];
+    for (std::uint32_t i = 0; i < in.routes.size(); ++i) {
       if (for_each_cell(
-              in.grid, in.edge_routes[t.net][t.edge],
-              [&](std::size_t cell) { return mask[cell] != 0; },
+              in.grid, in.routes[i], [&](std::size_t cell) { return mask[cell] != 0; },
               [&](std::size_t cell) { return fmask[cell] != 0; }))
         victims.push_back(i);
     }
@@ -135,8 +136,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
     // Rip up, keeping the previous routes for an exact revert.
     std::vector<EdgeRoute> old_routes(victims.size());
     for (std::size_t k = 0; k < victims.size(); ++k) {
-      const EdgeTask& t = in.edges[victims[k]];
-      old_routes[k] = in.edge_routes[t.net][t.edge];
+      old_routes[k] = in.routes[victims[k]];
       commit_edge(in.grid, old_routes[k], -1.0f);
     }
 
@@ -155,8 +155,7 @@ NegotiationStats route_negotiated(const NegotiationInput& in) {
       // strictly-not-worse one), and count toward stagnation so a thrashing
       // loop still terminates.
       for (std::size_t k = 0; k < victims.size(); ++k) {
-        const EdgeTask& t = in.edges[victims[k]];
-        EdgeRoute& er = in.edge_routes[t.net][t.edge];
+        EdgeRoute& er = in.routes[victims[k]];
         commit_edge(in.grid, er, -1.0f);
         er = old_routes[k];
         commit_edge(in.grid, er, 1.0f);

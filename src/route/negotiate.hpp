@@ -51,16 +51,18 @@ struct NegotiationStats {
 };
 
 // Everything route_negotiated() works on. `edges` is the deterministic
-// global edge order; `edge_routes` is the per-net output sized by the caller
-// (one slot per topology edge), and each slot's footprint is what the grid
-// holds for that edge. `history` must be sized to the grid's track cells and
-// is both consumed and updated.
+// global edge order and `routes` its output, parallel to it (sized by the
+// caller): routes[i] is edges[i]'s result, and its footprint is what the
+// grid holds for that edge, so the victim scan, rip-up, reroute and revert
+// walk it in order. `candidates` must be built from the grid's tech.
+// `history` must be sized to the grid's track cells and is both consumed and
+// updated.
 struct NegotiationInput {
   RoutingGrid& grid;
-  const tech::Tech3D& tech;
+  const CandidateTable& candidates;
   std::span<const EdgeTask> edges;
   std::vector<float>& history;
-  std::vector<std::vector<EdgeRoute>>& edge_routes;
+  std::span<EdgeRoute> routes;
 };
 
 NegotiationStats route_negotiated(const NegotiationInput& in);

@@ -57,7 +57,10 @@ struct EdgeTally {
 }  // namespace
 
 Router::Router(const netlist::Design& design, const tech::Tech3D& tech)
-    : design_(design), tech_(tech), grid_(design.info.die_w_um, design.info.die_h_um, tech) {
+    : design_(design),
+      tech_(tech),
+      grid_(design.info.die_w_um, design.info.die_h_um, tech),
+      candidates_(tech) {
   // PDN straps and clock trunks consume top-pair tracks before any signal
   // is routed; the leftover is what 2D nets and MLS nets fight over.
   for (int tier = 0; tier < 2; ++tier) {
@@ -71,7 +74,7 @@ NetRoute Router::route_net(Id net, bool mls) {
   const NetTopology topo = build_net_topology(design_, tech_, net);
   const std::size_t ne = topo.num_edges();
   std::vector<EdgeRoute> edges(ne);
-  const EdgeCostModel model{grid_, tech_, history_or_null()};
+  const EdgeCostModel model{grid_, candidates_, history_or_null()};
   EdgeTally tally;
   for (std::size_t e = 0; e < ne; ++e) {
     const Terminal& a = topo.terms[static_cast<std::size_t>(topo.parent[e + 1])];
@@ -170,7 +173,6 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
       terms.insert(terms.end(), t.terms.begin(), t.terms.end());
       parents.insert(parents.end(), t.parent.begin(), t.parent.end());
       const std::size_t ne = t.num_edges();
-      edge_routes_[net].assign(ne, EdgeRoute{});
       const bool mls = flag_of(mls_flags, net);
       for (std::uint32_t e = 0; e < ne; ++e) {
         tasks.push_back(EdgeTask{net, e, t.terms[static_cast<std::size_t>(t.parent[e + 1])],
@@ -180,8 +182,16 @@ RouteSummary Router::route_all(const std::vector<std::uint8_t>& mls_flags) {
   }
 
   // ---- phases 1+2: serial routing + negotiation ---------------------------
+  // Negotiation works on one route array in task order; a net's edges are
+  // consecutive tasks in edge order, so each run scatters into its net.
+  std::vector<EdgeRoute> routed(tasks.size());
   const NegotiationStats stats =
-      route_negotiated(NegotiationInput{grid_, tech_, tasks, history_, edge_routes_});
+      route_negotiated(NegotiationInput{grid_, candidates_, tasks, history_, routed});
+  for (std::size_t i = 0, j = 0; i < tasks.size(); i = j) {
+    while (j < tasks.size() && tasks[j].net == tasks[i].net) ++j;
+    edge_routes_[tasks[i].net].assign(routed.begin() + static_cast<std::ptrdiff_t>(i),
+                                      routed.begin() + static_cast<std::ptrdiff_t>(j));
+  }
 
   // ---- assemble per-net electrical models ---------------------------------
   EdgeTally tally;
@@ -280,7 +290,7 @@ void Router::restore(const Checkpoint& cp) {
 NetRoute Router::trial_route(Id net, bool mls) const {
   RouteCounters::get().trial_routes.add(1);
   const NetTopology topo = build_net_topology(design_, tech_, net);
-  const EdgeCostModel model{grid_, tech_, history_or_null()};
+  const EdgeCostModel model{grid_, candidates_, history_or_null()};
   std::vector<EdgeRoute> edges(topo.num_edges());
   EdgeTally tally;
   for (std::size_t e = 0; e < edges.size(); ++e) {

@@ -181,6 +181,7 @@ class Router {
   const netlist::Design& design_;
   const tech::Tech3D& tech_;
   RoutingGrid grid_;
+  CandidateTable candidates_;  // route_edge()'s candidates for tech_
   std::vector<NetRoute> routes_;
   std::vector<std::vector<EdgeRoute>> edge_routes_;  // parallel to routes_
   std::vector<float> history_;  // negotiated congestion history (may be empty)

@@ -23,20 +23,102 @@ constexpr double kCongestionPenaltyPs = 2.0;
 // factor (maze-detour stand-in).
 constexpr double kMaxDetour = 2.5;
 
-// A candidate way to route one tree edge.
-struct EdgeChoice {
-  int route_tier = 0;     // tier whose metals carry the wire
-  int layer_lo = 1;       // layer pair (layer_lo, layer_lo + 1)
-  int hlayer = 1;         // horizontal member of the pair
-  int vlayer = 2;         // vertical member of the pair
-  int f2f = 0;            // F2F vias used (0, 1 = tier change, 2 = MLS round trip)
-  bool shared = false;    // true when this is an MLS shared-layer choice
-  double cost_ps = std::numeric_limits<double>::infinity();
-  double res_ohm = 0.0;
-  double cap_ff = 0.0;
-  double wl_um = 0.0;
-  double overflow = 0.0;  // max usage/capacity seen along the edge
+// Nominal comparator driver resistance of the per-edge delay estimate.
+constexpr double kDriveRKohm = 1.5;
+
+const tech::BeolStack& stack_of(const tech::Tech3D& tech, int tier) {
+  return tier == 0 ? tech.beol_bottom : tech.beol_top;
+}
+
+// Candidate (route_tier, layer_lo) of an edge from a terminal on `a_tier` to
+// one on `b_tier`, with its via term.
+EdgeCandidate make_candidate(const tech::Tech3D& tech, int a_tier, int b_tier, int route_tier,
+                             int layer_lo, int f2f, bool shared) {
+  const tech::BeolStack& stack = stack_of(tech, route_tier);
+  EdgeCandidate c;
+  c.route_tier = static_cast<std::uint8_t>(route_tier);
+  c.layer_lo = static_cast<std::uint8_t>(layer_lo);
+  c.f2f = static_cast<std::uint8_t>(f2f);
+  c.shared = shared;
+  const tech::MetalLayer& l0 = stack.layer(layer_lo);
+  const tech::MetalLayer& l1 = stack.layer(layer_lo + 1);
+  const bool h0 = l0.dir == tech::LayerDir::kHorizontal;
+  const tech::MetalLayer& lh = h0 ? l0 : l1;
+  const tech::MetalLayer& lv = h0 ? l1 : l0;
+  c.hlayer = static_cast<std::uint8_t>(h0 ? layer_lo : layer_lo + 1);
+  c.vlayer = static_cast<std::uint8_t>(h0 ? layer_lo + 1 : layer_lo);
+  c.r_h = lh.r_ohm_per_um;
+  c.r_v = lv.r_ohm_per_um;
+  c.c_h = lh.c_ff_per_um;
+  c.c_v = lv.c_ff_per_um;
+  // Via stacks at both ends: from device level up to the pair.
+  const tech::BeolStack& a_stack = stack_of(tech, a_tier);
+  const tech::BeolStack& b_stack = stack_of(tech, b_tier);
+  double via_r = 0.0, via_c = 0.0;
+  auto add_stack = [&](const tech::BeolStack& s, int levels) {
+    via_r += levels * s.via_r_ohm;
+    via_c += levels * s.via_c_ff;
+  };
+  if (f2f == 0) {
+    add_stack(stack, layer_lo + 1);
+    add_stack(stack, layer_lo + 1);
+  } else {
+    // Each endpoint that is NOT on the routing tier climbs its own full
+    // stack to the bond interface; endpoints on the routing tier climb
+    // to the routing pair. (F2F bonding joins the two top layers.)
+    const int to_pair = layer_lo + 1;
+    const int a_levels = (a_tier == route_tier) ? to_pair : a_stack.num_layers() - 1;
+    const int b_levels = (b_tier == route_tier) ? to_pair : b_stack.num_layers() - 1;
+    add_stack(a_stack, a_levels);
+    add_stack(b_stack, b_levels);
+    // Hop(s) down from the bond interface to the routing pair on the
+    // routing tier.
+    const int down = stack.num_layers() - 1 - (layer_lo + 1);
+    if (a_tier != route_tier || shared) add_stack(stack, std::max(down, 0));
+  }
+  c.via_r = via_r + f2f * tech.f2f.r_ohm;
+  c.via_c = via_c + f2f * tech.f2f.c_ff;
+  return c;
+}
+
+// The L every candidate of one edge shares: row gy1 over xs..xs+nh-1 on the
+// candidate's hlayer, then column gx2 over ys..ys+nv-1 on its vlayer — the
+// track cells for_each_cell() walks.
+struct LShape {
+  int xs, gy1, nh;
+  int gx2, ys, nv;
 };
+
+// Prices the L of G candidates in one walk: per candidate the summed
+// congestion (+ history) penalty and the max congestion seen. Each
+// candidate's accumulators receive its cells in for_each_cell's order with
+// the same operations, so the sums are the bits of a walk per candidate;
+// the G dependent chains just run side by side.
+template <int G>
+void price_group(const RoutingGrid& grid, const float* history, const EdgeCandidate* c,
+                 const LShape& l, double* penalty, double* max_over) {
+  std::size_t h[G] = {}, v[G] = {};
+  double pen[G] = {}, over[G] = {};
+  for (int j = 0; j < G; ++j) {
+    h[j] = grid.track_index(c[j].route_tier, c[j].hlayer, l.xs, l.gy1);
+    v[j] = grid.track_index(c[j].route_tier, c[j].vlayer, l.gx2, l.ys);
+  }
+  auto cell = [&](int j, std::size_t i) {
+    const double cong = grid.congestion_at(i);
+    pen[j] += kCongestionPenaltyPs * cong * cong;
+    if (history != nullptr) pen[j] += history[i];
+    over[j] = std::max(over[j], cong);
+  };
+  for (int k = 0; k < l.nh; ++k)
+    for (int j = 0; j < G; ++j) cell(j, h[j] + static_cast<std::size_t>(k));
+  const auto nx = static_cast<std::size_t>(grid.nx());
+  for (int k = 0; k < l.nv; ++k)
+    for (int j = 0; j < G; ++j) cell(j, v[j] + static_cast<std::size_t>(k) * nx);
+  for (int j = 0; j < G; ++j) {
+    penalty[j] = pen[j];
+    max_over[j] = over[j];
+  }
+}
 
 }  // namespace
 
@@ -89,13 +171,29 @@ NetTopology build_net_topology(const netlist::Design& design, const tech::Tech3D
   return t;
 }
 
+CandidateTable::CandidateTable(const tech::Tech3D& tech) {
+  for (int d = 0; d < 2; ++d) {
+    Lists& l = by_driver[d];
+    const int other = 1 - d;
+    for (int lo = 1; lo + 1 < stack_of(tech, d).num_layers(); ++lo)
+      l.native.push_back(make_candidate(tech, d, d, d, lo, 0, false));
+    // Which tier carries a tier-changing wire is a choice; one F2F either way.
+    for (int tier = 0; tier < 2; ++tier)
+      for (int lo = 1; lo + 1 < stack_of(tech, tier).num_layers(); ++lo)
+        l.cross_tier.push_back(make_candidate(tech, d, other, tier, lo, 1, false));
+    const int top = stack_of(tech, other).num_layers() - 1;
+    for (int k = 0; k < kSharedLayers; ++k) {
+      const int lo = top - 1 - k;
+      if (lo >= 1) l.shared.push_back(make_candidate(tech, d, d, other, lo, 2, true));
+    }
+  }
+}
+
 EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& b,
                      bool mls) {
   EdgeRoute out;
   const RoutingGrid& grid = m.grid;
-  const tech::Tech3D& tech = m.tech;
   const double g = grid.gcell_um();
-  const double penalty_w = kCongestionPenaltyPs;
   const double len = std::abs(a.x - b.x) + std::abs(a.y - b.y) + 0.5 * g;
   // Length split across a layer pair by orientation.
   const double len_h = std::abs(a.x - b.x) + 0.25 * g;
@@ -114,140 +212,83 @@ EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& 
   double f2f_penalty = 0.0;
   if (force_shared || cross_tier) {
     const double fc = grid.f2f_congestion(gx1, gy1) + grid.f2f_congestion(gx2, gy2);
-    f2f_penalty = penalty_w * 2.0 * fc * fc;
+    f2f_penalty = kCongestionPenaltyPs * 2.0 * fc * fc;
   }
-
-  // Prices a candidate's L over the footprint walk that commits it, read-only:
-  // the summed congestion (+ negotiated history) penalty and the max
-  // overflow seen. The probe has no F2F pads; their cost is f2f_penalty.
-  EdgeRoute probe = out;
-  probe.routed = true;
-  auto walk_cost = [&](int tier, int hlayer, int vlayer, double* max_over) -> double {
-    probe.route_tier = static_cast<std::uint8_t>(tier);
-    probe.hlayer = static_cast<std::uint8_t>(hlayer);
-    probe.vlayer = static_cast<std::uint8_t>(vlayer);
-    double penalty = 0.0;
-    *max_over = 0.0;
-    for_each_cell(
-        grid, probe,
-        [&](std::size_t i) {
-          const double cong = grid.congestion_at(i);
-          penalty += penalty_w * cong * cong;
-          if (m.history != nullptr) penalty += m.history[i];
-          *max_over = std::max(*max_over, cong);
-          return false;
-        },
-        [](std::size_t) { return false; });
-    return penalty;
-  };
+  const LShape l{std::min(gx1, gx2), gy1, std::abs(gx1 - gx2) + 1,
+                 gx2,                std::min(gy1, gy2), std::abs(gy1 - gy2) + 1};
 
   // Running minimum over the candidates in enumeration order; a later
   // candidate replaces it only when strictly cheaper, so ties keep the first.
-  EdgeChoice pick;
+  // The L is walked once per group of up to four candidates.
+  const EdgeCandidate* pick = nullptr;
+  double pick_cost = 0.0, pick_over = 0.0, pick_res = 0.0, pick_cap = 0.0;
   std::uint32_t count = 0;
   bool shared_fits = false;
-  auto consider = [&](int route_tier, int layer_lo, int f2f, bool shared) {
-    const tech::BeolStack& stack = (route_tier == 0) ? tech.beol_bottom : tech.beol_top;
-    if (layer_lo + 1 >= stack.num_layers()) return;
-    EdgeChoice c;
-    c.route_tier = route_tier;
-    c.layer_lo = layer_lo;
-    c.f2f = f2f;
-    c.shared = shared;
-    const tech::MetalLayer& l0 = stack.layer(layer_lo);
-    const tech::MetalLayer& l1 = stack.layer(layer_lo + 1);
-    const tech::MetalLayer& lh = (l0.dir == tech::LayerDir::kHorizontal) ? l0 : l1;
-    const tech::MetalLayer& lv = (l0.dir == tech::LayerDir::kHorizontal) ? l1 : l0;
-    c.wl_um = len_h + len_v;
-    c.res_ohm = len_h * lh.r_ohm_per_um + len_v * lv.r_ohm_per_um;
-    c.cap_ff = len_h * lh.c_ff_per_um + len_v * lv.c_ff_per_um;
-    // Via stacks at both ends: from device level up to the pair.
-    const tech::BeolStack& a_stack = (a.tier == 0) ? tech.beol_bottom : tech.beol_top;
-    const tech::BeolStack& b_stack = (b.tier == 0) ? tech.beol_bottom : tech.beol_top;
-    double via_r = 0.0, via_c = 0.0;
-    auto add_stack = [&](const tech::BeolStack& s, int levels) {
-      via_r += levels * s.via_r_ohm;
-      via_c += levels * s.via_c_ff;
-    };
-    if (f2f == 0) {
-      add_stack(stack, layer_lo + 1);
-      add_stack(stack, layer_lo + 1);
-    } else {
-      // Each endpoint that is NOT on the routing tier climbs its own full
-      // stack to the bond interface; endpoints on the routing tier climb
-      // to the routing pair. (F2F bonding joins the two top layers.)
-      const int to_pair = layer_lo + 1;
-      const int a_levels = (a.tier == route_tier) ? to_pair : a_stack.num_layers() - 1;
-      const int b_levels = (b.tier == route_tier) ? to_pair : b_stack.num_layers() - 1;
-      add_stack(a.tier == route_tier ? stack : a_stack, a_levels);
-      add_stack(b.tier == route_tier ? stack : b_stack, b_levels);
-      // Hop(s) down from the bond interface to the routing pair on the
-      // routing tier.
-      const int down = stack.num_layers() - 1 - (layer_lo + 1);
-      if (a.tier != route_tier || shared) add_stack(stack, std::max(down, 0));
+  auto price = [&](const std::vector<EdgeCandidate>& list) {
+    for (std::size_t at = 0; at < list.size(); at += 4) {
+      const EdgeCandidate* c = list.data() + at;
+      const std::size_t group = std::min<std::size_t>(4, list.size() - at);
+      double penalty[4] = {}, max_over[4] = {};
+      switch (group) {
+        case 4: price_group<4>(grid, m.history, c, l, penalty, max_over); break;
+        case 3: price_group<3>(grid, m.history, c, l, penalty, max_over); break;
+        case 2: price_group<2>(grid, m.history, c, l, penalty, max_over); break;
+        default: price_group<1>(grid, m.history, c, l, penalty, max_over); break;
+      }
+      for (std::size_t j = 0; j < group; ++j) {
+        double res = len_h * c[j].r_h + len_v * c[j].r_v;
+        double cap = len_h * c[j].c_h + len_v * c[j].c_v;
+        res += c[j].via_r;
+        cap += c[j].via_c;
+        // Cost: Elmore-ish delay estimate + congestion penalties. kOhm*fF = ps.
+        const double cost = 1e-3 * (kDriveRKohm * 1e3 * cap + res * (cap * 0.5 + 2.0)) +
+                            penalty[j] + (c[j].f2f > 0 ? f2f_penalty : 0.0);
+        if (max_over[j] < 1.0) shared_fits = true;
+        if (count == 0 || cost < pick_cost) {
+          pick = &c[j];
+          pick_cost = cost;
+          pick_over = max_over[j];
+          pick_res = res;
+          pick_cap = cap;
+        }
+        ++count;
+      }
     }
-    c.res_ohm += via_r + f2f * tech.f2f.r_ohm;
-    c.cap_ff += via_c + f2f * tech.f2f.c_ff;
-    // Congestion along the L.
-    c.hlayer = (l0.dir == tech::LayerDir::kHorizontal) ? layer_lo : layer_lo + 1;
-    c.vlayer = (l0.dir == tech::LayerDir::kHorizontal) ? layer_lo + 1 : layer_lo;
-    double max_over = 0.0;
-    const double penalty = walk_cost(route_tier, c.hlayer, c.vlayer, &max_over);
-    c.overflow = max_over;
-    // Cost: Elmore-ish delay estimate + congestion penalties. kOhm*fF = ps.
-    const double drive_r_kohm = 1.5;  // nominal comparator driver
-    c.cost_ps = 1e-3 * (drive_r_kohm * 1e3 * c.cap_ff + c.res_ohm * (c.cap_ff * 0.5 + 2.0)) +
-                penalty + (f2f > 0 ? f2f_penalty : 0.0);
-    if (c.overflow < 1.0) shared_fits = true;
-    if (count == 0 || c.cost_ps < pick.cost_ps) pick = c;
-    ++count;
   };
 
+  const CandidateTable::Lists& lists = m.candidates.by_driver[a.tier];
   if (force_shared) {
     // Targeted routing: the edge uses the other tier's shared layers —
     // unless they are already full there, in which case a real router
     // falls back to native metal rather than overflowing the bond pads.
-    const int other = a.tier == 0 ? 1 : 0;
-    const int top = grid.num_layers(other) - 1;
-    for (int k = 0; k < kSharedLayers; ++k) {
-      const int lo = top - 1 - k;
-      if (lo >= 1) consider(other, lo, 2, true);
-    }
+    price(lists.shared);
     if (!shared_fits) {
       out.fallback = true;
       count = 0;
-      const int nl_t = grid.num_layers(a.tier);
-      for (int lo = 1; lo + 1 < nl_t; ++lo) consider(a.tier, lo, 0, false);
-    }
-  } else if (cross_tier) {
-    // Choose which tier carries the wire; one F2F either way.
-    for (int tier = 0; tier < 2; ++tier) {
-      const int nl_t = grid.num_layers(tier);
-      for (int lo = 1; lo + 1 < nl_t; ++lo) consider(tier, lo, 1, false);
+      price(lists.native);
     }
   } else {
-    const int nl_t = grid.num_layers(a.tier);
-    for (int lo = 1; lo + 1 < nl_t; ++lo) consider(a.tier, lo, 0, false);
+    price(cross_tier ? lists.cross_tier : lists.native);
   }
   out.candidates = count;
   if (count == 0) return out;
 
   // Detour inflation when the chosen route is through overfull regions.
-  const double over = std::max(0.0, pick.overflow - 1.0);
+  const double over = std::max(0.0, pick_over - 1.0);
   const double detour = std::min(kMaxDetour, 1.0 + 0.5 * over);
 
   out.routed = true;
-  out.route_tier = static_cast<std::uint8_t>(pick.route_tier);
-  out.layer_lo = static_cast<std::uint8_t>(pick.layer_lo);
-  out.hlayer = static_cast<std::uint8_t>(pick.hlayer);
-  out.vlayer = static_cast<std::uint8_t>(pick.vlayer);
-  out.f2f = static_cast<std::uint8_t>(pick.f2f);
-  out.shared = pick.shared;
-  out.wl_um = static_cast<float>(pick.wl_um * detour);
-  out.res_ohm = static_cast<float>(pick.res_ohm * detour);
-  out.cap_ff = static_cast<float>(pick.cap_ff * detour);
+  out.route_tier = pick->route_tier;
+  out.layer_lo = pick->layer_lo;
+  out.hlayer = pick->hlayer;
+  out.vlayer = pick->vlayer;
+  out.f2f = pick->f2f;
+  out.shared = pick->shared;
+  out.wl_um = static_cast<float>((len_h + len_v) * detour);
+  out.res_ohm = static_cast<float>(pick_res * detour);
+  out.cap_ff = static_cast<float>(pick_cap * detour);
   out.detour = static_cast<float>(detour);
-  out.overflow = static_cast<float>(pick.overflow);
+  out.overflow = static_cast<float>(pick_over);
   return out;
 }
 

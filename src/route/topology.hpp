@@ -7,9 +7,13 @@
 // granularity. This header owns the edge primitive end to end:
 //
 //   * NetTopology      — the tree (terminals + parent array) of one net
+//   * CandidateTable   — every tier/layer-pair candidate with its tech-only
+//                        constants (R/C per um, via term), built once per
+//                        Router
 //   * route_edge()     — cost-driven layer-pair/tier selection for one edge
 //                        against a read-only grid view, with an optional
-//                        negotiated-congestion history term
+//                        negotiated-congestion history term; one walk of the
+//                        edge's L prices all of its candidates
 //   * for_each_cell()  — the grid footprint of a routed edge, derived from
 //                        its EdgeRoute; commit_edge() adds or subtracts it,
 //                        so a rip-up removes exactly what a commit added
@@ -78,20 +82,49 @@ struct EdgeRoute {
   friend bool operator==(const EdgeRoute&, const EdgeRoute&) = default;
 };
 
-// Read-only context for routing one edge. `history` is the negotiated-
-// congestion cost surface (ps per track-cell visit), indexed like the
-// grid's flat track cells; null disables the history term (trials before
-// the first route).
+// One tier/layer-pair way to route a 2-pin edge, with every constant that
+// depends only on the tech: the pair and its horizontal/vertical members,
+// their R and C per um, and the via term — the via stacks at both ends plus
+// the F2F pads, which depends on the driver tier whose list holds it.
+struct EdgeCandidate {
+  std::uint8_t route_tier = 0;
+  std::uint8_t layer_lo = 1;   // pair (layer_lo, layer_lo + 1)
+  std::uint8_t hlayer = 1, vlayer = 2;
+  std::uint8_t f2f = 0;        // 0 | 1 (tier change) | 2 (MLS round trip)
+  bool shared = false;
+  double r_h = 0.0, r_v = 0.0;   // ohm per um of the H / V layer
+  double c_h = 0.0, c_v = 0.0;   // fF per um of the H / V layer
+  double via_r = 0.0, via_c = 0.0;
+};
+
+// Every candidate route_edge() prices, in enumeration order, per driver
+// (parent-terminal) tier: `native` pairs on the driver's own tier (also the
+// MLS fallback), `cross_tier` pairs on either tier for an edge whose child
+// is on the other tier (one F2F), and the other tier's top kSharedLayers
+// pairs for a forced MLS edge (an F2F round trip).
+struct CandidateTable {
+  struct Lists {
+    std::vector<EdgeCandidate> native, cross_tier, shared;
+  };
+  Lists by_driver[2];
+
+  explicit CandidateTable(const tech::Tech3D& tech);
+};
+
+// Read-only context for routing one edge. `candidates` must be built from
+// the tech the grid was built from. `history` is the negotiated-congestion
+// cost surface (ps per track-cell visit), indexed like the grid's flat track
+// cells; null disables the history term (trials before the first route).
 struct EdgeCostModel {
   const RoutingGrid& grid;
-  const tech::Tech3D& tech;
+  const CandidateTable& candidates;
   const float* history = nullptr;
 };
 
-// Routes one tree edge: enumerates tier/layer-pair candidates (native,
-// cross-tier, or MLS shared with native fallback), scores each with the
-// RC + congestion (+ history) cost, and returns the cheapest. Pure: never
-// writes the grid.
+// Routes one tree edge: scores each of its candidates (native, cross-tier,
+// or MLS shared with native fallback) with the RC + congestion (+ history)
+// cost and returns the cheapest, the first on a tie. Pure: never writes the
+// grid.
 EdgeRoute route_edge(const EdgeCostModel& m, const Terminal& a, const Terminal& b,
                      bool mls);
 

@@ -1,8 +1,12 @@
 // Tests for the routing grid and the MLS-aware router.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <random>
+#include <tuple>
 #include <utility>
 
 #include "ft/error.hpp"
@@ -389,19 +393,20 @@ TEST(RouterNegotiation, EachEdgeSeesTheEdgesCommittedBeforeIt) {
   std::vector<EdgeTask> edges;
   for (std::uint32_t k = 0; k < kEdges; ++k) edges.push_back(EdgeTask{k, 0, a, b, false});
   std::vector<float> history(grid.num_track_cells(), 0.0f);
-  std::vector<std::vector<EdgeRoute>> routes(kEdges, std::vector<EdgeRoute>(1));
+  const CandidateTable candidates(tech3d);
+  std::vector<EdgeRoute> routes(kEdges);
   const NegotiationStats stats =
-      route_negotiated(NegotiationInput{grid, tech3d, edges, history, routes});
+      route_negotiated(NegotiationInput{grid, candidates, edges, history, routes});
   EXPECT_EQ(stats.initial_overflow, 0u);
   EXPECT_EQ(stats.iterations, 0u);
 
   RoutingGrid replay(d.info.die_w_um, d.info.die_h_um, tech3d);
-  const EdgeCostModel model{replay, tech3d, history.data()};
+  const EdgeCostModel model{replay, candidates, history.data()};
   for (std::uint32_t k = 0; k < kEdges; ++k) {
-    EXPECT_EQ(routes[k][0], route_edge(model, a, b, false)) << "edge " << k;
-    commit_edge(replay, routes[k][0], 1.0f);
+    EXPECT_EQ(routes[k], route_edge(model, a, b, false)) << "edge " << k;
+    commit_edge(replay, routes[k], 1.0f);
   }
-  EXPECT_GT(routes[kEdges - 1][0].overflow, routes[0][0].overflow);
+  EXPECT_GT(routes[kEdges - 1].overflow, routes[0].overflow);
   expect_same_usage(replay, grid);
 }
 
@@ -415,7 +420,8 @@ TEST(RouterNegotiation, OneFreeSharedTrackGoesToTheFirstEdge) {
   RoutingGrid grid(d.info.die_w_um, d.info.die_h_um, tech3d);
   const Terminal a{20.0f, 20.0f, 0, 0.0f}, b{90.0f, 70.0f, 0, 1.0f};
 
-  const EdgeRoute cheapest = route_edge(EdgeCostModel{grid, tech3d, nullptr}, a, b, true);
+  const CandidateTable candidates(tech3d);
+  const EdgeRoute cheapest = route_edge(EdgeCostModel{grid, candidates, nullptr}, a, b, true);
   ASSERT_TRUE(cheapest.routed);
   ASSERT_TRUE(cheapest.shared);
   const std::size_t plane = static_cast<std::size_t>(grid.nx()) * grid.ny();
@@ -435,12 +441,12 @@ TEST(RouterNegotiation, OneFreeSharedTrackGoesToTheFirstEdge) {
 
   const std::vector<EdgeTask> edges = {EdgeTask{0, 0, a, b, true}, EdgeTask{1, 0, a, b, true}};
   std::vector<float> history(grid.num_track_cells(), 0.0f);
-  std::vector<std::vector<EdgeRoute>> routes(2, std::vector<EdgeRoute>(1));
+  std::vector<EdgeRoute> routes(2);
   const NegotiationStats stats =
-      route_negotiated(NegotiationInput{grid, tech3d, edges, history, routes});
+      route_negotiated(NegotiationInput{grid, candidates, edges, history, routes});
 
-  const EdgeRoute& first = routes[0][0];
-  const EdgeRoute& second = routes[1][0];
+  const EdgeRoute& first = routes[0];
+  const EdgeRoute& second = routes[1];
   EXPECT_TRUE(first.shared);
   EXPECT_EQ(first.route_tier, cheapest.route_tier);
   EXPECT_EQ(first.layer_lo, cheapest.layer_lo);
@@ -455,6 +461,219 @@ TEST(RouterNegotiation, OneFreeSharedTrackGoesToTheFirstEdge) {
   commit_edge(want, first, 1.0f);
   commit_edge(want, second, 1.0f);
   expect_same_usage(want, grid);
+}
+
+// route_edge() as a walk per candidate, straight from the tech: the
+// reference that the one-walk pricing over the CandidateTable must match bit
+// for bit. The constants are topology.cpp's kMinMlsEdgeUm,
+// kCongestionPenaltyPs and kMaxDetour, and the nominal 1.5 kOhm driver.
+EdgeRoute lone_walk_route_edge(const RoutingGrid& grid, const tech::Tech3D& tech,
+                               const float* history, const Terminal& a, const Terminal& b,
+                               bool mls) {
+  constexpr double kMinMlsEdgeUm = 16.0, kPenaltyPs = 2.0, kMaxDetour = 2.5;
+  auto stack_of = [&](int tier) -> const tech::BeolStack& {
+    return tier == 0 ? tech.beol_bottom : tech.beol_top;
+  };
+  EdgeRoute out;
+  const double g = grid.gcell_um();
+  const double len = std::abs(a.x - b.x) + std::abs(a.y - b.y) + 0.5 * g;
+  const double len_h = std::abs(a.x - b.x) + 0.25 * g;
+  const double len_v = std::abs(a.y - b.y) + 0.25 * g;
+  out.gx1 = static_cast<std::uint16_t>(grid.gx(a.x));
+  out.gy1 = static_cast<std::uint16_t>(grid.gy(a.y));
+  out.gx2 = static_cast<std::uint16_t>(grid.gx(b.x));
+  out.gy2 = static_cast<std::uint16_t>(grid.gy(b.y));
+  const bool cross_tier = a.tier != b.tier;
+  const bool force_shared = mls && !cross_tier && len >= kMinMlsEdgeUm;
+  double f2f_penalty = 0.0;
+  if (force_shared || cross_tier) {
+    const double fc =
+        grid.f2f_congestion(out.gx1, out.gy1) + grid.f2f_congestion(out.gx2, out.gy2);
+    f2f_penalty = kPenaltyPs * 2.0 * fc * fc;
+  }
+
+  EdgeRoute pick;
+  double pick_cost = 0.0, pick_res = 0.0, pick_cap = 0.0, pick_over = 0.0;
+  std::uint32_t count = 0;
+  bool shared_fits = false;
+  auto consider = [&](int tier, int lo, int f2f, bool shared) {
+    const tech::BeolStack& stack = stack_of(tier);
+    const tech::MetalLayer& l0 = stack.layer(lo);
+    const tech::MetalLayer& l1 = stack.layer(lo + 1);
+    const bool h0 = l0.dir == tech::LayerDir::kHorizontal;
+    const tech::MetalLayer& lh = h0 ? l0 : l1;
+    const tech::MetalLayer& lv = h0 ? l1 : l0;
+    double res = len_h * lh.r_ohm_per_um + len_v * lv.r_ohm_per_um;
+    double cap = len_h * lh.c_ff_per_um + len_v * lv.c_ff_per_um;
+    double via_r = 0.0, via_c = 0.0;
+    auto add_stack = [&](const tech::BeolStack& st, int levels) {
+      via_r += levels * st.via_r_ohm;
+      via_c += levels * st.via_c_ff;
+    };
+    if (f2f == 0) {
+      add_stack(stack, lo + 1);
+      add_stack(stack, lo + 1);
+    } else {
+      add_stack(stack_of(a.tier), a.tier == tier ? lo + 1 : stack_of(a.tier).num_layers() - 1);
+      add_stack(stack_of(b.tier), b.tier == tier ? lo + 1 : stack_of(b.tier).num_layers() - 1);
+      if (a.tier != tier || shared) add_stack(stack, std::max(stack.num_layers() - 2 - lo, 0));
+    }
+    res += via_r + f2f * tech.f2f.r_ohm;
+    cap += via_c + f2f * tech.f2f.c_ff;
+
+    EdgeRoute probe = out;
+    probe.routed = true;
+    probe.route_tier = static_cast<std::uint8_t>(tier);
+    probe.layer_lo = static_cast<std::uint8_t>(lo);
+    probe.hlayer = static_cast<std::uint8_t>(h0 ? lo : lo + 1);
+    probe.vlayer = static_cast<std::uint8_t>(h0 ? lo + 1 : lo);
+    double penalty = 0.0, over = 0.0;
+    for_each_cell(
+        grid, probe,
+        [&](std::size_t i) {
+          const double cong = grid.congestion_at(i);
+          penalty += kPenaltyPs * cong * cong;
+          if (history != nullptr) penalty += history[i];
+          over = std::max(over, cong);
+          return false;
+        },
+        [](std::size_t) { return false; });
+    const double cost = 1e-3 * (1.5 * 1e3 * cap + res * (cap * 0.5 + 2.0)) + penalty +
+                        (f2f > 0 ? f2f_penalty : 0.0);
+    if (over < 1.0) shared_fits = true;
+    if (count == 0 || cost < pick_cost) {
+      pick = probe;
+      pick.f2f = static_cast<std::uint8_t>(f2f);
+      pick.shared = shared;
+      pick_cost = cost;
+      pick_res = res;
+      pick_cap = cap;
+      pick_over = over;
+    }
+    ++count;
+  };
+  auto native = [&](int tier) {
+    for (int lo = 1; lo + 1 < stack_of(tier).num_layers(); ++lo) consider(tier, lo, 0, false);
+  };
+  if (force_shared) {
+    const int other = a.tier == 0 ? 1 : 0;
+    const int top = stack_of(other).num_layers() - 1;
+    for (int k = 0; k < kSharedLayers; ++k)
+      if (top - 1 - k >= 1) consider(other, top - 1 - k, 2, true);
+    if (!shared_fits) {
+      out.fallback = true;
+      count = 0;
+      native(a.tier);
+    }
+  } else if (cross_tier) {
+    for (int tier = 0; tier < 2; ++tier)
+      for (int lo = 1; lo + 1 < stack_of(tier).num_layers(); ++lo) consider(tier, lo, 1, false);
+  } else {
+    native(a.tier);
+  }
+  out.candidates = count;
+  if (count == 0) return out;
+  const double detour = std::min(kMaxDetour, 1.0 + 0.5 * std::max(0.0, pick_over - 1.0));
+  out.routed = true;
+  out.route_tier = pick.route_tier;
+  out.layer_lo = pick.layer_lo;
+  out.hlayer = pick.hlayer;
+  out.vlayer = pick.vlayer;
+  out.f2f = pick.f2f;
+  out.shared = pick.shared;
+  out.wl_um = static_cast<float>((len_h + len_v) * detour);
+  out.res_ohm = static_cast<float>(pick_res * detour);
+  out.cap_ff = static_cast<float>(pick_cap * detour);
+  out.detour = static_cast<float>(detour);
+  out.overflow = static_cast<float>(pick_over);
+  return out;
+}
+
+// One walk prices every candidate of an edge, with interleaved accumulators
+// in groups of up to four; each EdgeRoute must equal, field for field, the
+// walk-per-candidate reference. The grid is MAERI-16's die with random
+// whole-number usage, random F2F usage and a random history surface: light
+// on the right half, so MLS edges there fit a shared pair, and overfull on
+// the left half, so MLS edges there fall back to native metal. Stacks of 6,
+// 7 and 9 layers give native and cross-tier lists of 4..14 candidates, so
+// every group size runs.
+TEST(RouterPricing, OneWalkMatchesLoneWalks) {
+  tech::Tech3D maeri_tech;
+  const Design d = placed_16pe(true, maeri_tech);
+  const double w = d.info.die_w_um, h = d.info.die_h_um;
+  for (const int layers : {6, 7, 9}) {
+    const tech::Tech3D tech3d = tech::make_hetero_tech(layers);
+    RoutingGrid grid(w, h, tech3d);
+    std::mt19937_64 rng(0x5eed + static_cast<unsigned>(layers));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const std::size_t plane = static_cast<std::size_t>(grid.nx()) * grid.ny();
+    for (std::size_t i = 0; i < grid.num_track_cells(); ++i) {
+      const bool heavy = static_cast<int>(i % plane) % grid.nx() < grid.nx() / 2;
+      const double fill = (heavy ? 1.6 : 0.55) * unit(rng);
+      grid.add_usage_at(i, std::floor(static_cast<float>(fill * grid.capacity_at(i))));
+    }
+    for (std::size_t i = 0; i < grid.num_f2f_cells(); ++i)
+      grid.add_f2f_at(i, std::floor(static_cast<float>(0.8 * unit(rng) * grid.f2f_capacity())));
+    std::vector<float> history(grid.num_track_cells());
+    for (float& v : history) v = static_cast<float>(3.0 * unit(rng));
+
+    const CandidateTable candidates(tech3d);
+    int native = 0, cross = 0, shared = 0, fallback = 0;
+    for (int k = 0; k < 400; ++k) {
+      const bool left = k % 2 == 0;
+      auto point = [&](std::uint8_t tier) {
+        const double x = (left ? 0.0 : 0.5 * w) + unit(rng) * 0.49 * w;
+        return Terminal{static_cast<float>(x), static_cast<float>(unit(rng) * h), tier, 1.0f};
+      };
+      const auto tier_a = static_cast<std::uint8_t>(unit(rng) < 0.5 ? 0 : 1);
+      const auto tier_b = unit(rng) < 0.3 ? static_cast<std::uint8_t>(1 - tier_a) : tier_a;
+      const Terminal a = point(tier_a), b = point(tier_b);
+      const bool mls = unit(rng) < 0.5;
+      const float* hist = k % 4 == 3 ? nullptr : history.data();
+      const EdgeRoute got = route_edge(EdgeCostModel{grid, candidates, hist}, a, b, mls);
+      const EdgeRoute want = lone_walk_route_edge(grid, tech3d, hist, a, b, mls);
+      ASSERT_EQ(got, want) << layers << " layers, edge " << k;
+      ASSERT_TRUE(got.routed);
+      if (got.fallback) ++fallback;
+      else if (got.shared) ++shared;
+      else if (tier_a != tier_b) ++cross;
+      else ++native;
+    }
+    EXPECT_GE(native, 40) << layers;
+    EXPECT_GE(cross, 40) << layers;
+    EXPECT_GE(shared, 20) << layers;
+    EXPECT_GE(fallback, 20) << layers;
+  }
+
+  // Exact ties keep the first candidate in enumeration order: with the same
+  // R and C on every layer, free vias and an empty grid, every candidate of a
+  // list costs the same.
+  tech::Tech3D flat = tech::make_hetero_tech(6);
+  for (tech::BeolStack* st : {&flat.beol_bottom, &flat.beol_top}) {
+    st->via_r_ohm = 0.0;
+    st->via_c_ff = 0.0;
+    for (tech::MetalLayer& layer : st->layers) {
+      layer.r_ohm_per_um = 1.0;
+      layer.c_ff_per_um = 0.2;
+    }
+  }
+  const RoutingGrid empty(w, h, flat);
+  const CandidateTable flat_candidates(flat);
+  const EdgeCostModel flat_model{empty, flat_candidates, nullptr};
+  const Terminal p{10.0f, 10.0f, 0, 0.0f}, q{90.0f, 60.0f, 0, 1.0f}, r{90.0f, 60.0f, 1, 1.0f};
+  const EdgeRoute native = route_edge(flat_model, p, q, false);
+  EXPECT_EQ(native.route_tier, 0);
+  EXPECT_EQ(native.layer_lo, 1);
+  const EdgeRoute cross = route_edge(flat_model, p, r, false);
+  EXPECT_EQ(cross.route_tier, 0);
+  EXPECT_EQ(cross.layer_lo, 1);
+  const EdgeRoute mls = route_edge(flat_model, p, q, true);
+  EXPECT_TRUE(mls.shared);
+  EXPECT_EQ(mls.route_tier, 1);
+  EXPECT_EQ(mls.layer_lo, 4);  // the top pair is the first shared candidate
+  for (const auto& [er, b, flag] : {std::tuple{native, q, false}, std::tuple{cross, r, false},
+                                    std::tuple{mls, q, true}})
+    EXPECT_EQ(er, lone_walk_route_edge(empty, flat, nullptr, p, b, flag));
 }
 
 // The router keeps no record of what it committed besides the per-edge
